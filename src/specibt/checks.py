@@ -9,7 +9,7 @@ sequence and both traces so it can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ir import FP, Program
 from .interp import (
@@ -21,13 +21,12 @@ from .interp import (
     SeqState,
     SpecState,
     Stuck,
-    _terminal,
     run_ideal,
     run_seq,
     run_spec,
     step_spec,
 )
-from .explore import ExploreBudget, McDriver, SpecDriver, explore
+from .explore import Driver, ExploreBudget, McDriver, SpecDriver, explore
 from .gen import ideal_of
 from .hardening import FULL, PassConfig, ReservedRegs, harden
 from .machine import (
@@ -82,6 +81,30 @@ def _traces_match(r1: RunResult, r2: RunResult) -> bool:
     return r1.trace == r2.trace
 
 
+Divergence = tuple[list[Directive], RunResult, RunResult]
+
+
+def _diverge(
+    driver: Driver, s0, replay: Callable, budget: ExploreBudget
+) -> tuple[int, Optional[Divergence]]:
+    """Explore `driver` from `s0` and replay every directive sequence with
+    `replay`. Returns the number of sequences run, and the first one whose
+    two traces do not match, with both results, if there is one."""
+    runs = 0
+    for dirs, r1 in explore(driver, s0, budget):
+        runs += 1
+        r2 = replay(dirs)
+        if not _traces_match(r1, r2):
+            return runs, (list(dirs), r1, r2)
+    return runs, None
+
+
+def _verdict(runs: int, found: Optional[Divergence], reason: str) -> Verdict:
+    if found is None:
+        return Verdict("pass", runs=runs)
+    return _counterexample(reason, *found, runs)
+
+
 def _hardened_init(s: SeqState, r: ReservedRegs) -> SpecState:
     """The theorems' initial target state: misspeculation flag clear, callee
     register pointing at the entry, ctarget check armed."""
@@ -101,16 +124,16 @@ def check_bcc_specibt(
     """Every speculative behavior of the hardened program is an ideal
     behavior of the source program under the same directives."""
     hp = harden(p, r, cfg).hardened
-    runs = 0
-    for dirs, res_spec in explore(SpecDriver(hp, cet=True), _hardened_init(s0, r), budget):
-        runs += 1
-        res_ideal = run_ideal(p, ideal_of(s0), dirs, budget.fuel)
-        if not _traces_match(res_spec, res_ideal):
-            return _counterexample(
-                "hardened speculative trace diverges from ideal trace",
-                dirs, res_spec, res_ideal, runs,
-            )
-    return Verdict("pass", runs=runs)
+    ideal = ideal_of(s0)
+    runs, found = _diverge(
+        SpecDriver(hp, cet=True),
+        _hardened_init(s0, r),
+        lambda dirs: run_ideal(p, ideal, dirs, budget.fuel),
+        budget,
+    )
+    return _verdict(
+        runs, found, "hardened speculative trace diverges from ideal trace"
+    )
 
 
 def check_safety_preservation(
@@ -143,14 +166,16 @@ def attack_search(
     sp2: SpecState,
     budget: ExploreBudget,
     cet: bool = True,
-) -> Optional[tuple[list[Directive], RunResult, RunResult]]:
+) -> Optional[Divergence]:
     """A directive sequence whose traces distinguish the two states, if one
     exists within the budget. Operates on `p` as given (no hardening)."""
-    for dirs, r1 in explore(SpecDriver(p, cet=cet), sp1, budget):
-        r2 = run_spec(p, sp2, dirs, budget.fuel, cet=cet)
-        if not _traces_match(r1, r2):
-            return list(dirs), r1, r2
-    return None
+    _, found = _diverge(
+        SpecDriver(p, cet=cet),
+        sp1,
+        lambda dirs: run_spec(p, sp2, dirs, budget.fuel, cet=cet),
+        budget,
+    )
+    return found
 
 
 def check_relative_security(
@@ -166,6 +191,8 @@ def check_relative_security(
     speculation of the hardened (and optionally linearized) program."""
     if pipeline not in ("hardened-only", "end-to-end"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    if len(s1.mem) != len(s2.mem):
+        raise ValueError("the two states' memories differ in length")
     q1 = run_seq(p, s1, budget.fuel)
     q2 = run_seq(p, s2, budget.fuel)
     if q1.status == "stuck" or q2.status == "stuck":
@@ -175,29 +202,26 @@ def check_relative_security(
             "inconclusive", reason="inputs are sequentially distinguishable"
         )
     hp = harden(p, r, cfg).hardened
-    runs = 0
+    h1, h2 = _hardened_init(s1, r), _hardened_init(s2, r)
     if pipeline == "hardened-only":
-        for dirs, r1 in explore(SpecDriver(hp, cet=True), _hardened_init(s1, r), budget):
-            runs += 1
-            r2 = run_spec(hp, _hardened_init(s2, r), dirs, budget.fuel, cet=True)
-            if not _traces_match(r1, r2):
-                return _counterexample(
-                    "speculative traces distinguish the inputs", dirs, r1, r2, runs
-                )
-        return Verdict("pass", runs=runs)
+        runs, found = _diverge(
+            SpecDriver(hp, cet=True),
+            h1,
+            lambda dirs: run_spec(hp, h2, dirs, budget.fuel, cet=True),
+            budget,
+        )
+        return _verdict(runs, found, "speculative traces distinguish the inputs")
     data_len = len(s1.mem)
     mc = linearize(hp, data_len)
     lay = layout(hp, data_len)
-    m1 = concretize_state(_hardened_init(s1, r), lay)
-    m2 = concretize_state(_hardened_init(s2, r), lay)
-    for dirs, r1 in explore(McDriver(mc, lay), m1, budget):
-        runs += 1
-        r2 = run_mc(mc, lay, m2, dirs, budget.fuel)
-        if not _traces_match(r1, r2):
-            return _counterexample(
-                "machine-level traces distinguish the inputs", dirs, r1, r2, runs
-            )
-    return Verdict("pass", runs=runs)
+    m2 = concretize_state(h2, lay)
+    runs, found = _diverge(
+        McDriver(mc, lay),
+        concretize_state(h1, lay),
+        lambda dirs: run_mc(mc, lay, m2, dirs, budget.fuel),
+        budget,
+    )
+    return _verdict(runs, found, "machine-level traces distinguish the inputs")
 
 
 def check_bcc_linearize(
@@ -269,26 +293,20 @@ def _lockstep(
             out_mir = step_spec(p, sp, d_mir, cet=True)
         if isinstance(out_mir, Next) and isinstance(out_mc, Next):
             o1 = map_obs_mir_to_mc(out_mir.obs, lay) if out_mir.obs is not None else None
-            if o1 != out_mc.obs:
-                if out_mir.obs is not None:
-                    trace_mir.append(out_mir.obs)
-                if out_mc.obs is not None:
-                    trace_mc.append(out_mc.obs)
-                return ce("observations diverge")
             if out_mir.obs is not None:
                 trace_mir.append(out_mir.obs)
             if out_mc.obs is not None:
                 trace_mc.append(out_mc.obs)
+            if o1 != out_mc.obs:
+                return ce("observations diverge")
             sp = out_mir.state
             sc = out_mc.state
             if step_i % sample_every == 0 and not state_rel(sp, sc, lay):
                 return ce("state relation broken")
             continue
-        status_mir, _ = _terminal(out_mir) if not isinstance(out_mir, Next) else ("next", None)
-        status_mc, _ = _terminal(out_mc) if not isinstance(out_mc, Next) else ("next", None)
-        if status_mir == "stuck":
+        if isinstance(out_mir, Stuck):
             return Verdict("inconclusive", reason="source speculative run is stuck")
-        if status_mir != status_mc:
-            return ce(f"outcomes diverge: source {status_mir}, machine {status_mc}")
+        if out_mir.status != out_mc.status:
+            return ce(f"outcomes diverge: source {out_mir.status}, machine {out_mc.status}")
         return None
     return None

@@ -160,10 +160,9 @@ def _emit_run(res: RunResult) -> None:
               help="Start with the misspeculation flag set.")
 @click.option("--no-cet", is_flag=True, default=False,
               help="Model hardware without indirect-branch tracking.")
-@click.option("--data-len", type=int, default=None,
-              help="Data section length for --sem mc (default: state memory size).")
-def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet, data_len):
-    """Execute PROGRAM from STATE and print the observation trace."""
+def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
+    """Execute PROGRAM from STATE and print the observation trace. Under
+    --sem mc the data section is as long as the state's memory."""
     p = _load_program(program)
     directives = _load_directives(directives_path)
     if sem == "seq":
@@ -176,25 +175,18 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet, data_len
             s = IdealState(s.pc, s.regs, s.mem, s.stk, True)
         _emit_run(run_ideal(p, s, directives, fuel))
         return
-    if sem == "spec":
-        s = _load_state(state, "spec")
-        assert isinstance(s, SpecState)
-        if ct is not None or ms:
-            s = SpecState(s.pc, s.regs, s.mem, s.stk,
-                          s.ct if ct is None else ct, s.ms or ms)
-        _emit_run(run_spec(p, s, directives, fuel, cet=not no_cet))
-        return
     s = _load_state(state, "spec")
-    dl = data_len if data_len is not None else len(s.mem)
-    try:
-        lay = layout(p, dl)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    mc = linearize(p, dl)
-    assert isinstance(s, SpecState)
     if ct is not None or ms:
         s = SpecState(s.pc, s.regs, s.mem, s.stk,
                       s.ct if ct is None else ct, s.ms or ms)
+    if sem == "spec":
+        _emit_run(run_spec(p, s, directives, fuel, cet=not no_cet))
+        return
+    try:
+        lay = layout(p, len(s.mem))
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+    mc = linearize(p, len(s.mem))
     _emit_run(run_mc(mc, lay, concretize_state(s, lay), directives, fuel))
 
 
@@ -295,8 +287,7 @@ def _load_pair(path: str) -> tuple[SeqState, SeqState]:
               default="hardened-only", show_default=True, help="For rs only.")
 @click.option("--variant", type=click.Choice(sorted(VARIANTS)), default="full",
               show_default=True)
-@click.option("--data-len", type=int, default=None, help="For linearize only.")
-def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant, data_len):
+def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
     linearize) or a two-state pair JSON (rs)."""
     p = _load_program(program)
@@ -312,9 +303,7 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant, da
             v = check_relative_security(p, s1, s2, budget, pipeline, cfg=cfg)
         else:
             s = _load_state(state, "spec")
-            assert isinstance(s, SpecState)
-            dl = data_len if data_len is not None else len(s.mem)
-            v = check_bcc_linearize(p, s, dl, budget)
+            v = check_bcc_linearize(p, s, len(s.mem), budget)
     except (HardenError, ValueError) as exc:
         click.echo(f"side condition violated: {exc}", err=True)
         sys.exit(EXIT_SIDE_CONDITION)
@@ -372,10 +361,11 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
     sys.exit(1)
 
 
-def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int, cfg: GenConfig):
+def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
     """Yield (program, safe state) pairs, from a corpus directory or the
     generator."""
     rng = random.Random(seed)
+    cfg = GenConfig()
     if corpus:
         files = sorted(pathlib.Path(corpus).glob("*.mir"))
         if not files:
@@ -436,12 +426,14 @@ def _fuzz_options(f):
     return f
 
 
-def _fuzz_loop(corpus, seed, depth, runs, fuel, sequences, one) -> None:
+def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
+    """Check every case (a tuple of arguments to `one`, before the budget)
+    and print the verdict: the first counterexample, with the sequences of
+    all cases up to it, or a pass over all of them."""
     budget = _budget(depth, sequences, fuel)
-    cfg = GenConfig()
     total = 0
-    for p, s in _fuzz_inputs(corpus, seed, runs, fuel, cfg):
-        v = one(p, s, budget)
+    for case in cases:
+        v = one(*case, budget)
         if v.status == "counterexample":
             v.runs = total + v.runs
             _finish_verdict(v)
@@ -454,16 +446,16 @@ def _fuzz_loop(corpus, seed, depth, runs, fuel, sequences, one) -> None:
 @_fuzz_options
 def cmd_fuzz_bcc(corpus, seed, depth, runs, fuel, sequences):
     """Fuzz hardened-speculative vs source-ideal trace equality."""
-    _fuzz_loop(corpus, seed, depth, runs, fuel, sequences,
-               lambda p, s, b: check_bcc_specibt(p, s, b))
+    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
+               check_bcc_specibt)
 
 
 @main.command("fuzz-safety")
 @_fuzz_options
 def cmd_fuzz_safety(corpus, seed, depth, runs, fuel, sequences):
     """Fuzz for speculative undefined behavior in hardened programs."""
-    _fuzz_loop(corpus, seed, depth, runs, fuel, sequences,
-               lambda p, s, b: check_safety_preservation(p, s, b))
+    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
+               check_safety_preservation)
 
 
 @main.command("fuzz-rs")
@@ -476,21 +468,10 @@ def cmd_fuzz_rs(corpus, seed, depth, runs, fuel, sequences, pipeline):
         raise click.ClickException(
             "fuzz-rs needs generated state pairs; --corpus is unsupported here"
         )
-    budget = _budget(depth, sequences, fuel)
     rng = random.Random(seed)
-    cfg = GenConfig()
-    total = 0
-    for _ in range(runs):
-        pair = gen_seq_equiv_pair(rng, cfg, fuel)
-        v = check_relative_security(
-            pair.program, pair.s1, pair.s2, budget, pipeline
-        )
-        if v.status == "counterexample":
-            v.runs = total + v.runs
-            _finish_verdict(v)
-            return
-        total += v.runs
-    _finish_verdict(Verdict("pass", runs=total))
+    pairs = (gen_seq_equiv_pair(rng, GenConfig(), fuel) for _ in range(runs))
+    _fuzz_loop(((q.program, q.s1, q.s2) for q in pairs), depth, sequences, fuel,
+               lambda p, s1, s2, b: check_relative_security(p, s1, s2, b, pipeline))
 
 
 @main.command("fuzz-linearize")
@@ -500,7 +481,7 @@ def cmd_fuzz_linearize(corpus, seed, depth, runs, fuel, sequences):
     def one(p, s, b):
         return check_bcc_linearize(p, spec_of(s), len(s.mem), b)
 
-    _fuzz_loop(corpus, seed, depth, runs, fuel, sequences, one)
+    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel, one)
 
 
 if __name__ == "__main__":

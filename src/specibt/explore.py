@@ -11,25 +11,21 @@ covered without exponential blowup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .ir import Branch, Call, FP, PC, Program, fetch
+from .ir import Branch, FP, PC, Inst, Program, fetch
 from .interp import (
     DBranch,
     DCallMc,
     DCallMir,
     Directive,
-    Fault,
-    IdealState,
     Next,
     Obs,
-    Outcome,
     OutOfDirectives,
     RunResult,
-    SpecState,
-    _terminal,
     eval_expr,
     is_nat,
+    result,
     step_ideal,
     step_spec,
 )
@@ -43,128 +39,82 @@ class ExploreBudget:
     fuel: int = 1000
 
 
-class SpecDriver:
-    """Speculative block-structured execution of `p`."""
+class Driver:
+    """Execution of program `p` under one semantics, as exploration needs
+    it: `step` takes a step with an optional directive, `fetch` gives the
+    instruction at a state's pc, `call_candidates` are the call directives
+    the attacker may pick, and `correct` is the directive that follows the
+    program at a prediction point."""
 
-    def __init__(self, p: Program, cet: bool = True):
+    def __init__(self, p, step, fetch, call_candidates: list[Directive], correct):
         self.p = p
-        self.cet = cet
-        self._call_candidates = _mir_call_candidates(p)
+        self.step = step
+        self._fetch = fetch
+        self._call_candidates = call_candidates
+        self.correct = correct
 
-    def step(self, s: SpecState, d: Optional[Directive]) -> Outcome:
-        return step_spec(self.p, s, d, cet=self.cet)
-
-    def candidates(self, s: SpecState) -> list[Directive]:
-        inst = fetch(self.p, s.pc)
-        if isinstance(inst, Branch):
+    def candidates(self, s) -> list[Directive]:
+        """Every directive the attacker may pick at the prediction point
+        `s`, which is at a branch or a call."""
+        if isinstance(self._fetch(s), Branch):
             return [DBranch(True), DBranch(False)]
-        assert isinstance(inst, Call)
         return list(self._call_candidates)
 
-    def correct(self, s: SpecState) -> Directive:
-        inst = fetch(self.p, s.pc)
+
+def _mir_driver(p: Program, step, masked: bool) -> Driver:
+    def correct(s) -> Directive:
+        # Under the ideal semantics' masking, a misspeculating state's
+        # conditions read 0 and its call targets &0.
+        mask = masked and s.ms
+        inst = fetch(p, s.pc)
         if isinstance(inst, Branch):
-            v = eval_expr(inst.cond, s.regs)
+            v = 0 if mask else eval_expr(inst.cond, s.regs)
             return DBranch(is_nat(v) and v != 0)
-        assert isinstance(inst, Call)
-        v = eval_expr(inst.target, s.regs)
-        assert isinstance(v, FP)
+        v = FP(0) if mask else eval_expr(inst.target, s.regs)
         return DCallMir(PC(v.label, 0))
 
-
-class IdealDriver:
-    """Ideal-semantics execution, with masking applied when predicting."""
-
-    def __init__(self, p: Program):
-        self.p = p
-        self._call_candidates = _mir_call_candidates(p)
-
-    def step(self, s: IdealState, d: Optional[Directive]) -> Outcome:
-        return step_ideal(self.p, s, d)
-
-    def candidates(self, s: IdealState) -> list[Directive]:
-        inst = fetch(self.p, s.pc)
-        if isinstance(inst, Branch):
-            return [DBranch(True), DBranch(False)]
-        assert isinstance(inst, Call)
-        return list(self._call_candidates)
-
-    def correct(self, s: IdealState) -> Directive:
-        inst = fetch(self.p, s.pc)
-        if isinstance(inst, Branch):
-            if s.ms:
-                return DBranch(False)
-            v = eval_expr(inst.cond, s.regs)
-            return DBranch(is_nat(v) and v != 0)
-        assert isinstance(inst, Call)
-        if s.ms:
-            return DCallMir(PC(0, 0))
-        v = eval_expr(inst.target, s.regs)
-        assert isinstance(v, FP)
-        return DCallMir(PC(v.label, 0))
-
-
-class McDriver:
-    """Speculative flat-machine execution."""
-
-    def __init__(self, mc: McProgram, lay: LayoutMap):
-        self.mc = mc
-        self.lay = lay
-        cands: list[Directive] = [DCallMc(lay.addr(l)) for l in range(len(lay.starts))]
-        cands.extend(
-            DCallMc(lay.addr(l) + 1)
-            for l in range(len(lay.starts))
-            if lay.sizes[l] > 1
-        )
-        self._call_candidates = cands
-
-    def step(self, s: McState, d: Optional[Directive]) -> Outcome:
-        return step_mc(self.mc, self.lay, s, d)
-
-    def candidates(self, s: McState) -> list[Directive]:
-        inst = self.mc.code[s.pc - self.lay.data_len]
-        if isinstance(inst, Branch):
-            return [DBranch(True), DBranch(False)]
-        assert isinstance(inst, Call)
-        return list(self._call_candidates)
-
-    def correct(self, s: McState) -> Directive:
-        inst = self.mc.code[s.pc - self.lay.data_len]
-        if isinstance(inst, Branch):
-            return DBranch(eval_mc(inst.cond, s.regs) != 0)
-        assert isinstance(inst, Call)
-        return DCallMc(eval_mc(inst.target, s.regs))
-
-
-def _mir_call_candidates(p: Program) -> list[Directive]:
     cands: list[Directive] = [DCallMir(PC(l, 0)) for l in range(len(p.blocks))]
     cands.extend(
         DCallMir(PC(l, 1)) for l, b in enumerate(p.blocks) if len(b.insts) > 1
     )
-    return cands
+    return Driver(p, step, lambda s: fetch(p, s.pc), cands, correct)
+
+
+def SpecDriver(p: Program, cet: bool = True) -> Driver:
+    """Speculative block-structured execution of `p`."""
+    return _mir_driver(p, lambda s, d: step_spec(p, s, d, cet), False)
+
+
+def IdealDriver(p: Program) -> Driver:
+    """Ideal-semantics execution, with masking applied when predicting."""
+    return _mir_driver(p, lambda s, d: step_ideal(p, s, d), True)
+
+
+def McDriver(mc: McProgram, lay: LayoutMap) -> Driver:
+    """Speculative flat-machine execution."""
+
+    def inst(s: McState) -> Inst:
+        return mc.code[s.pc - lay.data_len]
+
+    def correct(s: McState) -> Directive:
+        i = inst(s)
+        if isinstance(i, Branch):
+            return DBranch(eval_mc(i.cond, s.regs) != 0)
+        return DCallMc(eval_mc(i.target, s.regs))
+
+    cands: list[Directive] = [DCallMc(lay.addr(l)) for l in range(len(lay.starts))]
+    cands.extend(
+        DCallMc(lay.addr(l) + 1) for l in range(len(lay.starts)) if lay.sizes[l] > 1
+    )
+    return Driver(mc, lambda s, d: step_mc(mc, lay, s, d), inst, cands, correct)
 
 
 def explore(
-    driver, s0, budget: ExploreBudget
+    driver: Driver, s0, budget: ExploreBudget
 ) -> Iterator[tuple[tuple[Directive, ...], RunResult]]:
     """All bounded runs from `s0`, as (directive sequence, result) pairs, in
     deterministic depth-first order. Stops after max_sequences results."""
     emitted = 0
-
-    def finish(
-        out: Outcome, s, dirs: tuple[Directive, ...], trace: tuple[Obs, ...]
-    ) -> RunResult:
-        if isinstance(out, Fault) and out.obs is not None:
-            trace = trace + (out.obs,)
-        status, reason = _terminal(out)
-        return RunResult(
-            list(trace),
-            status,
-            reason,
-            state=s,
-            directives_used=len(dirs),
-            final_ms=getattr(s, "ms", None),
-        )
 
     def walk(
         s, dirs: tuple[Directive, ...], trace: tuple[Obs, ...], fuel: int, forks: int
@@ -175,13 +125,7 @@ def explore(
                 return
             if fuel <= 0:
                 emitted += 1
-                yield dirs, RunResult(
-                    list(trace),
-                    "fuel",
-                    state=s,
-                    directives_used=len(dirs),
-                    final_ms=getattr(s, "ms", None),
-                )
+                yield dirs, result(list(trace), None, s, len(dirs))
                 return
             out = driver.step(s, None)
             if isinstance(out, OutOfDirectives):
@@ -199,7 +143,9 @@ def explore(
                             )
                         else:
                             emitted += 1
-                            yield dirs + (d,), finish(out2, s, dirs + (d,), trace)
+                            yield dirs + (d,), result(
+                                list(trace), out2, s, len(dirs) + 1
+                            )
                     return
                 d = driver.correct(s)
                 out = driver.step(s, d)
@@ -211,7 +157,7 @@ def explore(
                 fuel -= 1
                 continue
             emitted += 1
-            yield dirs, finish(out, s, dirs, trace)
+            yield dirs, result(list(trace), out, s, len(dirs))
             return
 
     yield from walk(s0, (), (), budget.fuel, 0)

@@ -2,13 +2,21 @@
 sequential, speculative with a CET-style ctarget model, and ideal
 (masking enforced in the semantics).
 
+The semantics are layered as in the paper: the speculative semantics is
+the sequential one plus attacker directives at branches and calls, and the
+ideal semantics is the speculative one plus masking and call-target
+validation. One step function, `_step`, implements every rule once and
+takes the layers as policy flags; `step_seq`, `step_spec` and `step_ideal`
+select them. One run loop, `run`, drives any step function, the machine
+semantics' included.
+
 All step functions are pure; states are immutable snapshots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 from .ir import (
     UV,
@@ -92,43 +100,60 @@ class SeqState:
     mem: tuple[Value, ...]
     stk: tuple[PC, ...] = ()
 
+    def move(self, pc, regs, mem, stk, ct, ms) -> "SeqState":
+        """A successor state of the same kind; flags this kind does not
+        carry are dropped."""
+        return SeqState(pc, regs, mem, stk)
+
 
 @dataclass(frozen=True)
 class SpecState(SeqState):
     ct: bool = False
     ms: bool = False
 
+    def move(self, pc, regs, mem, stk, ct, ms) -> "SpecState":
+        return SpecState(pc, regs, mem, stk, ct, ms)
+
 
 @dataclass(frozen=True)
 class IdealState(SeqState):
     ms: bool = False
+
+    def move(self, pc, regs, mem, stk, ct, ms) -> "IdealState":
+        return IdealState(pc, regs, mem, stk, ms)
+
+
+# Each outcome names the run status it ends a run with.
 
 
 @dataclass(frozen=True, slots=True)
 class Next:
     state: SeqState
     obs: Optional[Obs] = None
+    status: ClassVar[str] = "next"
 
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    pass
+    status: ClassVar[str] = "term"
 
 
 @dataclass(frozen=True, slots=True)
 class Fault:
     # Ideal call faults carry the call observation of the faulting step.
     obs: Optional[Obs] = None
+    status: ClassVar[str] = "fault"
 
 
 @dataclass(frozen=True, slots=True)
 class Stuck:
     reason: str
+    status: ClassVar[str] = "stuck"
 
 
 @dataclass(frozen=True, slots=True)
 class OutOfDirectives:
-    pass
+    status: ClassVar[str] = "out-of-directives"
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +161,7 @@ class DirectiveMismatch:
     # Harness-level error: the supplied directive kind has no rule for the
     # fetched instruction. Distinct from undefined behavior (Stuck).
     reason: str
+    status: ClassVar[str] = "directive-mismatch"
 
 
 Outcome = Union[Next, Term, Fault, Stuck, OutOfDirectives, DirectiveMismatch]
@@ -148,26 +174,32 @@ OUT_OF_DIRECTIVES = OutOfDirectives()
 # Expression evaluation
 
 
+def nat_op(op: str, a: int, b: int) -> int:
+    """The binary operators on naturals, shared by the block-structured and
+    the machine value domains."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        # Truncated subtraction: naturals never go below zero.
+        return a - b if a >= b else 0
+    if op == "*":
+        return a * b
+    if op == "=":
+        return 1 if a == b else 0
+    if op == "<=":
+        return 1 if a <= b else 0
+    if op == "&&":
+        return 1 if a != 0 and b != 0 else 0
+    if op == "->":
+        return 1 if a == 0 or b != 0 else 0
+    raise ValueError(f"unknown operator {op!r}")
+
+
 def _binop(op: str, v1: Value, v2: Value) -> Value:
     if isinstance(v1, FP) and isinstance(v2, FP) and op == "=":
         return 1 if v1.label == v2.label else 0
     if is_nat(v1) and is_nat(v2):
-        if op == "+":
-            return v1 + v2
-        if op == "-":
-            # Truncated subtraction: naturals never go below zero.
-            return v1 - v2 if v1 >= v2 else 0
-        if op == "*":
-            return v1 * v2
-        if op == "=":
-            return 1 if v1 == v2 else 0
-        if op == "<=":
-            return 1 if v1 <= v2 else 0
-        if op == "&&":
-            return 1 if v1 != 0 and v2 != 0 else 0
-        if op == "->":
-            return 1 if v1 == 0 or v2 != 0 else 0
-        raise ValueError(f"unknown operator {op!r}")
+        return nat_op(op, v1, v2)
     return UV
 
 
@@ -189,7 +221,7 @@ def eval_expr(e: Expr, regs: dict[str, Value]) -> Value:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _with_reg(regs: dict[str, Value], name: str, v: Value) -> dict[str, Value]:
+def with_reg(regs: dict[str, Value], name: str, v: Value) -> dict[str, Value]:
     out = dict(regs)
     out[name] = v
     return out
@@ -204,57 +236,104 @@ def _nat_addr(v: Value, mem: tuple[Value, ...], what: str) -> Union[int, Stuck]:
 
 
 # --------------------------------------------------------------------------
-# Sequential semantics
+# The block-structured semantics
 
 
-def step_seq(p: Program, s: SeqState) -> Outcome:
+def _step(
+    p: Program,
+    s: SeqState,
+    d: Optional[Directive],
+    spec: bool,
+    ideal: bool,
+    cet: bool,
+) -> Outcome:
+    """One step under the semantics the policy selects. `spec` makes
+    branches and calls follow the directive `d` and track misspeculation;
+    `ideal` adds masking (under misspeculation, branch conditions read 0,
+    addresses 0 and call targets &0) and faults calls whose directive is not
+    a function entry; `cet` makes calls arm the ctarget check and faults
+    any other instruction while it is armed. Speculative states carry the
+    ms flag, and only non-ideal ones the ct flag.
+    """
     inst = fetch(p, s.pc)
     if inst is None:
         return Stuck("pc out of range")
-    if isinstance(inst, (Skip, CTarget)):
-        return Next(replace(s, pc=s.pc.next()))
+    pc, regs, mem, stk = s.pc, s.regs, s.mem, s.stk
+    ms = spec and s.ms
+    ct = spec and not ideal and s.ct
+    if cet and ct and not isinstance(inst, CTarget):
+        return Fault()
+    masked = ideal and ms
+    if isinstance(inst, CTarget):
+        return Next(s.move(pc.next(), regs, mem, stk, False, ms))
+    if isinstance(inst, Skip):
+        return Next(s.move(pc.next(), regs, mem, stk, ct, ms))
     if isinstance(inst, Asgn):
-        v = eval_expr(inst.expr, s.regs)
-        return Next(replace(s, pc=s.pc.next(), regs=_with_reg(s.regs, inst.reg, v)))
+        regs = with_reg(regs, inst.reg, eval_expr(inst.expr, regs))
+        return Next(s.move(pc.next(), regs, mem, stk, ct, ms))
     if isinstance(inst, Branch):
-        v = eval_expr(inst.cond, s.regs)
+        v = 0 if masked else eval_expr(inst.cond, regs)
         if not is_nat(v):
             return Stuck("branch condition is not a number")
         b = v != 0
-        pc2 = PC(inst.target, 0) if b else s.pc.next()
-        return Next(replace(s, pc=pc2), OBranch(b))
+        taken = b
+        if spec:
+            if d is None:
+                return OUT_OF_DIRECTIVES
+            if not isinstance(d, DBranch):
+                return DirectiveMismatch("branch instruction needs a branch directive")
+            taken = d.taken
+            ms = ms or b != taken
+        pc2 = PC(inst.target, 0) if taken else pc.next()
+        return Next(s.move(pc2, regs, mem, stk, ct, ms), OBranch(b))
     if isinstance(inst, Jump):
-        return Next(replace(s, pc=PC(inst.target, 0)))
+        return Next(s.move(PC(inst.target, 0), regs, mem, stk, ct, ms))
     if isinstance(inst, Load):
-        a = _nat_addr(eval_expr(inst.addr, s.regs), s.mem, "load")
+        a = _nat_addr(0 if masked else eval_expr(inst.addr, regs), mem, "load")
         if isinstance(a, Stuck):
             return a
-        regs = _with_reg(s.regs, inst.reg, s.mem[a])
-        return Next(replace(s, pc=s.pc.next(), regs=regs), OLoad(a))
+        regs = with_reg(regs, inst.reg, mem[a])
+        return Next(s.move(pc.next(), regs, mem, stk, ct, ms), OLoad(a))
     if isinstance(inst, Store):
-        a = _nat_addr(eval_expr(inst.addr, s.regs), s.mem, "store")
+        a = _nat_addr(0 if masked else eval_expr(inst.addr, regs), mem, "store")
         if isinstance(a, Stuck):
             return a
-        v = eval_expr(inst.value, s.regs)
-        mem = s.mem[:a] + (v,) + s.mem[a + 1 :]
-        return Next(replace(s, pc=s.pc.next(), mem=mem), OStore(a))
+        mem = mem[:a] + (eval_expr(inst.value, regs),) + mem[a + 1 :]
+        return Next(s.move(pc.next(), regs, mem, stk, ct, ms), OStore(a))
     if isinstance(inst, Call):
-        v = eval_expr(inst.target, s.regs)
+        v = FP(0) if masked else eval_expr(inst.target, regs)
         if not isinstance(v, FP):
             return Stuck("call target is not a function pointer")
-        if not (0 <= v.label < len(p.blocks) and p.blocks[v.label].is_entry):
-            return Stuck(f"call target &{v.label} is not a function entry")
-        stk = (s.pc.next(),) + s.stk
-        return Next(replace(s, pc=PC(v.label, 0), stk=stk), OCall(v.label))
+        if spec:
+            if d is None:
+                return OUT_OF_DIRECTIVES
+            if not isinstance(d, DCallMir):
+                return DirectiveMismatch("call instruction needs a call directive")
+            pc2 = d.target
+            if ideal and not (
+                pc2.offset == 0
+                and 0 <= pc2.label < len(p.blocks)
+                and len(p.blocks[pc2.label].insts) > 0
+                and p.blocks[pc2.label].is_entry
+            ):
+                return Fault(OCall(v.label))
+            ms = ms or pc2 != PC(v.label, 0)
+            ct = cet
+        else:
+            if not (0 <= v.label < len(p.blocks) and p.blocks[v.label].is_entry):
+                return Stuck(f"call target &{v.label} is not a function entry")
+            pc2 = PC(v.label, 0)
+        stk = (pc.next(),) + stk
+        return Next(s.move(pc2, regs, mem, stk, ct, ms), OCall(v.label))
     if isinstance(inst, Ret):
-        if not s.stk:
+        if not stk:
             return TERM
-        return Next(replace(s, pc=s.stk[0], stk=s.stk[1:]))
+        return Next(s.move(stk[0], regs, mem, stk[1:], ct, ms))
     raise TypeError(f"not an instruction: {inst!r}")
 
 
-# --------------------------------------------------------------------------
-# Speculative semantics with the ctarget model
+def step_seq(p: Program, s: SeqState) -> Outcome:
+    return _step(p, s, None, False, False, False)
 
 
 def step_spec(
@@ -267,130 +346,11 @@ def step_spec(
     instructions. With `cet` disabled, calls do not arm the ctarget check,
     modeling hardware without indirect-branch tracking.
     """
-    inst = fetch(p, s.pc)
-    if inst is None:
-        return Stuck("pc out of range")
-    if cet and s.ct and not isinstance(inst, CTarget):
-        return Fault()
-    if isinstance(inst, CTarget):
-        return Next(replace(s, pc=s.pc.next(), ct=False))
-    if isinstance(inst, Skip):
-        return Next(replace(s, pc=s.pc.next()))
-    if isinstance(inst, Asgn):
-        v = eval_expr(inst.expr, s.regs)
-        return Next(replace(s, pc=s.pc.next(), regs=_with_reg(s.regs, inst.reg, v)))
-    if isinstance(inst, Branch):
-        v = eval_expr(inst.cond, s.regs)
-        if not is_nat(v):
-            return Stuck("branch condition is not a number")
-        if d is None:
-            return OUT_OF_DIRECTIVES
-        if not isinstance(d, DBranch):
-            return DirectiveMismatch("branch instruction needs a branch directive")
-        b = v != 0
-        pc2 = PC(inst.target, 0) if d.taken else s.pc.next()
-        return Next(replace(s, pc=pc2, ms=s.ms or b != d.taken), OBranch(b))
-    if isinstance(inst, Jump):
-        return Next(replace(s, pc=PC(inst.target, 0)))
-    if isinstance(inst, Load):
-        a = _nat_addr(eval_expr(inst.addr, s.regs), s.mem, "load")
-        if isinstance(a, Stuck):
-            return a
-        regs = _with_reg(s.regs, inst.reg, s.mem[a])
-        return Next(replace(s, pc=s.pc.next(), regs=regs), OLoad(a))
-    if isinstance(inst, Store):
-        a = _nat_addr(eval_expr(inst.addr, s.regs), s.mem, "store")
-        if isinstance(a, Stuck):
-            return a
-        v = eval_expr(inst.value, s.regs)
-        mem = s.mem[:a] + (v,) + s.mem[a + 1 :]
-        return Next(replace(s, pc=s.pc.next(), mem=mem), OStore(a))
-    if isinstance(inst, Call):
-        v = eval_expr(inst.target, s.regs)
-        if not isinstance(v, FP):
-            return Stuck("call target is not a function pointer")
-        if d is None:
-            return OUT_OF_DIRECTIVES
-        if not isinstance(d, DCallMir):
-            return DirectiveMismatch("call instruction needs a call directive")
-        pc2 = d.target
-        ms2 = s.ms or pc2 != PC(v.label, 0)
-        stk = (s.pc.next(),) + s.stk
-        return Next(replace(s, pc=pc2, stk=stk, ct=cet, ms=ms2), OCall(v.label))
-    if isinstance(inst, Ret):
-        if not s.stk:
-            return TERM
-        return Next(replace(s, pc=s.stk[0], stk=s.stk[1:]))
-    raise TypeError(f"not an instruction: {inst!r}")
-
-
-# --------------------------------------------------------------------------
-# Ideal semantics (masking and call-target validation built in)
+    return _step(p, s, d, True, False, cet)
 
 
 def step_ideal(p: Program, s: IdealState, d: Optional[Directive] = None) -> Outcome:
-    inst = fetch(p, s.pc)
-    if inst is None:
-        return Stuck("pc out of range")
-    if isinstance(inst, (Skip, CTarget)):
-        return Next(replace(s, pc=s.pc.next()))
-    if isinstance(inst, Asgn):
-        v = eval_expr(inst.expr, s.regs)
-        return Next(replace(s, pc=s.pc.next(), regs=_with_reg(s.regs, inst.reg, v)))
-    if isinstance(inst, Branch):
-        v: Value = 0 if s.ms else eval_expr(inst.cond, s.regs)
-        if not is_nat(v):
-            return Stuck("branch condition is not a number")
-        if d is None:
-            return OUT_OF_DIRECTIVES
-        if not isinstance(d, DBranch):
-            return DirectiveMismatch("branch instruction needs a branch directive")
-        b = v != 0
-        pc2 = PC(inst.target, 0) if d.taken else s.pc.next()
-        return Next(replace(s, pc=pc2, ms=s.ms or b != d.taken), OBranch(b))
-    if isinstance(inst, Jump):
-        return Next(replace(s, pc=PC(inst.target, 0)))
-    if isinstance(inst, Load):
-        av: Value = 0 if s.ms else eval_expr(inst.addr, s.regs)
-        a = _nat_addr(av, s.mem, "load")
-        if isinstance(a, Stuck):
-            return a
-        regs = _with_reg(s.regs, inst.reg, s.mem[a])
-        return Next(replace(s, pc=s.pc.next(), regs=regs), OLoad(a))
-    if isinstance(inst, Store):
-        av = 0 if s.ms else eval_expr(inst.addr, s.regs)
-        a = _nat_addr(av, s.mem, "store")
-        if isinstance(a, Stuck):
-            return a
-        v = eval_expr(inst.value, s.regs)
-        mem = s.mem[:a] + (v,) + s.mem[a + 1 :]
-        return Next(replace(s, pc=s.pc.next(), mem=mem), OStore(a))
-    if isinstance(inst, Call):
-        tv: Value = FP(0) if s.ms else eval_expr(inst.target, s.regs)
-        if not isinstance(tv, FP):
-            return Stuck("call target is not a function pointer")
-        if d is None:
-            return OUT_OF_DIRECTIVES
-        if not isinstance(d, DCallMir):
-            return DirectiveMismatch("call instruction needs a call directive")
-        obs = OCall(tv.label)
-        l2, o2 = d.target.label, d.target.offset
-        valid = (
-            o2 == 0
-            and 0 <= l2 < len(p.blocks)
-            and len(p.blocks[l2].insts) > 0
-            and p.blocks[l2].is_entry
-        )
-        if not valid:
-            return Fault(obs)
-        stk = (s.pc.next(),) + s.stk
-        ms2 = s.ms or l2 != tv.label
-        return Next(replace(s, pc=PC(l2, 0), stk=stk, ms=ms2), obs)
-    if isinstance(inst, Ret):
-        if not s.stk:
-            return TERM
-        return Next(replace(s, pc=s.stk[0], stk=s.stk[1:]))
-    raise TypeError(f"not an instruction: {inst!r}")
+    return _step(p, s, d, True, True, False)
 
 
 # --------------------------------------------------------------------------
@@ -408,69 +368,44 @@ class RunResult:
     final_ms: Optional[bool] = None
 
 
-def _terminal(out: Outcome) -> tuple[str, Optional[str]]:
-    if isinstance(out, Term):
-        return "term", None
-    if isinstance(out, Fault):
-        return "fault", None
-    if isinstance(out, Stuck):
-        return "stuck", out.reason
-    if isinstance(out, OutOfDirectives):
-        return "out-of-directives", None
-    if isinstance(out, DirectiveMismatch):
-        return "directive-mismatch", out.reason
-    raise TypeError(f"not a terminal outcome: {out!r}")
+def result(trace: list[Obs], out: Optional[Outcome], s, used: int) -> RunResult:
+    """The result of a run that stopped in state `s`, after consuming `used`
+    directives, with the terminal outcome `out` or, when `out` is None, out
+    of fuel. An ideal call fault adds its call observation to the trace."""
+    if isinstance(out, Fault) and out.obs is not None:
+        trace.append(out.obs)
+    status = "fuel" if out is None else out.status
+    return RunResult(
+        trace, status, getattr(out, "reason", None), s, used, getattr(s, "ms", None)
+    )
 
 
-def run_seq(p: Program, s: SeqState, fuel: int) -> RunResult:
-    trace: list[Obs] = []
-    for _ in range(fuel):
-        out = step_seq(p, s)
-        if isinstance(out, Next):
-            if out.obs is not None:
-                trace.append(out.obs)
-            s = out.state
-            continue
-        status, reason = _terminal(out)
-        return RunResult(trace, status, reason, state=s)
-    return RunResult(trace, "fuel", state=s)
+Step = Callable[[SeqState, Optional[Directive]], Outcome]
 
 
-def _run_directed(step, p, s, directives: Sequence[Directive], fuel: int) -> RunResult:
+def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
+    """At most `fuel` steps from `s`, supplying `directives` in order at the
+    prediction points, where `step(s, None)` reports out-of-directives."""
     trace: list[Obs] = []
     used = 0
     for _ in range(fuel):
-        out = step(p, s, None)
+        out = step(s, None)
         if isinstance(out, OutOfDirectives):
             if used >= len(directives):
-                return RunResult(
-                    trace,
-                    "out-of-directives",
-                    state=s,
-                    directives_used=used,
-                    final_ms=getattr(s, "ms", None),
-                )
-            out = step(p, s, directives[used])
+                return result(trace, out, s, used)
+            out = step(s, directives[used])
             used += 1
         if isinstance(out, Next):
             if out.obs is not None:
                 trace.append(out.obs)
             s = out.state
             continue
-        if isinstance(out, Fault) and out.obs is not None:
-            trace.append(out.obs)
-        status, reason = _terminal(out)
-        return RunResult(
-            trace,
-            status,
-            reason,
-            state=s,
-            directives_used=used,
-            final_ms=getattr(s, "ms", None),
-        )
-    return RunResult(
-        trace, "fuel", state=s, directives_used=used, final_ms=getattr(s, "ms", None)
-    )
+        return result(trace, out, s, used)
+    return result(trace, None, s, used)
+
+
+def run_seq(p: Program, s: SeqState, fuel: int) -> RunResult:
+    return run(lambda s, d: step_seq(p, s), s, (), fuel)
 
 
 def run_spec(
@@ -480,16 +415,13 @@ def run_spec(
     fuel: int,
     cet: bool = True,
 ) -> RunResult:
-    def step(p_, s_, d_):
-        return step_spec(p_, s_, d_, cet=cet)
-
-    return _run_directed(step, p, s, directives, fuel)
+    return run(lambda s, d: step_spec(p, s, d, cet), s, directives, fuel)
 
 
 def run_ideal(
     p: Program, s: IdealState, directives: Sequence[Directive], fuel: int
 ) -> RunResult:
-    return _run_directed(step_ideal, p, s, directives, fuel)
+    return run(lambda s, d: step_ideal(p, s, d), s, directives, fuel)
 
 
 def wf_directives_mir(p: Program, directives: Sequence[Directive]) -> bool:

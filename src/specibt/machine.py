@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ir import (
@@ -44,19 +44,19 @@ from .interp import (
     DirectiveMismatch,
     Fault,
     Next,
-    Obs,
     OBranch,
     OCall,
     OLoad,
     OStore,
     Outcome,
-    OutOfDirectives,
     OUT_OF_DIRECTIVES,
     RunResult,
     SpecState,
     Stuck,
     TERM,
-    _terminal,
+    nat_op,
+    run,
+    with_reg,
 )
 
 
@@ -160,33 +160,12 @@ def eval_mc(e: Expr, regs: dict[str, int]) -> int:
     if isinstance(e, Reg):
         return regs.get(e.name, 0)
     if isinstance(e, BinOp):
-        a, b = eval_mc(e.lhs, regs), eval_mc(e.rhs, regs)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b if a >= b else 0
-        if e.op == "*":
-            return a * b
-        if e.op == "=":
-            return 1 if a == b else 0
-        if e.op == "<=":
-            return 1 if a <= b else 0
-        if e.op == "&&":
-            return 1 if a != 0 and b != 0 else 0
-        if e.op == "->":
-            return 1 if a == 0 or b != 0 else 0
-        raise ValueError(f"unknown operator {e.op!r}")
+        return nat_op(e.op, eval_mc(e.lhs, regs), eval_mc(e.rhs, regs))
     if isinstance(e, Cond):
         return eval_mc(e.then if eval_mc(e.cond, regs) != 0 else e.els, regs)
     if isinstance(e, FpConst):
         raise ValueError("function pointer constant in machine code")
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _mc_with_reg(regs: dict[str, int], name: str, v: int) -> dict[str, int]:
-    out = dict(regs)
-    out[name] = v
-    return out
 
 
 def step_mc(
@@ -195,59 +174,57 @@ def step_mc(
     s: McState,
     d: Optional[Directive] = None,
 ) -> Outcome:
+    """One speculative machine step: the rules of the speculative
+    block-structured semantics with cet on, over absolute addresses."""
     if not lay.data_len <= s.pc < lay.data_len + len(mc.code):
         return Stuck("pc outside code section")
     inst = mc.code[s.pc - lay.data_len]
+    pc, regs, mem, stk, ms = s.pc, s.regs, s.mem, s.stk, s.ms
     if s.ct and not isinstance(inst, CTarget):
         return Fault()
-    if isinstance(inst, CTarget):
-        return Next(replace(s, pc=s.pc + 1, ct=False))
-    if isinstance(inst, Skip):
-        return Next(replace(s, pc=s.pc + 1))
+    # From here on ct is clear, or the instruction is the ctarget clearing it.
+    if isinstance(inst, (Skip, CTarget)):
+        return Next(McState(pc + 1, regs, mem, stk, False, ms))
     if isinstance(inst, Asgn):
-        v = eval_mc(inst.expr, s.regs)
-        return Next(replace(s, pc=s.pc + 1, regs=_mc_with_reg(s.regs, inst.reg, v)))
+        regs = with_reg(regs, inst.reg, eval_mc(inst.expr, regs))
+        return Next(McState(pc + 1, regs, mem, stk, False, ms))
     if isinstance(inst, Branch):
-        n = eval_mc(inst.cond, s.regs)
+        n = eval_mc(inst.cond, regs)
         if d is None:
             return OUT_OF_DIRECTIVES
         if not isinstance(d, DBranch):
             return DirectiveMismatch("branch instruction needs a branch directive")
         b = n != 0
-        pc2 = inst.target if d.taken else s.pc + 1
-        return Next(replace(s, pc=pc2, ms=s.ms or b != d.taken), OBranch(b))
+        pc2 = inst.target if d.taken else pc + 1
+        return Next(McState(pc2, regs, mem, stk, False, ms or b != d.taken), OBranch(b))
     if isinstance(inst, Jump):
-        return Next(replace(s, pc=inst.target))
+        return Next(McState(inst.target, regs, mem, stk, False, ms))
     if isinstance(inst, Load):
-        a = eval_mc(inst.addr, s.regs)
+        a = eval_mc(inst.addr, regs)
         if not a < lay.data_len:
             return Stuck(f"load address {a} outside data section")
-        regs = _mc_with_reg(s.regs, inst.reg, s.mem[a])
-        return Next(replace(s, pc=s.pc + 1, regs=regs), OLoad(a))
+        regs = with_reg(regs, inst.reg, mem[a])
+        return Next(McState(pc + 1, regs, mem, stk, False, ms), OLoad(a))
     if isinstance(inst, Store):
-        a = eval_mc(inst.addr, s.regs)
+        a = eval_mc(inst.addr, regs)
         if not a < lay.data_len:
             return Stuck(f"store address {a} outside data section")
-        v = eval_mc(inst.value, s.regs)
-        mem = s.mem[:a] + (v,) + s.mem[a + 1 :]
-        return Next(replace(s, pc=s.pc + 1, mem=mem), OStore(a))
+        mem = mem[:a] + (eval_mc(inst.value, regs),) + mem[a + 1 :]
+        return Next(McState(pc + 1, regs, mem, stk, False, ms), OStore(a))
     if isinstance(inst, Call):
-        t = eval_mc(inst.target, s.regs)
+        t = eval_mc(inst.target, regs)
         if not lay.data_len <= t < lay.data_len + len(mc.code):
             return Stuck(f"call target {t} outside code section")
         if d is None:
             return OUT_OF_DIRECTIVES
         if not isinstance(d, DCallMc):
             return DirectiveMismatch("call instruction needs a call directive")
-        stk = (s.pc + 1,) + s.stk
-        return Next(
-            replace(s, pc=d.addr, stk=stk, ct=True, ms=s.ms or d.addr != t),
-            OCall(t),
-        )
+        stk = (pc + 1,) + stk
+        return Next(McState(d.addr, regs, mem, stk, True, ms or d.addr != t), OCall(t))
     if isinstance(inst, Ret):
-        if not s.stk:
+        if not stk:
             return TERM
-        return Next(replace(s, pc=s.stk[0], stk=s.stk[1:]))
+        return Next(McState(stk[0], regs, mem, stk[1:], False, ms))
     raise TypeError(f"not an instruction: {inst!r}")
 
 
@@ -258,28 +235,7 @@ def run_mc(
     directives: Sequence[Directive],
     fuel: int,
 ) -> RunResult:
-    trace: list[Obs] = []
-    used = 0
-    for _ in range(fuel):
-        out = step_mc(mc, lay, s, None)
-        if isinstance(out, OutOfDirectives):
-            if used >= len(directives):
-                return RunResult(
-                    trace, "out-of-directives", state=s, directives_used=used,
-                    final_ms=s.ms,
-                )
-            out = step_mc(mc, lay, s, directives[used])
-            used += 1
-        if isinstance(out, Next):
-            if out.obs is not None:
-                trace.append(out.obs)
-            s = out.state
-            continue
-        status, reason = _terminal(out)
-        return RunResult(
-            trace, status, reason, state=s, directives_used=used, final_ms=s.ms
-        )
-    return RunResult(trace, "fuel", state=s, directives_used=used, final_ms=s.ms)
+    return run(lambda s, d: step_mc(mc, lay, s, d), s, directives, fuel)
 
 
 def wf_directives_mc(

@@ -500,12 +500,16 @@ def encode_directive(d: Directive) -> Any:
     raise TypeError(f"not a directive: {d!r}")
 
 
+def _is_nat(doc: Any) -> bool:
+    return isinstance(doc, int) and not isinstance(doc, bool) and doc >= 0
+
+
 def decode_directive(doc: Any, path: str = "") -> Directive:
     if isinstance(doc, dict) and len(doc) == 1:
         if "branch" in doc and isinstance(doc["branch"], bool):
             return DBranch(doc["branch"])
         c = doc.get("call")
-        if isinstance(c, dict):
+        if isinstance(c, dict) and all(map(_is_nat, c.values())):
             if set(c) == {"label", "offset"}:
                 return DCallMir(PC(c["label"], c["offset"]))
             if set(c) == {"addr"}:
@@ -524,7 +528,12 @@ def decode_directives(doc: Any, path: str = "") -> list[Directive]:
 
 
 def _decode_pc(doc: Any, path: str) -> PC:
-    if isinstance(doc, dict) and set(doc) == {"label", "offset"}:
+    """A block label and offset, both natural numbers."""
+    if (
+        isinstance(doc, dict)
+        and set(doc) == {"label", "offset"}
+        and all(map(_is_nat, doc.values()))
+    ):
         return PC(doc["label"], doc["offset"])
     raise DocError(path, f"not a program counter: {doc!r}")
 
