@@ -49,7 +49,7 @@ from .interp import (
     run_seq,
     run_spec,
 )
-from .machine import concretize_state, layout, linearize, run_mc
+from .machine import LayoutError, concretize_state, layout, linearize, run_mc
 from .textio import (
     DocError,
     ParseError,
@@ -184,10 +184,10 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
         return
     try:
         lay = layout(p, len(s.mem))
+        m = concretize_state(s, lay)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    mc = linearize(p, len(s.mem))
-    _emit_run(run_mc(mc, lay, concretize_state(s, lay), directives, fuel))
+        raise click.ClickException(f"{state}: {exc}") from exc
+    _emit_run(run_mc(linearize(p, len(s.mem)), lay, m, directives, fuel))
 
 
 @main.command("harden")
@@ -304,6 +304,8 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
         else:
             s = _load_state(state, "spec")
             v = check_bcc_linearize(p, s, len(s.mem), budget)
+    except LayoutError as exc:
+        raise click.ClickException(f"{state}: {exc}") from exc
     except (HardenError, ValueError) as exc:
         click.echo(f"side condition violated: {exc}", err=True)
         sys.exit(EXIT_SIDE_CONDITION)

@@ -27,6 +27,7 @@ from .ir import (
     Reg,
     RET,
     SKIP,
+    UV,
     Store,
     wf_program,
 )
@@ -124,7 +125,9 @@ def gen_program(rng: random.Random, cfg: GenConfig = GenConfig()) -> Program:
             body.append(RET)
         blocks.append(Block(tuple(body), is_entry=flags[l]))
     p = Program(tuple(blocks))
-    assert not wf_program(p, mode="source")
+    errors = wf_program(p, mode="source")
+    if errors:
+        raise RuntimeError(f"generated an ill-formed program: {errors}")
     return p
 
 
@@ -150,7 +153,23 @@ def gen_safe_input(
     attempts: int = 50,
 ) -> Optional[SeqState]:
     """A random initial state whose sequential run terminates cleanly, or
-    None if rejection sampling runs out of attempts."""
+    None if rejection sampling runs out of attempts.
+
+    Early rejection: if the run from the all-UV state (every register and
+    memory cell undefined) runs out of fuel, no input can terminate, so the
+    attempts' states are drawn and discarded and the result is None. The
+    result and the rng's position are those of `attempts` failed attempts.
+    """
+    # Sound because evaluation is monotone in UV: `_binop` and `Cond` give
+    # UV on any UV operand or condition, so a value the all-UV run computes
+    # is computed alike by every input. `_step` is stuck on a UV branch
+    # condition, call target or address, so an all-UV run that reaches fuel
+    # took every control decision and bounds check on such values, and every
+    # input repeats it step for step into the same fuel-out.
+    if run_seq(p, SeqState(PC(0, 0), {}, (UV,) * cfg.mem_len), fuel).status == "fuel":
+        for _ in range(attempts):
+            gen_state(rng, cfg)
+        return None
     for _ in range(attempts):
         s = gen_state(rng, cfg)
         if run_seq(p, s, fuel).status == "term":

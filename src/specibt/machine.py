@@ -60,6 +60,10 @@ from .interp import (
 )
 
 
+class LayoutError(ValueError):
+    """A code pointer whose label names no block of the laid-out program."""
+
+
 @dataclass(frozen=True)
 class LayoutMap:
     data_len: int
@@ -67,6 +71,8 @@ class LayoutMap:
     sizes: tuple[int, ...]
 
     def addr(self, label: int) -> int:
+        if not 0 <= label < len(self.starts):
+            raise LayoutError(f"code pointer &{label} names no block of the program")
         return self.data_len + self.starts[label]
 
     @property

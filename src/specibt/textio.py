@@ -65,7 +65,7 @@ from .interp import (
     SeqState,
     SpecState,
 )
-from .machine import LayoutMap, McProgram, McState
+from .machine import LayoutMap, McProgram
 
 KEYWORDS = {
     "entry",
@@ -441,15 +441,21 @@ def encode_value(v: Value) -> Any:
     return {"nat": v}
 
 
+def _is_nat(doc: Any) -> bool:
+    return isinstance(doc, int) and not isinstance(doc, bool) and doc >= 0
+
+
 def decode_value(doc: Any, path: str = "") -> Value:
+    """A value: "uv", a natural n (bare or as {"nat": n}), or a code pointer
+    {"fp": label} with a natural label."""
     if doc == "uv":
         return UV
-    if isinstance(doc, int) and not isinstance(doc, bool):
+    if _is_nat(doc):
         return doc
     if isinstance(doc, dict) and len(doc) == 1:
-        if "nat" in doc and isinstance(doc["nat"], int):
+        if "nat" in doc and _is_nat(doc["nat"]):
             return doc["nat"]
-        if "fp" in doc and isinstance(doc["fp"], int):
+        if "fp" in doc and _is_nat(doc["fp"]):
             return FP(doc["fp"])
     raise DocError(path, f"not a value: {doc!r}")
 
@@ -498,10 +504,6 @@ def encode_directive(d: Directive) -> Any:
     if isinstance(d, DCallMc):
         return {"call": {"addr": d.addr}}
     raise TypeError(f"not a directive: {d!r}")
-
-
-def _is_nat(doc: Any) -> bool:
-    return isinstance(doc, int) and not isinstance(doc, bool) and doc >= 0
 
 
 def decode_directive(doc: Any, path: str = "") -> Directive:
@@ -568,6 +570,8 @@ def decode_state(doc: Any, kind: str = "seq", path: str = "") -> SeqState:
     mem = tuple(decode_value(v, f"{path}/mem/{k}") for k, v in enumerate(mem_doc))
     pc = _decode_pc(doc["pc"], f"{path}/pc") if "pc" in doc else PC(0, 0)
     stk_doc = doc.get("stk", [])
+    if not isinstance(stk_doc, list):
+        raise DocError(f"{path}/stk", "stack must be a list")
     stk = tuple(_decode_pc(x, f"{path}/stk/{k}") for k, x in enumerate(stk_doc))
     if kind == "seq":
         return SeqState(pc, regs, mem, stk)
@@ -577,42 +581,6 @@ def decode_state(doc: Any, kind: str = "seq", path: str = "") -> SeqState:
     if kind == "ideal":
         return IdealState(pc, regs, mem, stk, bool(doc.get("ms", False)))
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-def encode_mc_state(s: McState) -> dict[str, Any]:
-    return {
-        "regs": dict(sorted(s.regs.items())),
-        "mem": list(s.mem),
-        "pc": s.pc,
-        "stk": list(s.stk),
-        "ct": s.ct,
-        "ms": s.ms,
-    }
-
-
-def decode_mc_state(doc: Any, lay: LayoutMap, path: str = "") -> McState:
-    """Decode a machine state; function-pointer values are concretized via
-    the layout, undefined values are rejected."""
-    if not isinstance(doc, dict):
-        raise DocError(path, "state must be an object")
-
-    def nat(v: Any, where: str) -> int:
-        if isinstance(v, int) and not isinstance(v, bool):
-            return v
-        if isinstance(v, dict) and set(v) == {"nat"}:
-            return v["nat"]
-        if isinstance(v, dict) and set(v) == {"fp"}:
-            return lay.addr(v["fp"])
-        raise DocError(where, f"machine values must be concrete naturals: {v!r}")
-
-    regs = {k: nat(v, f"{path}/regs/{k}") for k, v in doc.get("regs", {}).items()}
-    mem = tuple(nat(v, f"{path}/mem/{k}") for k, v in enumerate(doc.get("mem", [])))
-    pc = doc.get("pc", lay.data_len)
-    if not isinstance(pc, int):
-        raise DocError(f"{path}/pc", "machine pc must be an address")
-    stk = tuple(nat(v, f"{path}/stk/{k}") for k, v in enumerate(doc.get("stk", [])))
-    return McState(pc, regs, mem, stk, bool(doc.get("ct", False)),
-                   bool(doc.get("ms", False)))
 
 
 def encode_layout(lay: LayoutMap) -> dict[str, Any]:

@@ -88,3 +88,43 @@ def test_rs_memory_length_check(listing1, listing1_pair):
     for pipeline in ("hardened-only", "end-to-end"):
         with pytest.raises(ValueError, match="differ in length"):
             check_relative_security(listing1, s1, short, ExploreBudget(), pipeline)
+
+
+@pytest.mark.parametrize("sem", ["seq", "mc"])
+def test_non_list_stack_exits_1(runner, tmp_path, sem):
+    state = _write(tmp_path / "s.json", dict(PAIR["s1"], stk=5))
+    res = runner.invoke(main, ["run", "--sem", sem, LISTING1, state])
+    assert res.exit_code == 1
+    assert "/stk: stack must be a list" in res.output
+
+
+@pytest.mark.parametrize("value", [
+    -5, {"nat": -5}, {"nat": True}, {"fp": True}, {"fp": -1},
+])
+def test_bad_value_exits_1(runner, tmp_path, value):
+    state = _write(tmp_path / "s.json",
+                   dict(PAIR["s1"], regs=dict(PAIR["s1"]["regs"], arg1=value)))
+    res = runner.invoke(main, ["run", "--sem", "seq", LISTING1, state])
+    assert res.exit_code == 1
+    assert "/regs/arg1: not a value" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--sem", "mc"],
+    ["check", "linearize"],
+])
+def test_code_pointer_to_no_block_exits_1(runner, tmp_path, args):
+    # concretizing the state needs the address of block 99
+    state = _write(tmp_path / "s.json",
+                   dict(PAIR["s1"], regs=dict(PAIR["s1"]["regs"], arg1={"fp": 99})))
+    res = runner.invoke(main, args + [LISTING1, state])
+    assert res.exit_code == 1
+    assert "&99 names no block" in res.output
+
+
+def test_rs_end_to_end_code_pointer_to_no_block_exits_1(runner, tmp_path):
+    mem = [{"fp": 99}] + PAIR["s1"]["mem"][1:]
+    pair = _write(tmp_path / "pair.json", dict(PAIR, s1=dict(PAIR["s1"], mem=mem)))
+    res = runner.invoke(main, ["check", "rs", LISTING1, pair, "--pipeline", "end-to-end"])
+    assert res.exit_code == 1
+    assert "&99 names no block" in res.output
