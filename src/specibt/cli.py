@@ -13,7 +13,7 @@ import json
 import pathlib
 import random
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import click
 
@@ -27,7 +27,14 @@ from .checks import (
     check_safety_preservation,
 )
 from .explore import ExploreBudget
-from .gen import GenConfig, gen_program, gen_safe_input, gen_seq_equiv_pair, spec_of
+from .gen import (
+    GenConfig,
+    gen_program,
+    gen_safe_input,
+    gen_seq_equiv_pair,
+    ideal_of,
+    spec_of,
+)
 from .hardening import (
     FULL,
     MASK_ONLY,
@@ -40,22 +47,16 @@ from .hardening import (
     harden,
 )
 from .ir import CTarget, FP, used_registers, wf_program
-from .interp import (
-    IdealState,
-    RunResult,
-    SeqState,
-    SpecState,
-    run_ideal,
-    run_seq,
-    run_spec,
-)
+from .interp import RunResult, run_ideal, run_seq, run_spec
 from .machine import LayoutError, concretize_state, layout, linearize, run_mc
 from .textio import (
     DocError,
     ParseError,
     decode_directives,
+    decode_pair,
     decode_state,
     encode_directives,
+    encode_layout,
     encode_trace,
     parse_program,
     print_mc_program,
@@ -74,6 +75,10 @@ EXIT_COUNTEREXAMPLE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_STUCK = 4
 EXIT_SIDE_CONDITION = 5
+
+# Budgets of check, attack and fuzz-*: a zero count would check nothing.
+COUNT = click.IntRange(min=1)
+DEPTH = click.IntRange(min=0)
 
 
 def _semantics_revision() -> str:
@@ -106,37 +111,15 @@ def main() -> None:
     """Speculative control-flow integrity laboratory."""
 
 
-def _load_program(path: str):
+def _load(path: str, decode: Callable, *args) -> Any:
+    """Read PATH and decode it: `parse_program` takes the text, every other
+    decoder the JSON document. Unreadable or malformed input exits 1."""
     try:
-        return parse_program(pathlib.Path(path).read_text())
+        text = pathlib.Path(path).read_text()
+        return decode(text if decode is parse_program else json.loads(text), *args)
     except OSError as exc:
         raise click.ClickException(str(exc)) from exc
-    except ParseError as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
-
-
-def _load_json(path: str) -> Any:
-    try:
-        return json.loads(pathlib.Path(path).read_text())
-    except OSError as exc:
-        raise click.ClickException(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
-
-
-def _load_state(path: str, kind: str) -> SeqState:
-    try:
-        return decode_state(_load_json(path), kind)
-    except DocError as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
-
-
-def _load_directives(path: Optional[str]) -> list:
-    if path is None:
-        return []
-    try:
-        return decode_directives(_load_json(path))
-    except DocError as exc:
+    except (ParseError, json.JSONDecodeError, DocError) as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
@@ -163,22 +146,16 @@ def _emit_run(res: RunResult) -> None:
 def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     """Execute PROGRAM from STATE and print the observation trace. Under
     --sem mc the data section is as long as the state's memory."""
-    p = _load_program(program)
-    directives = _load_directives(directives_path)
+    p = _load(program, parse_program)
+    directives = _load(directives_path, decode_directives) if directives_path else []
     if sem == "seq":
-        s = _load_state(state, "seq")
-        _emit_run(run_seq(p, s, fuel))
+        _emit_run(run_seq(p, _load(state, decode_state), fuel))
         return
+    s = _load(state, decode_state, "spec")  # carries both flags
     if sem == "ideal":
-        s = _load_state(state, "ideal")
-        if ms:
-            s = IdealState(s.pc, s.regs, s.mem, s.stk, True)
-        _emit_run(run_ideal(p, s, directives, fuel))
+        _emit_run(run_ideal(p, ideal_of(s, s.ms or ms), directives, fuel))
         return
-    s = _load_state(state, "spec")
-    if ct is not None or ms:
-        s = SpecState(s.pc, s.regs, s.mem, s.stk,
-                      s.ct if ct is None else ct, s.ms or ms)
+    s = spec_of(s, s.ct if ct is None else ct, s.ms or ms)
     if sem == "spec":
         _emit_run(run_spec(p, s, directives, fuel, cet=not no_cet))
         return
@@ -199,7 +176,7 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
               show_default=True)
 def cmd_harden(program, output, msf_reg, callee_reg, variant):
     """Apply the hardening pass and print the transformed program."""
-    p = _load_program(program)
+    p = _load(program, parse_program)
     try:
         res = harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant])
     except HardenError as exc:
@@ -220,7 +197,7 @@ def cmd_harden(program, output, msf_reg, callee_reg, variant):
               help="Layout sidecar path (default: layout JSON on stderr).")
 def cmd_linearize(program, data_len, output, layout_out):
     """Flatten PROGRAM to machine code and emit the layout sidecar."""
-    p = _load_program(program)
+    p = _load(program, parse_program)
     try:
         lay = layout(p, data_len)
     except ValueError as exc:
@@ -228,10 +205,7 @@ def cmd_linearize(program, data_len, output, layout_out):
         sys.exit(EXIT_SIDE_CONDITION)
     mc = linearize(p, data_len)
     text = print_mc_program(mc)
-    sidecar = json.dumps(
-        {"data_len": lay.data_len,
-         "starts": {str(l): off for l, off in enumerate(lay.starts)}}
-    )
+    sidecar = json.dumps(encode_layout(lay))
     if output:
         pathlib.Path(output).write_text(text)
     else:
@@ -267,22 +241,14 @@ def _budget(depth: int, runs: int, fuel: int) -> ExploreBudget:
     return ExploreBudget(depth=depth, max_sequences=runs, fuel=fuel)
 
 
-def _load_pair(path: str) -> tuple[SeqState, SeqState]:
-    doc = _load_json(path)
-    try:
-        return decode_state(doc["s1"], "seq", "/s1"), decode_state(doc["s2"], "seq", "/s2")
-    except (KeyError, DocError) as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
-
-
 @main.command("check")
 @click.argument("property", type=click.Choice(["bcc", "safety", "rs", "linearize"]))
 @click.argument("program", type=click.Path(exists=True))
 @click.argument("state", type=click.Path(exists=True))
-@click.option("--depth", type=int, default=3, show_default=True)
-@click.option("--runs", type=int, default=200, show_default=True,
+@click.option("--depth", type=DEPTH, default=3, show_default=True)
+@click.option("--runs", type=COUNT, default=200, show_default=True,
               help="Maximum explored directive sequences.")
-@click.option("--fuel", type=int, default=1000, show_default=True)
+@click.option("--fuel", type=COUNT, default=1000, show_default=True)
 @click.option("--pipeline", type=click.Choice(["hardened-only", "end-to-end"]),
               default="hardened-only", show_default=True, help="For rs only.")
 @click.option("--variant", type=click.Choice(sorted(VARIANTS)), default="full",
@@ -290,19 +256,19 @@ def _load_pair(path: str) -> tuple[SeqState, SeqState]:
 def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
     linearize) or a two-state pair JSON (rs)."""
-    p = _load_program(program)
+    p = _load(program, parse_program)
     budget = _budget(depth, runs, fuel)
     cfg = VARIANTS[variant]
     try:
         if property == "bcc":
-            v = check_bcc_specibt(p, _load_state(state, "seq"), budget, cfg=cfg)
+            v = check_bcc_specibt(p, _load(state, decode_state), budget, cfg=cfg)
         elif property == "safety":
-            v = check_safety_preservation(p, _load_state(state, "seq"), budget, cfg=cfg)
+            v = check_safety_preservation(p, _load(state, decode_state), budget, cfg=cfg)
         elif property == "rs":
-            s1, s2 = _load_pair(state)
+            s1, s2 = _load(state, decode_pair)
             v = check_relative_security(p, s1, s2, budget, pipeline, cfg=cfg)
         else:
-            s = _load_state(state, "spec")
+            s = _load(state, decode_state, "spec")
             v = check_bcc_linearize(p, s, len(s.mem), budget)
     except LayoutError as exc:
         raise click.ClickException(f"{state}: {exc}") from exc
@@ -317,9 +283,9 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
 @click.argument("pair", type=click.Path(exists=True))
 @click.option("--target", type=click.Choice(["pht", "btb", "auto"]), default="auto",
               show_default=True)
-@click.option("--depth", type=int, default=3, show_default=True)
-@click.option("--runs", type=int, default=500, show_default=True)
-@click.option("--fuel", type=int, default=1000, show_default=True)
+@click.option("--depth", type=DEPTH, default=3, show_default=True)
+@click.option("--runs", type=COUNT, default=500, show_default=True)
+@click.option("--fuel", type=COUNT, default=1000, show_default=True)
 @click.option("--cet/--no-cet", "cet", default=None,
               help="Force the indirect-branch-tracking model on or off "
                    "(default: on iff the attacked program contains ctarget).")
@@ -328,8 +294,8 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
     PAIR. Target pht attacks the program as given; btb attacks its
     masking-only hardened variant on hardware without indirect-branch
     tracking."""
-    p = _load_program(program)
-    s1, s2 = _load_pair(pair)
+    p = _load(program, parse_program)
+    s1, s2 = _load(pair, decode_pair)
     budget = _budget(depth, runs, fuel)
     candidates = []
     if target in ("pht", "auto"):
@@ -374,7 +340,7 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
             raise click.ClickException(f"no .mir files in {corpus}")
         # Instrumented or ill-formed entries cannot be re-hardened; skip them.
         programs = [
-            p for p in (_load_program(str(f)) for f in files)
+            p for p in (_load(str(f), parse_program) for f in files)
             if not wf_program(p, mode="source")
         ]
         if not programs:
@@ -417,11 +383,11 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
 
 def _fuzz_options(f):
     f = click.option("--seed", type=int, default=0, show_default=True)(f)
-    f = click.option("--depth", type=int, default=3, show_default=True)(f)
-    f = click.option("--runs", type=int, default=100, show_default=True,
+    f = click.option("--depth", type=DEPTH, default=3, show_default=True)(f)
+    f = click.option("--runs", type=COUNT, default=100, show_default=True,
                      help="Number of fuzzed programs.")(f)
-    f = click.option("--fuel", type=int, default=1000, show_default=True)(f)
-    f = click.option("--sequences", type=int, default=100, show_default=True,
+    f = click.option("--fuel", type=COUNT, default=1000, show_default=True)(f)
+    f = click.option("--sequences", type=COUNT, default=100, show_default=True,
                      help="Directive sequences explored per program.")(f)
     f = click.option("--corpus", type=click.Path(exists=True, file_okay=False),
                      default=None)(f)

@@ -65,6 +65,7 @@ from .interp import (
     SeqState,
     SpecState,
 )
+from .gen import ideal_of, spec_of
 from .machine import LayoutMap, McProgram
 
 KEYWORDS = {
@@ -136,14 +137,29 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-class _Parser:
-    """Recursive-descent parser over the token stream. `mc` mode parses the
-    flat machine listing: numeric targets, no function-pointer constants."""
+def _header_at(toks: list[_Tok], j: int) -> bool:
+    """Whether a block header `entry|block IDENT :` starts at toks[j]."""
+    return (
+        toks[j].kind == "ident"
+        and toks[j].text in ("entry", "block")
+        and j + 2 < len(toks)
+        and toks[j + 1].kind == "ident"
+        and toks[j + 2].kind == "sym"
+        and toks[j + 2].text == ":"
+    )
 
-    def __init__(self, toks: list[_Tok], mc: bool = False):
+
+class _Parser:
+    """Recursive-descent parser over the token stream. `labels` maps block
+    names to indices; None parses a flat machine listing: numeric targets,
+    no function-pointer constants. Unknown labels are collected in `issues`
+    and parsing goes on; any other error raises at once."""
+
+    def __init__(self, toks: list[_Tok], labels: Optional[dict[str, int]] = None):
         self.toks = toks
         self.i = 0
-        self.mc = mc
+        self.labels = labels
+        self.issues: list[ParseIssue] = []
 
     @property
     def cur(self) -> _Tok:
@@ -174,7 +190,7 @@ class _Parser:
             self._advance()
             return Const(int(t.text))
         if t.kind == "sym" and t.text == "&":
-            if self.mc:
+            if self.labels is None:
                 raise self._fail("function pointer constant in machine listing")
             self._advance()
             name = self._expect("ident")
@@ -203,13 +219,16 @@ class _Parser:
             raise self._fail(f"expected operator or '?', found {op.text!r}")
         raise self._fail(f"expected expression, found {t.text or 'end of input'!r}")
 
-    # -- label handling (overridden per mode)
+    # -- labels
 
     def _label(self, tok: _Tok) -> int:
-        raise NotImplementedError
+        if tok.text not in self.labels:
+            self.issues.append(ParseIssue(tok.line, tok.col, f"unknown label {tok.text!r}"))
+            return 0
+        return self.labels[tok.text]
 
     def _target(self) -> int:
-        if self.mc:
+        if self.labels is None:
             return int(self._expect("nat").text)
         return self._label(self._expect("ident"))
 
@@ -250,103 +269,55 @@ class _Parser:
         raise self._fail(f"expected instruction, found {t.text or 'end of input'!r}")
 
 
-class _ProgramParser(_Parser):
-    def __init__(self, toks: list[_Tok]):
-        super().__init__(toks, mc=False)
-        self.labels: dict[str, int] = {}
-        self.pending: list[tuple[_Tok, Any]] = []  # unresolved references
-
-    def _label(self, tok: _Tok) -> int:
-        if tok.text in self.labels:
-            return self.labels[tok.text]
-        # Forward reference: return a placeholder resolved after the scan.
-        self.pending.append((tok, None))
-        return -len(self.pending)  # negative placeholder id
+    # -- programs
 
     def program(self) -> Program:
-        # Pre-scan block headers so labels resolve in definition order.
-        issues: list[ParseIssue] = []
-        j = 0
-        order: list[str] = []
-        while j < len(self.toks):
-            t = self.toks[j]
-            if (
-                t.kind == "ident"
-                and t.text in ("entry", "block")
-                and j + 2 < len(self.toks)
-                and self.toks[j + 1].kind == "ident"
-                and self.toks[j + 2].kind == "sym"
-                and self.toks[j + 2].text == ":"
-            ):
-                name = self.toks[j + 1]
-                if name.text in self.labels:
-                    issues.append(
-                        ParseIssue(name.line, name.col, f"duplicate label {name.text!r}")
-                    )
-                else:
-                    self.labels[name.text] = len(order)
-                    order.append(name.text)
-                j += 3
-            else:
-                j += 1
-        if issues:
-            raise ParseError(issues)
-
         blocks: list[Block] = []
-        if not (self.cur.kind == "ident" and self.cur.text in ("entry", "block")):
-            raise self._fail("expected 'entry' or 'block'")
-        while self.cur.kind != "eof":
-            kw = self._expect("ident")
-            if kw.text not in ("entry", "block"):
-                raise self._fail("expected 'entry' or 'block'", kw)
+        while True:
+            kw = self.cur
+            if not (kw.kind == "ident" and kw.text in ("entry", "block")):
+                raise self._fail("expected 'entry' or 'block'")
+            self._advance()
             self._expect("ident")
             self._expect("sym", ":")
             insts: list[Inst] = []
-            while not (
-                self.cur.kind == "eof"
-                or (
-                    self.cur.kind == "ident"
-                    and self.cur.text in ("entry", "block")
-                    and self.toks[self.i + 1].kind == "ident"
-                    and self.toks[self.i + 2].kind == "sym"
-                    and self.toks[self.i + 2].text == ":"
-                )
-            ):
+            while not (self.cur.kind == "eof" or _header_at(self.toks, self.i)):
                 insts.append(self.inst())
             if not insts:
                 raise self._fail("block has no instructions", kw)
             blocks.append(Block(tuple(insts), is_entry=kw.text == "entry"))
-        return Program(tuple(blocks))
+            if self.cur.kind == "eof":
+                return Program(tuple(blocks))
 
 
 def parse_program(text: str) -> Program:
     """Parse a textual program; raises ParseError with positioned issues."""
     toks = _tokenize(text)
-    parser = _ProgramParser(toks)
-
-    # Unknown labels surface from _label as missing entries: check references
-    # eagerly by wrapping _label.
+    # Labels resolve in order of definition, so forward references work.
+    labels: dict[str, int] = {}
     issues: list[ParseIssue] = []
-    orig = parser._label
-
-    def checked(tok: _Tok) -> int:
-        if tok.text not in parser.labels:
-            issues.append(ParseIssue(tok.line, tok.col, f"unknown label {tok.text!r}"))
-            return 0
-        return parser.labels[tok.text]
-
-    parser._label = checked  # type: ignore[method-assign]
-    prog = parser.program()
+    for j in range(len(toks)):
+        if _header_at(toks, j):
+            name = toks[j + 1]
+            if name.text in labels:
+                issues.append(
+                    ParseIssue(name.line, name.col, f"duplicate label {name.text!r}")
+                )
+            else:
+                labels[name.text] = len(labels)
     if issues:
         raise ParseError(issues)
+    parser = _Parser(toks, labels)
+    prog = parser.program()
+    if parser.issues:
+        raise ParseError(parser.issues)
     return prog
 
 
 def parse_mc_program(text: str) -> McProgram:
     """Parse a flat machine listing: one instruction per line, numeric
     branch/jump targets."""
-    toks = _tokenize(text)
-    parser = _Parser(toks, mc=True)
+    parser = _Parser(_tokenize(text))
     code: list[Inst] = []
     while parser.cur.kind != "eof":
         code.append(parser.inst())
@@ -555,9 +526,17 @@ def encode_state(s: SeqState) -> dict[str, Any]:
     return doc
 
 
+def _flag(doc: dict, key: str, path: str) -> bool:
+    flag = doc.get(key, False)
+    if not isinstance(flag, bool):
+        raise DocError(f"{path}/{key}", f"flag must be true or false, not {flag!r}")
+    return flag
+
+
 def decode_state(doc: Any, kind: str = "seq", path: str = "") -> SeqState:
     """Decode an initial-state document. `kind` selects the state flavor:
-    seq, spec or ideal."""
+    seq, spec or ideal. The `ct` and `ms` flags, where present, must be
+    booleans; each flavor keeps the flags it carries."""
     if not isinstance(doc, dict):
         raise DocError(path, "state must be an object")
     regs_doc = doc.get("regs", {})
@@ -573,14 +552,23 @@ def decode_state(doc: Any, kind: str = "seq", path: str = "") -> SeqState:
     if not isinstance(stk_doc, list):
         raise DocError(f"{path}/stk", "stack must be a list")
     stk = tuple(_decode_pc(x, f"{path}/stk/{k}") for k, x in enumerate(stk_doc))
+    s = SeqState(pc, regs, mem, stk)
+    ct, ms = _flag(doc, "ct", path), _flag(doc, "ms", path)
     if kind == "seq":
-        return SeqState(pc, regs, mem, stk)
+        return s
     if kind == "spec":
-        return SpecState(pc, regs, mem, stk, bool(doc.get("ct", False)),
-                         bool(doc.get("ms", False)))
+        return spec_of(s, ct, ms)
     if kind == "ideal":
-        return IdealState(pc, regs, mem, stk, bool(doc.get("ms", False)))
+        return ideal_of(s, ms)
     raise ValueError(f"unknown state kind {kind!r}")
+
+
+def decode_pair(doc: Any, path: str = "") -> tuple[SeqState, SeqState]:
+    """A pair document: an object holding two sequential states, s1 and s2."""
+    if not isinstance(doc, dict) or not {"s1", "s2"} <= doc.keys():
+        raise DocError(path, "pair must be an object with states s1 and s2")
+    return (decode_state(doc["s1"], "seq", f"{path}/s1"),
+            decode_state(doc["s2"], "seq", f"{path}/s2"))
 
 
 def encode_layout(lay: LayoutMap) -> dict[str, Any]:
@@ -592,20 +580,12 @@ def encode_layout(lay: LayoutMap) -> dict[str, Any]:
 
 
 def decode_layout(doc: Any, path: str = "") -> LayoutMap:
-    if not isinstance(doc, dict) or "data_len" not in doc or "starts" not in doc:
-        raise DocError(path, "layout must carry data_len and starts")
+    """A layout sidecar as `encode_layout` writes it."""
+    if not isinstance(doc, dict) or not {"data_len", "starts", "sizes"} <= doc.keys():
+        raise DocError(path, "layout must carry data_len, starts and sizes")
     starts_doc = doc["starts"]
-    n = len(starts_doc)
     try:
-        starts = tuple(starts_doc[str(l)] for l in range(n))
+        starts = tuple(starts_doc[str(l)] for l in range(len(starts_doc)))
     except KeyError as exc:
         raise DocError(f"{path}/starts", f"missing label {exc}") from exc
-    if "sizes" in doc:
-        sizes = tuple(doc["sizes"])
-    else:
-        total = doc.get("code_len")
-        if total is None:
-            raise DocError(path, "layout needs sizes or code_len")
-        bounds = starts + (total,)
-        sizes = tuple(bounds[i + 1] - bounds[i] for i in range(n))
-    return LayoutMap(doc["data_len"], starts, sizes)
+    return LayoutMap(doc["data_len"], starts, tuple(doc["sizes"]))

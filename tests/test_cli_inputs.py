@@ -10,7 +10,8 @@ from specibt.checks import check_relative_security
 from specibt.cli import main
 from specibt.explore import ExploreBudget
 from specibt.interp import SeqState
-from specibt.textio import DocError, decode_directive, decode_state
+from specibt.machine import layout
+from specibt.textio import DocError, decode_directive, decode_layout, decode_state
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 LISTING1 = str(CORPUS / "listing1.mir")
@@ -128,3 +129,52 @@ def test_rs_end_to_end_code_pointer_to_no_block_exits_1(runner, tmp_path):
     res = runner.invoke(main, ["check", "rs", LISTING1, pair, "--pipeline", "end-to-end"])
     assert res.exit_code == 1
     assert "&99 names no block" in res.output
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"s1": PAIR["s1"]}, "pair"])
+@pytest.mark.parametrize("command", ["check", "attack"])
+def test_malformed_pair_exits_1(runner, tmp_path, doc, command):
+    pair = _write(tmp_path / "pair.json", doc)
+    args = ["check", "rs"] if command == "check" else ["attack"]
+    res = runner.invoke(main, args + [LISTING1, pair])
+    assert res.exit_code == 1
+    assert res.output.startswith(f"Error: {pair}: ")
+    assert "pair must be an object with states s1 and s2" in res.output
+
+
+@pytest.mark.parametrize("sem", ["spec", "ideal", "mc"])
+def test_non_boolean_flags_exit_1(runner, tmp_path, sem):
+    state = _write(tmp_path / "s.json", dict(PAIR["s1"], ct="no", ms="false"))
+    res = runner.invoke(main, ["run", "--sem", sem, LISTING1, state])
+    assert res.exit_code == 1
+    assert "/ct: flag must be true or false" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["fuzz-bcc", "--sequences", "0"],
+    ["fuzz-rs", "--runs", "0"],
+    ["fuzz-linearize", "--fuel", "0"],
+    ["fuzz-safety", "--depth", "-1"],
+    ["check", "rs", LISTING1, str(CORPUS / "listing1_pair.json"), "--runs", "0"],
+    ["check", "bcc", LISTING1, "{state}", "--fuel", "-1"],
+    ["check", "safety", LISTING1, "{state}", "--depth", "-1"],
+    ["attack", LISTING1, str(CORPUS / "listing1_pair.json"), "--runs", "0"],
+])
+def test_empty_budget_is_a_usage_error(runner, tmp_path, args):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    res = runner.invoke(main, [a.format(state=state) for a in args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Invalid value" in res.stderr
+
+
+@pytest.mark.parametrize("data_len", [1, 8])
+def test_layout_sidecar_round_trip(runner, tmp_path, listing1, data_len):
+    out = tmp_path / "layout.json"
+    res = runner.invoke(main, ["linearize", LISTING1, "--data-len", str(data_len),
+                               "--layout-out", str(out)])
+    assert res.exit_code == 0
+    assert decode_layout(json.loads(out.read_text())) == layout(listing1, data_len)
+    # without --layout-out the same sidecar goes to stderr
+    res = runner.invoke(main, ["linearize", LISTING1, "--data-len", str(data_len)])
+    assert json.loads(res.stderr) == json.loads(out.read_text())

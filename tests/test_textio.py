@@ -201,3 +201,56 @@ def test_canonical_printing_uses_dense_labels(listing1):
     text = print_program(listing1)
     assert text.startswith("entry b0:")
     assert "block b1:" in text and "entry b4:" in text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "1:1: expected 'entry' or 'block'"),
+    ("skip\n", "1:1: expected 'entry' or 'block'"),
+    ("entry a:\nblock b:\n  ret\n", "1:1: block has no instructions"),
+    ("entry 5:\n  ret\n", "1:7: expected 'ident', found '5'"),
+    ("entry a:\n  branch 1 nowhere\n  jump elsewhere\n  f <- &gone\n  ret\n",
+     "2:12: unknown label 'nowhere'; 3:8: unknown label 'elsewhere'; "
+     "4:9: unknown label 'gone'"),
+    ("entry a:\n  branch 1 nowhere\n  x <- (1 +\n",
+     "4:1: expected expression, found 'end of input'"),
+    ("entry a:\n  ret\nentry a:\n  ret\nblock a:\n  skip\n",
+     "3:7: duplicate label 'a'; 5:7: duplicate label 'a'"),
+    ("entry a:\n  ret\nblock x", "3:1: 'block' does not start an instruction"),
+    ("entry a:\n  ret\nblock b,\n", "3:1: 'block' does not start an instruction"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert str(exc.value) == message
+
+
+def test_labels_resolve_forward():
+    p = parse_program("entry a:\n  jump later\nblock later:\n  f <- &a\n  ret\n")
+    assert p.blocks[0].insts == (Jump(1),)
+    assert p.blocks[1].insts[0] == Asgn("f", FpConst(0))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("f <- &a\n", "1:6: function pointer constant in machine listing"),
+    ("jump a\n", "1:6: expected 'nat', found 'a'"),
+])
+def test_mc_listing_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_mc_program(text)
+    assert str(exc.value) == message
+
+
+def test_decode_layout_needs_sizes(listing1):
+    lay = layout(listing1, 8)
+    doc = encode_layout(lay)
+    del doc["sizes"]
+    doc["code_len"] = lay.code_len  # no writer produces it; it is not read
+    with pytest.raises(DocError, match="sizes"):
+        decode_layout(doc)
+
+
+@pytest.mark.parametrize("flags", [{"ct": "no"}, {"ms": "false"}, {"ms": 1}])
+def test_state_flags_must_be_booleans(flags):
+    for kind in ("seq", "spec", "ideal"):
+        with pytest.raises(DocError, match="flag must be true or false"):
+            decode_state(flags, kind)
