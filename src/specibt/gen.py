@@ -31,7 +31,7 @@ from .ir import (
     Store,
     wf_program,
 )
-from .interp import IdealState, SeqState, SpecState, run_seq
+from .interp import IdealState, Next, SeqState, SpecState, Term, run_seq, step_seq
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,43 @@ def ideal_of(s: SeqState, ms: bool = False) -> IdealState:
     return IdealState(s.pc, dict(s.regs), s.mem, s.stk, ms)
 
 
+def _terminates(p: Program, s: SeqState, fuel: int) -> bool:
+    """`run_seq(p, s, fuel).status == "term"`, without building a trace,
+    and answered False as soon as the run provably never terminates.
+
+    The run is checked against a checkpoint state that is re-taken after
+    1, 2, 4, 8, ... steps (Brent's cycle detection); `low` is the shortest
+    stack seen since the checkpoint.
+    """
+    # Sound because the sequential step is deterministic and reads the stack
+    # only at `ret`: whether it is empty, and its top entry. If a later state
+    # has the checkpoint's pc, registers and memory, and the stack never got
+    # shorter than the checkpoint's in between, every `ret` on the way popped
+    # an entry pushed after the checkpoint: that stretch read only pc,
+    # registers, memory and entries it pushed itself. From the later state
+    # it repeats step for step, with the same stack growth, and so forever:
+    # the run never reaches `term` or `stuck`, and `run_seq` at any fuel
+    # reports `fuel`.
+    check, low, steps, power = s, len(s.stk), 0, 1
+    for _ in range(fuel):
+        out = step_seq(p, s)
+        if not isinstance(out, Next):
+            return isinstance(out, Term)
+        s = out.state
+        low = min(low, len(s.stk))
+        if (
+            low >= len(check.stk)
+            and s.pc == check.pc
+            and s.regs == check.regs
+            and s.mem == check.mem
+        ):
+            return False
+        steps += 1
+        if steps == power:
+            check, low, steps, power = s, len(s.stk), 0, 2 * power
+    return False
+
+
 def gen_safe_input(
     rng: random.Random,
     p: Program,
@@ -152,27 +189,32 @@ def gen_safe_input(
     fuel: int = 10_000,
     attempts: int = 50,
 ) -> Optional[SeqState]:
-    """A random initial state whose sequential run terminates cleanly, or
-    None if rejection sampling runs out of attempts.
+    """A random initial state whose sequential run terminates cleanly within
+    `fuel` steps, or None if rejection sampling runs out of attempts.
 
     Early rejection: if the run from the all-UV state (every register and
     memory cell undefined) runs out of fuel, no input can terminate, so the
-    attempts' states are drawn and discarded and the result is None. The
-    result and the rng's position are those of `attempts` failed attempts.
+    attempts' states are drawn and discarded and the result is None. Each
+    attempt's run stops at the first state that repeats an earlier one's pc,
+    registers and memory without having popped its stack, as it then never
+    terminates (`_terminates`), instead of stepping on to `fuel`. The result
+    and the rng's position are those of the plain loop that runs each
+    attempt to `fuel`.
     """
     # Sound because evaluation is monotone in UV: `_binop` and `Cond` give
     # UV on any UV operand or condition, so a value the all-UV run computes
     # is computed alike by every input. `_step` is stuck on a UV branch
     # condition, call target or address, so an all-UV run that reaches fuel
     # took every control decision and bounds check on such values, and every
-    # input repeats it step for step into the same fuel-out.
+    # input repeats it step for step into the same fuel-out. The per-attempt
+    # early stop is argued beside `_terminates`.
     if run_seq(p, SeqState(PC(0, 0), {}, (UV,) * cfg.mem_len), fuel).status == "fuel":
         for _ in range(attempts):
             gen_state(rng, cfg)
         return None
     for _ in range(attempts):
         s = gen_state(rng, cfg)
-        if run_seq(p, s, fuel).status == "term":
+        if _terminates(p, s, fuel):
             return s
     return None
 

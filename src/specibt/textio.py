@@ -397,11 +397,11 @@ def print_mc_program(mc: McProgram) -> str:
 
 class DocError(ValueError):
     """Schema violation in a JSON document; `path` is a JSON-pointer-style
-    location."""
+    location, empty at the document root."""
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 def encode_value(v: Value) -> Any:
@@ -583,9 +583,20 @@ def decode_layout(doc: Any, path: str = "") -> LayoutMap:
     """A layout sidecar as `encode_layout` writes it."""
     if not isinstance(doc, dict) or not {"data_len", "starts", "sizes"} <= doc.keys():
         raise DocError(path, "layout must carry data_len, starts and sizes")
+    if not _is_nat(doc["data_len"]):
+        raise DocError(f"{path}/data_len", f"not a natural number: {doc['data_len']!r}")
     starts_doc = doc["starts"]
+    if not isinstance(starts_doc, dict):
+        raise DocError(f"{path}/starts", "starts must be an object")
     try:
         starts = tuple(starts_doc[str(l)] for l in range(len(starts_doc)))
     except KeyError as exc:
         raise DocError(f"{path}/starts", f"missing label {exc}") from exc
-    return LayoutMap(doc["data_len"], starts, tuple(doc["sizes"]))
+    sizes = doc["sizes"]
+    if not isinstance(sizes, list) or len(sizes) != len(starts):
+        raise DocError(f"{path}/sizes", f"sizes must be a list of {len(starts)} entries")
+    for key, xs in (("starts", starts), ("sizes", sizes)):
+        for l, x in enumerate(xs):
+            if not _is_nat(x):
+                raise DocError(f"{path}/{key}/{l}", f"not a natural number: {x!r}")
+    return LayoutMap(doc["data_len"], starts, tuple(sizes))

@@ -178,3 +178,16 @@ def test_layout_sidecar_round_trip(runner, tmp_path, listing1, data_len):
     # without --layout-out the same sidecar goes to stderr
     res = runner.invoke(main, ["linearize", LISTING1, "--data-len", str(data_len)])
     assert json.loads(res.stderr) == json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("args, doc, message", [
+    (["check", "rs", LISTING1], [1, 2], "pair must be an object with states s1 and s2"),
+    (["attack", LISTING1], [1, 2], "pair must be an object with states s1 and s2"),
+    (["run", "--sem", "seq", LISTING1], [1, 2], "state must be an object"),
+    (["run", "--sem", "mc", LISTING1], "state", "state must be an object"),
+])
+def test_document_root_error_has_one_separator(runner, tmp_path, args, doc, message):
+    path = _write(tmp_path / "doc.json", doc)
+    res = runner.invoke(main, args + [path])
+    assert res.exit_code == 1
+    assert res.output == f"Error: {path}: {message}\n"

@@ -254,3 +254,27 @@ def test_state_flags_must_be_booleans(flags):
     for kind in ("seq", "spec", "ideal"):
         with pytest.raises(DocError, match="flag must be true or false"):
             decode_state(flags, kind)
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("data_len", -1, "/data_len"),
+    ("data_len", True, "/data_len"),
+    ("data_len", "8", "/data_len"),
+    ("starts", [0, 2], "/starts"),
+    ("starts", {"0": 0, "1": "2"}, "/starts/1"),
+    ("starts", {"0": 0, "1": -2}, "/starts/1"),
+    ("sizes", 5, "/sizes"),
+    ("sizes", [2], "/sizes"),
+    ("sizes", [2, None], "/sizes/1"),
+    ("sizes", [2, False], "/sizes/1"),
+])
+def test_decode_layout_checks_field_types(field, value, path):
+    doc = {"data_len": 8, "starts": {"0": 0, "1": 2}, "sizes": [2, 3], field: value}
+    with pytest.raises(DocError) as exc:
+        decode_layout(doc, "lay")
+    assert exc.value.path == "lay" + path
+
+
+def test_root_doc_error_has_no_empty_path():
+    assert str(DocError("", "state must be an object")) == "state must be an object"
+    assert str(DocError("/s1", "state must be an object")) == "/s1: state must be an object"
