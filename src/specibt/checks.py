@@ -261,7 +261,8 @@ def _lockstep(
     sample_every: int,
 ) -> Optional[Verdict]:
     """Run both levels one instruction at a time; None means the pair is in
-    full agreement for this directive sequence."""
+    full agreement for this directive sequence. A machine directive with no
+    block-level counterpart (a call into the data section) is inconclusive."""
     trace_mir: list[Obs] = []
     trace_mc: list[Obs] = []
     used = 0
@@ -288,7 +289,9 @@ def _lockstep(
             used += 1
             d_mir = map_directive_mc_to_mir(d_mc, lay)
             if d_mir is None:
-                return None  # unmappable directives are out of scope
+                return Verdict(
+                    "inconclusive", reason="machine directive has no source counterpart"
+                )
             out_mc = step_mc(mc, lay, sc, d_mc)
             out_mir = step_spec(p, sp, d_mir, cet=True)
         if isinstance(out_mir, Next) and isinstance(out_mc, Next):

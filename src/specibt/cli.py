@@ -33,6 +33,7 @@ from .gen import (
     gen_safe_input,
     gen_seq_equiv_pair,
     ideal_of,
+    no_input_terminates,
     spec_of,
 )
 from .hardening import (
@@ -352,13 +353,15 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
             )
             for p in programs
         ]
+        # the all-UV check's verdict depends on the program only
+        hopeless = [no_input_terminates(p, c, fuel) for p, c in zip(programs, cfgs)]
         count = 0
         for round_ in range(10 * runs):
             progress = False
-            for p, pcfg in zip(programs, cfgs):
+            for p, pcfg, skip in zip(programs, cfgs, hopeless):
                 if count >= runs:
                     return
-                s = gen_safe_input(rng, p, pcfg, fuel)
+                s = gen_safe_input(rng, p, pcfg, fuel, hopeless=skip)
                 if s is not None:
                     count += 1
                     progress = True
@@ -397,9 +400,11 @@ def _fuzz_options(f):
 def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
     """Check every case (a tuple of arguments to `one`, before the budget)
     and print the verdict: the first counterexample, with the sequences of
-    all cases up to it, or a pass over all of them."""
+    all cases up to it, else a pass over all of them, or inconclusive if no
+    case passed."""
     budget = _budget(depth, sequences, fuel)
     total = 0
+    passed = False
     for case in cases:
         v = one(*case, budget)
         if v.status == "counterexample":
@@ -407,7 +412,8 @@ def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
             _finish_verdict(v)
             return
         total += v.runs
-    _finish_verdict(Verdict("pass", runs=total))
+        passed = passed or v.ok
+    _finish_verdict(Verdict("pass" if passed else "inconclusive", runs=total))
 
 
 @main.command("fuzz-bcc")

@@ -151,7 +151,11 @@ def _terminates(p: Program, s: SeqState, fuel: int) -> bool:
 
     The run is checked against a checkpoint state that is re-taken after
     1, 2, 4, 8, ... steps (Brent's cycle detection); `low` is the shortest
-    stack seen since the checkpoint.
+    stack seen since the checkpoint. A return to the checkpoint's pc and
+    registers and memory is a cycle. A return to its pc with other values
+    is tried once per checkpoint as a loop that changes them forever, by
+    widening those values to UV (`_loops_widened`); the abstract steps of
+    all tries together never outnumber the concrete steps taken.
     """
     # Sound because the sequential step is deterministic and reads the stack
     # only at `ret`: whether it is empty, and its top entry. If a later state
@@ -163,23 +167,86 @@ def _terminates(p: Program, s: SeqState, fuel: int) -> bool:
     # the run never reaches `term` or `stuck`, and `run_seq` at any fuel
     # reports `fuel`.
     check, low, steps, power = s, len(s.stk), 0, 1
-    for _ in range(fuel):
+    spent = 0  # abstract steps
+    tried = False  # widening was tried since the checkpoint
+    for taken in range(1, fuel + 1):
         out = step_seq(p, s)
         if not isinstance(out, Next):
             return isinstance(out, Term)
         s = out.state
         low = min(low, len(s.stk))
-        if (
-            low >= len(check.stk)
-            and s.pc == check.pc
-            and s.regs == check.regs
-            and s.mem == check.mem
-        ):
-            return False
+        if low >= len(check.stk) and s.pc == check.pc:
+            if s.regs == check.regs and s.mem == check.mem:
+                return False
+            if not tried:
+                tried = True
+                loops, used = _loops_widened(p, _join(check, s), taken - spent)
+                if loops:
+                    return False
+                spent += used
         steps += 1
         if steps == power:
             check, low, steps, power = s, len(s.stk), 0, 2 * power
+            tried = False
     return False
+
+
+def _join(w: SeqState, s: SeqState) -> SeqState:
+    """`w` with UV in every register and memory cell where `s` differs (a
+    register missing from a state reads as UV)."""
+    regs = {}
+    for r in dict.fromkeys([*w.regs, *s.regs]):
+        v = w.regs.get(r, UV)
+        regs[r] = v if v == s.regs.get(r, UV) else UV
+    mem = tuple(v if v == u else UV for v, u in zip(w.mem, s.mem))
+    return SeqState(w.pc, regs, mem, w.stk)
+
+
+def _loops_widened(p: Program, w: SeqState, budget: int) -> tuple[bool, int]:
+    """Whether every state below `w` at `w`'s pc runs forever, proved within
+    `budget` abstract steps from `w`, and the steps taken. A state is below
+    `w` when each of its registers and memory cells equals `w`'s or is UV
+    in `w`, that is, when joining it into `w` changes nothing.
+
+    Each time the run from `w` is back at its pc, it is done if the state is
+    below `w`; else that state is joined into `w` (one more UV at least) and
+    the run restarts from there. Any outcome but `Next`, such as a UV branch
+    condition, gives up, and so does a `ret` that pops an entry of `w`'s
+    stack.
+    """
+    # Sound by the monotonicity that makes the all-UV check sound (see
+    # `no_input_terminates`): a value computed from `w` that is not UV is
+    # computed alike from every state below `w`, whose control decisions
+    # and addresses are thus `w`'s, and whose successor is below that of
+    # `w`. If the run from `w` comes back to `w`'s pc below `w`, popping
+    # only entries it pushed, then from every state below `w` the run comes
+    # back to that pc below `w` with any stack, and so forever; the
+    # checkpoint is below `w`, so its run never terminates.
+    s = w
+    for used in range(1, budget + 1):
+        out = step_seq(p, s)
+        if not isinstance(out, Next) or len(out.state.stk) < len(w.stk):
+            return False, used
+        s = out.state
+        if s.pc == w.pc:
+            joined = _join(w, s)
+            if joined.regs == w.regs and joined.mem == w.mem:
+                return True, used
+            w = s = joined
+    return False, budget
+
+
+def no_input_terminates(p: Program, cfg: GenConfig, fuel: int) -> bool:
+    """True if the run from the all-UV state (every register and memory cell
+    undefined) runs out of fuel: then no input terminates within `fuel`."""
+    # Sound because evaluation is monotone in UV: `_binop` and `Cond` give
+    # UV on any UV operand or condition, so a value the all-UV run computes
+    # is computed alike by every input. `_step` is stuck on a UV branch
+    # condition, call target or address, so an all-UV run that reaches fuel
+    # took every control decision and bounds check on such values, and every
+    # input repeats it step for step into the same fuel-out.
+    all_uv = SeqState(PC(0, 0), {}, (UV,) * cfg.mem_len)
+    return run_seq(p, all_uv, fuel).status == "fuel"
 
 
 def gen_safe_input(
@@ -188,27 +255,23 @@ def gen_safe_input(
     cfg: GenConfig = GenConfig(),
     fuel: int = 10_000,
     attempts: int = 50,
+    hopeless: Optional[bool] = None,
 ) -> Optional[SeqState]:
     """A random initial state whose sequential run terminates cleanly within
     `fuel` steps, or None if rejection sampling runs out of attempts.
 
-    Early rejection: if the run from the all-UV state (every register and
-    memory cell undefined) runs out of fuel, no input can terminate, so the
+    Early rejection: if `no_input_terminates(p, cfg, fuel)` (passed in as
+    `hopeless` by a caller that samples the same program again), the
     attempts' states are drawn and discarded and the result is None. Each
-    attempt's run stops at the first state that repeats an earlier one's pc,
-    registers and memory without having popped its stack, as it then never
-    terminates (`_terminates`), instead of stepping on to `fuel`. The result
-    and the rng's position are those of the plain loop that runs each
-    attempt to `fuel`.
+    attempt's run stops as soon as `_terminates` proves it never ends: at
+    a repeated state, or at a loop whose changing values, widened to UV,
+    keep it going forever; it does not step on to `fuel`. The result and
+    the rng's position are those of the plain loop that runs each attempt
+    to `fuel`.
     """
-    # Sound because evaluation is monotone in UV: `_binop` and `Cond` give
-    # UV on any UV operand or condition, so a value the all-UV run computes
-    # is computed alike by every input. `_step` is stuck on a UV branch
-    # condition, call target or address, so an all-UV run that reaches fuel
-    # took every control decision and bounds check on such values, and every
-    # input repeats it step for step into the same fuel-out. The per-attempt
-    # early stop is argued beside `_terminates`.
-    if run_seq(p, SeqState(PC(0, 0), {}, (UV,) * cfg.mem_len), fuel).status == "fuel":
+    if hopeless is None:
+        hopeless = no_input_terminates(p, cfg, fuel)
+    if hopeless:
         for _ in range(attempts):
             gen_state(rng, cfg)
         return None

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from specibt.checks import (
+    _lockstep,
     attack_search,
     check_bcc_linearize,
     check_bcc_specibt,
@@ -22,8 +23,9 @@ from specibt.hardening import (
     HardenError,
     harden,
 )
-from specibt.interp import DBranch, DCallMir, OLoad, SeqState, run_spec
+from specibt.interp import DBranch, DCallMc, DCallMir, OLoad, SeqState, run_spec
 from specibt.ir import PC
+from specibt.machine import concretize_state, layout, linearize
 from specibt.textio import parse_program
 
 BUDGET = ExploreBudget(depth=3, max_sequences=500, fuel=300)
@@ -169,6 +171,19 @@ def test_bcc_linearize_on_hardened_listing1(listing1, listing1_pair):
     sp.regs["msf"], sp.regs["callee"] = 0, FP(0)
     v = check_bcc_linearize(hp, sp, 8, BUDGET)
     assert v.ok and v.runs > 0
+
+
+def test_lockstep_unmappable_directive_is_inconclusive():
+    # the only prediction point is a call; address 0 is in the data section
+    p = parse_program("entry b0:\n  call &b1\n  ret\nentry b1:\n  ret\n")
+    sp = spec_of(SeqState(PC(0, 0), {}, (0,) * 4))
+    mc, lay = linearize(p, 4), layout(p, 4)
+    m0 = concretize_state(sp, lay)
+    v = _lockstep(p, sp, mc, lay, m0, [DCallMc(0)], 100, 5)
+    assert v is not None and v.status == "inconclusive"
+    assert "no source counterpart" in v.reason
+    # the mappable call into b1 agrees at both levels
+    assert _lockstep(p, sp, mc, lay, m0, [DCallMc(lay.addr(1))], 100, 5) is None
 
 
 def test_bcc_linearize_fuzzed():

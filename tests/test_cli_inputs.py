@@ -191,3 +191,16 @@ def test_document_root_error_has_one_separator(runner, tmp_path, args, doc, mess
     res = runner.invoke(main, args + [path])
     assert res.exit_code == 1
     assert res.output == f"Error: {path}: {message}\n"
+
+
+def test_fuzz_campaign_with_no_passing_case_is_not_a_pass(runner, tmp_path):
+    # every source speculative run loads out of bounds after the branch, so
+    # each lockstep check is inconclusive
+    (tmp_path / "p.mir").write_text(
+        "entry b0:\n  branch (r0 <= 7) b1\n  ret\nblock b1:\n  load r1, 100\n  ret\n"
+    )
+    res = runner.invoke(
+        main, ["fuzz-linearize", "--corpus", str(tmp_path), "--seed", "1", "--runs", "5"]
+    )
+    assert res.exit_code == 3
+    assert json.loads(res.output) == {"status": "inconclusive", "runs": 5}

@@ -1,20 +1,24 @@
 """`gen._terminates`: the sequential run's `term` verdict, stopped early at
-the first repeated or pumped state.
+the first repeated or pumped state, or at a loop proved endless by widening
+its changing values to UV; and the all-UV check of `fuzz-*` corpus runs.
 
 It must agree with `run_seq(p, s, fuel).status == "term"` at every fuel,
-reject plain loops and unbounded recursion within a few steps, and never
-reject a run that terminates: not one that revisits a pc and registers
-after its stack unwound, and not a long counter loop.
+reject plain loops, unbounded recursion and loops that only grow a counter
+within a few steps, and never reject a run that terminates: not one that
+revisits a pc and registers after its stack unwound, not a countdown, and
+not a loop whose exit waits for a growing counter.
 """
 
 import random
 
 import pytest
+from click.testing import CliRunner
 
 import specibt.gen as gen
+from specibt.cli import main
 from specibt.gen import GenConfig, _terminates, gen_program, gen_state
-from specibt.interp import SeqState, run_seq
-from specibt.ir import PC
+from specibt.interp import Next, SeqState, run_seq, step_seq
+from specibt.ir import PC, UV
 from specibt.textio import parse_program
 
 JUMP_LOOP = """
@@ -87,8 +91,82 @@ entry b2:
 """
 
 
+# Terminates when r0 reaches 0: widening r0 sticks at the branch.
+COUNTDOWN = """
+entry b0:
+  jump b1
+block b1:
+  r0 <- (r0 - 1)
+  branch r0 b1
+  ret
+"""
+
+# Terminates once r0 passes 50, but r2 holds 1 until then: the widened run
+# comes back to its pc once before r2, joined to UV, sticks at the branch.
+# The skips put Brent's checkpoints at the branch, where that return happens.
+LATE_EXIT = """
+entry b0:
+  skip
+  skip
+  jump b1
+block b1:
+  branch r2 b2
+  ret
+block b2:
+  r0 <- (r0 + 1)
+  r2 <- (r0 <= 50)
+  jump b1
+"""
+
+# Terminates six passes after r0 passes 5: the exit test reads r6, which a
+# widened run makes UV only after six joins, one per pass. Unbounded, those
+# tries would take more steps than the plain run.
+SHIFT_CHAIN = """
+entry b0:
+  jump b1
+block b1:
+  branch r6 b2
+  ret
+block b2:
+  r6 <- r5
+  r5 <- r4
+  r4 <- r3
+  r3 <- r2
+  r2 <- r1
+  r1 <- (r0 <= 5)
+  r0 <- (r0 + 1)
+  jump b1
+"""
+
+# The counter lives in memory cell 3; r1 is always 0, but UV once r0 is.
+MEMORY_COUNTER = """
+entry b0:
+  jump b1
+block b1:
+  load r0, 3
+  r1 <- (r0 * 0)
+  store 3, (r0 + 1)
+  jump b1
+"""
+
+GROWING_RECURSION = """
+entry b0:
+  r0 <- (r0 + 1)
+  call &b0
+  ret
+"""
+
+
 def _state(**regs) -> SeqState:
     return SeqState(PC(0, 0), dict(regs), (0,) * 8)
+
+
+def _plain_steps(p, s: SeqState) -> int:
+    """The steps of the sequential run from `s`, its last one included."""
+    n = 1
+    while isinstance(out := step_seq(p, s), Next):
+        n, s = n + 1, out.state
+    return n
 
 
 @pytest.fixture()
@@ -144,7 +222,57 @@ def test_counter_loop_terminates_at_its_fuel_boundary():
 def test_rare_safe_counter_loop(steps):
     p = parse_program(RARE_SAFE)
     assert _terminates(p, _state(r0=5, r1=1, r2=0, r3=2), 1000)
-    # a growing counter never repeats a state: this input runs to fuel
+    # a growing counter never repeats a state, but widened to UV it loops
     steps.clear()
     assert not _terminates(p, _state(r0=5, r1=1, r2=3, r3=2), 1000)
-    assert len(steps) == 1000
+    assert len(steps) <= 64
+
+
+@pytest.mark.parametrize("text", [MEMORY_COUNTER, GROWING_RECURSION])
+def test_growing_counters_are_rejected_early(text, steps):
+    p = parse_program(text)
+    assert run_seq(p, _state(r0=0, r1=0), 1000).status == "fuel"
+    assert not _terminates(p, _state(r0=0, r1=0), 1000)
+    assert len(steps) <= 64
+
+
+@pytest.mark.parametrize("text,regs", [
+    (COUNTDOWN, dict(r0=300)),
+    (COUNTER_LOOP, dict(r0=0)),
+    (LATE_EXIT, dict(r0=0, r2=1)),
+    (SHIFT_CHAIN, dict(r0=0, r1=1, r2=1, r3=1, r4=1, r5=1, r6=1)),
+])
+def test_widening_never_rejects_a_terminating_loop(text, regs, steps):
+    p = parse_program(text)
+    assert run_seq(p, _state(**regs), 1000).status == "term"
+    assert _terminates(p, _state(**regs), 1000)
+    # the widening tries together take no more steps than the plain run
+    assert len(steps) <= 2 * _plain_steps(p, _state(**regs))
+
+
+ALL_UV_CORPUS = {
+    "loop.mir": JUMP_LOOP,
+    "rare.mir": RARE_SAFE,
+    "count.mir": COUNTER_LOOP,
+    "once.mir": "entry b0:\n  load r1, 2\n  ret\n",
+}
+
+
+def test_corpus_all_uv_check_runs_once_per_program(tmp_path, monkeypatch):
+    for name, text in ALL_UV_CORPUS.items():
+        (tmp_path / name).write_text(text)
+    all_uv = []
+    real = gen.run_seq
+
+    def counted(p, s, fuel):
+        if not s.regs and all(v is UV for v in s.mem):
+            all_uv.append(p)
+        return real(p, s, fuel)
+
+    monkeypatch.setattr(gen, "run_seq", counted)
+    res = CliRunner().invoke(
+        main, ["fuzz-bcc", "--corpus", str(tmp_path), "--seed", "1", "--runs", "8"]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(all_uv) == len(ALL_UV_CORPUS)
+    assert len(set(map(id, all_uv))) == len(ALL_UV_CORPUS)
