@@ -9,7 +9,7 @@ sequence and both traces so it can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .ir import FP, Program
 from .interp import (
@@ -32,6 +32,7 @@ from .hardening import FULL, PassConfig, ReservedRegs, harden
 from .machine import (
     LayoutMap,
     McProgram,
+    McState,
     concretize_state,
     layout,
     linearize,
@@ -60,19 +61,6 @@ class Verdict:
         return self.status == "pass"
 
 
-def _counterexample(
-    reason: str, dirs: Sequence[Directive], r1: RunResult, r2: RunResult, runs: int
-) -> Verdict:
-    return Verdict(
-        "counterexample",
-        runs=runs,
-        reason=reason,
-        directives=list(dirs),
-        trace1=list(r1.trace),
-        trace2=list(r2.trace),
-    )
-
-
 def _traces_match(r1: RunResult, r2: RunResult) -> bool:
     """Exact equality, weakened to mutual prefix only when a run was cut
     off by fuel."""
@@ -84,25 +72,40 @@ def _traces_match(r1: RunResult, r2: RunResult) -> bool:
 Divergence = tuple[list[Directive], RunResult, RunResult]
 
 
+def _first(
+    driver: Driver, s0, budget: ExploreBudget, flag: Callable[..., Any]
+) -> tuple[int, Any]:
+    """Explore `driver` from `s0` until `flag`, called with each directive
+    sequence and its result, returns something other than None. Returns the
+    number of sequences run and that return value, or None."""
+    runs = 0
+    for dirs, res in explore(driver, s0, budget):
+        runs += 1
+        found = flag(dirs, res)
+        if found is not None:
+            return runs, found
+    return runs, None
+
+
 def _diverge(
     driver: Driver, s0, replay: Callable, budget: ExploreBudget
 ) -> tuple[int, Optional[Divergence]]:
     """Explore `driver` from `s0` and replay every directive sequence with
     `replay`. Returns the number of sequences run, and the first one whose
     two traces do not match, with both results, if there is one."""
-    runs = 0
-    for dirs, r1 in explore(driver, s0, budget):
-        runs += 1
+
+    def mismatch(dirs, r1: RunResult) -> Optional[Divergence]:
         r2 = replay(dirs)
-        if not _traces_match(r1, r2):
-            return runs, (list(dirs), r1, r2)
-    return runs, None
+        return None if _traces_match(r1, r2) else (list(dirs), r1, r2)
+
+    return _first(driver, s0, budget, mismatch)
 
 
 def _verdict(runs: int, found: Optional[Divergence], reason: str) -> Verdict:
     if found is None:
         return Verdict("pass", runs=runs)
-    return _counterexample(reason, *found, runs)
+    dirs, r1, r2 = found
+    return Verdict("counterexample", runs, reason, dirs, list(r1.trace), list(r2.trace))
 
 
 def _hardened_init(s: SeqState, r: ReservedRegs) -> SpecState:
@@ -149,15 +152,14 @@ def check_safety_preservation(
     if seq.status == "stuck":
         return Verdict("inconclusive", reason="sequential run is not safe")
     hp = harden(p, r, cfg).hardened
-    runs = 0
-    for dirs, res in explore(SpecDriver(hp, cet=True), _hardened_init(s0, r), budget):
-        runs += 1
-        if res.status == "stuck":
-            return _counterexample(
-                f"hardened speculative run is stuck: {res.reason}",
-                dirs, res, res, runs,
-            )
-    return Verdict("pass", runs=runs)
+    runs, stuck = _first(
+        SpecDriver(hp, cet=True),
+        _hardened_init(s0, r),
+        budget,
+        lambda dirs, res: (list(dirs), res, res) if res.status == "stuck" else None,
+    )
+    reason = f"hardened speculative run is stuck: {stuck[1].reason}" if stuck else ""
+    return _verdict(runs, stuck, reason)
 
 
 def attack_search(
@@ -225,11 +227,7 @@ def check_relative_security(
 
 
 def check_bcc_linearize(
-    p: Program,
-    s0: SpecState,
-    data_len: int,
-    budget: ExploreBudget,
-    sample_every: int = 5,
+    p: Program, s0: SpecState, data_len: int, budget: ExploreBudget
 ) -> Verdict:
     """Every machine behavior corresponds, observation by observation and
     state by state, to a speculative behavior of `p` under the mapped
@@ -238,78 +236,82 @@ def check_bcc_linearize(
         raise ValueError("initial memory length must equal data_len")
     mc = linearize(p, data_len)
     lay = layout(p, data_len)
-    m0 = concretize_state(s0, lay)
-    runs = 0
-    for dirs, _ in explore(McDriver(mc, lay), m0, budget):
-        runs += 1
-        v = _lockstep(p, s0, mc, lay, m0, dirs, budget.fuel, sample_every)
-        if v is not None:
-            v.runs = runs
-            v.directives = list(dirs)
-            return v
-    return Verdict("pass", runs=runs)
+    return _lockstep(p, s0, mc, lay, concretize_state(s0, lay), budget)
+
+
+@dataclass(frozen=True)
+class _Parted:
+    """The outcome of a lockstep step on which the two levels disagree. It
+    ends the run with a verdict of `status`; `obs` is the step's pair of
+    observations, if it made one."""
+
+    status: str  # "counterexample" | "inconclusive"
+    reason: str
+    obs: Optional[tuple[Optional[Obs], Optional[Obs]]] = None
+
+
+def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
+    """`p` under the speculative semantics and its linearization `mc` in
+    lockstep, under machine directives mapped to the source level. A state
+    is (source state, machine state, steps taken); an observation is the
+    pair of both levels' observations, the source's mapped to machine
+    addresses. A step on which the levels disagree ends the run with
+    `_Parted`; the state relation is checked after every fifth step."""
+    md = McDriver(mc, lay)
+
+    def step(s, d: Optional[Directive]):
+        sp, sc, i = s
+        d_mir = None if d is None else map_directive_mc_to_mir(d, lay)
+        if d is not None and d_mir is None:
+            return _Parted("inconclusive", "machine directive has no source counterpart")
+        out_mc = step_mc(mc, lay, sc, d)
+        out_mir = step_spec(p, sp, d_mir, cet=True)
+        if isinstance(out_mir, Stuck):
+            return _Parted("inconclusive", "source speculative run is stuck")
+        if isinstance(out_mc, OutOfDirectives) != isinstance(out_mir, OutOfDirectives):
+            return _Parted("counterexample", "prediction points do not line up")
+        if not (isinstance(out_mc, Next) and isinstance(out_mir, Next)):
+            if out_mir.status != out_mc.status:
+                return _Parted("counterexample", "outcomes diverge: source "
+                               f"{out_mir.status}, machine {out_mc.status}")
+            return out_mc
+        o1 = None if out_mir.obs is None else map_obs_mir_to_mc(out_mir.obs, lay)
+        obs = None if o1 is None and out_mc.obs is None else (o1, out_mc.obs)
+        if o1 != out_mc.obs:
+            return _Parted("counterexample", "observations diverge", obs)
+        if i % 5 == 0 and not state_rel(out_mir.state, out_mc.state, lay):
+            return _Parted("counterexample", "state relation broken", obs)
+        return Next((out_mir.state, out_mc.state, i + 1), obs)
+
+    return Driver(p, step, lambda s: md.candidates(s[1]), lambda s: md.correct(s[1]))
+
+
+def _parted(dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:
+    """The verdict of a lockstep run that ended with `_Parted`, if it did,
+    with the directives consumed and each level's trace up to that step."""
+    if res.status not in ("counterexample", "inconclusive"):
+        return None
+    v = Verdict(res.status, reason=res.reason, directives=list(dirs))
+    if res.status == "counterexample":
+        v.trace1 = [o for o, _ in res.trace if o is not None]
+        v.trace2 = [o for _, o in res.trace if o is not None]
+    return v
 
 
 def _lockstep(
     p: Program,
-    sp: SpecState,
+    s0: SpecState,
     mc: McProgram,
     lay: LayoutMap,
-    sc,
-    dirs: Sequence[Directive],
-    fuel: int,
-    sample_every: int,
-) -> Optional[Verdict]:
-    """Run both levels one instruction at a time; None means the pair is in
-    full agreement for this directive sequence. A machine directive with no
-    block-level counterpart (a call into the data section) is inconclusive."""
-    trace_mir: list[Obs] = []
-    trace_mc: list[Obs] = []
-    used = 0
-
-    def ce(reason: str) -> Verdict:
-        return Verdict(
-            "counterexample",
-            reason=reason,
-            trace1=list(map(lambda o: map_obs_mir_to_mc(o, lay), trace_mir)),
-            trace2=list(trace_mc),
-        )
-
-    for step_i in range(fuel):
-        out_mc = step_mc(mc, lay, sc, None)
-        out_mir = step_spec(p, sp, None, cet=True)
-        if isinstance(out_mc, OutOfDirectives) != isinstance(out_mir, OutOfDirectives):
-            if isinstance(out_mir, Stuck):
-                return Verdict("inconclusive", reason="source speculative run is stuck")
-            return ce("prediction points do not line up")
-        if isinstance(out_mc, OutOfDirectives):
-            if used >= len(dirs):
-                return None
-            d_mc = dirs[used]
-            used += 1
-            d_mir = map_directive_mc_to_mir(d_mc, lay)
-            if d_mir is None:
-                return Verdict(
-                    "inconclusive", reason="machine directive has no source counterpart"
-                )
-            out_mc = step_mc(mc, lay, sc, d_mc)
-            out_mir = step_spec(p, sp, d_mir, cet=True)
-        if isinstance(out_mir, Next) and isinstance(out_mc, Next):
-            o1 = map_obs_mir_to_mc(out_mir.obs, lay) if out_mir.obs is not None else None
-            if out_mir.obs is not None:
-                trace_mir.append(out_mir.obs)
-            if out_mc.obs is not None:
-                trace_mc.append(out_mc.obs)
-            if o1 != out_mc.obs:
-                return ce("observations diverge")
-            sp = out_mir.state
-            sc = out_mc.state
-            if step_i % sample_every == 0 and not state_rel(sp, sc, lay):
-                return ce("state relation broken")
-            continue
-        if isinstance(out_mir, Stuck):
-            return Verdict("inconclusive", reason="source speculative run is stuck")
-        if out_mir.status != out_mc.status:
-            return ce(f"outcomes diverge: source {out_mir.status}, machine {out_mc.status}")
-        return None
-    return None
+    m0: McState,
+    budget: ExploreBudget,
+) -> Verdict:
+    """Explore `p` from `s0` and `mc` from `m0` in lockstep; the verdict of
+    the first directive sequence on which the two levels disagree, else a
+    pass. A machine directive with no block-level counterpart (a call into
+    the data section) is inconclusive."""
+    runs, v = _first(_lockstep_driver(p, mc, lay), (s0, m0, 0), budget, _parted)
+    if v is None:
+        return Verdict("pass", runs=runs)
+    v.runs = runs
+    return v

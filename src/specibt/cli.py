@@ -48,8 +48,10 @@ from .hardening import (
     harden,
 )
 from .ir import CTarget, FP, used_registers, wf_program
-from .interp import RunResult, run_ideal, run_seq, run_spec
-from .machine import LayoutError, concretize_state, layout, linearize, run_mc
+from .interp import RunResult, run_ideal, run_seq, run_spec, wf_directives_mir
+from .machine import (
+    LayoutError, concretize_state, layout, linearize, run_mc, wf_directives_mc
+)
 from .textio import (
     DocError,
     ParseError,
@@ -146,12 +148,17 @@ def _emit_run(res: RunResult) -> None:
               help="Model hardware without indirect-branch tracking.")
 def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     """Execute PROGRAM from STATE and print the observation trace. Under
-    --sem mc the data section is as long as the state's memory."""
+    --sem mc the data section is as long as the state's memory. Call
+    directives name block labels and offsets of PROGRAM under spec and
+    ideal, and code addresses under mc."""
     p = _load(program, parse_program)
     directives = _load(directives_path, decode_directives) if directives_path else []
     if sem == "seq":
         _emit_run(run_seq(p, _load(state, decode_state), fuel))
         return
+    misfit = f"{directives_path}: directives do not fit --sem {sem}"
+    if sem != "mc" and not wf_directives_mir(p, directives):
+        raise click.ClickException(misfit)
     s = _load(state, decode_state, "spec")  # carries both flags
     if sem == "ideal":
         _emit_run(run_ideal(p, ideal_of(s, s.ms or ms), directives, fuel))
@@ -165,7 +172,10 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
         m = concretize_state(s, lay)
     except ValueError as exc:
         raise click.ClickException(f"{state}: {exc}") from exc
-    _emit_run(run_mc(linearize(p, len(s.mem)), lay, m, directives, fuel))
+    mc = linearize(p, len(s.mem))
+    if not wf_directives_mc(directives, lay, mc):
+        raise click.ClickException(misfit)
+    _emit_run(run_mc(mc, lay, m, directives, fuel))
 
 
 @main.command("harden")

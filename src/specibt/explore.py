@@ -11,7 +11,7 @@ covered without exponential blowup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterator, Optional
 
 from .ir import Branch, FP, PC, Inst, Program, fetch
 from .interp import (
@@ -21,6 +21,7 @@ from .interp import (
     Directive,
     Next,
     Obs,
+    Outcome,
     OutOfDirectives,
     RunResult,
     eval_expr,
@@ -39,26 +40,30 @@ class ExploreBudget:
     fuel: int = 1000
 
 
+@dataclass(frozen=True)
 class Driver:
     """Execution of program `p` under one semantics, as exploration needs
-    it: `step` takes a step with an optional directive, `fetch` gives the
-    instruction at a state's pc, `call_candidates` are the call directives
-    the attacker may pick, and `correct` is the directive that follows the
-    program at a prediction point."""
+    it: `step` takes a step with an optional directive, `candidates` are
+    the directives the attacker may pick at a prediction point, and
+    `correct` is the directive that follows the program there."""
 
-    def __init__(self, p, step, fetch, call_candidates: list[Directive], correct):
-        self.p = p
-        self.step = step
-        self._fetch = fetch
-        self._call_candidates = call_candidates
-        self.correct = correct
+    p: Any
+    step: Callable[[Any, Optional[Directive]], Outcome]
+    candidates: Callable[[Any], list[Directive]]
+    correct: Callable[[Any], Directive]
 
-    def candidates(self, s) -> list[Directive]:
-        """Every directive the attacker may pick at the prediction point
-        `s`, which is at a branch or a call."""
-        if isinstance(self._fetch(s), Branch):
+
+def _choices(
+    fetch: Callable[[Any], Inst], calls: list[Directive]
+) -> Callable[[Any], list[Directive]]:
+    """Both outcomes at a branch, every call candidate at a call."""
+
+    def candidates(s) -> list[Directive]:
+        if isinstance(fetch(s), Branch):
             return [DBranch(True), DBranch(False)]
-        return list(self._call_candidates)
+        return list(calls)
+
+    return candidates
 
 
 def _mir_driver(p: Program, step, masked: bool) -> Driver:
@@ -77,7 +82,7 @@ def _mir_driver(p: Program, step, masked: bool) -> Driver:
     cands.extend(
         DCallMir(PC(l, 1)) for l, b in enumerate(p.blocks) if len(b.insts) > 1
     )
-    return Driver(p, step, lambda s: fetch(p, s.pc), cands, correct)
+    return Driver(p, step, _choices(lambda s: fetch(p, s.pc), cands), correct)
 
 
 def SpecDriver(p: Program, cet: bool = True) -> Driver:
@@ -106,7 +111,9 @@ def McDriver(mc: McProgram, lay: LayoutMap) -> Driver:
     cands.extend(
         DCallMc(lay.addr(l) + 1) for l in range(len(lay.starts)) if lay.sizes[l] > 1
     )
-    return Driver(mc, lambda s, d: step_mc(mc, lay, s, d), inst, cands, correct)
+    return Driver(
+        mc, lambda s, d: step_mc(mc, lay, s, d), _choices(inst, cands), correct
+    )
 
 
 def explore(
@@ -125,7 +132,7 @@ def explore(
                 return
             if fuel <= 0:
                 emitted += 1
-                yield dirs, result(list(trace), None, s, len(dirs))
+                yield dirs, result(list(trace), None, s)
                 return
             out = driver.step(s, None)
             if isinstance(out, OutOfDirectives):
@@ -143,9 +150,7 @@ def explore(
                             )
                         else:
                             emitted += 1
-                            yield dirs + (d,), result(
-                                list(trace), out2, s, len(dirs) + 1
-                            )
+                            yield dirs + (d,), result(list(trace), out2, s)
                     return
                 d = driver.correct(s)
                 out = driver.step(s, d)
@@ -157,7 +162,7 @@ def explore(
                 fuel -= 1
                 continue
             emitted += 1
-            yield dirs, result(list(trace), out, s, len(dirs))
+            yield dirs, result(list(trace), out, s)
             return
 
     yield from walk(s0, (), (), budget.fuel, 0)

@@ -68,7 +68,6 @@ class HardenError(ValueError):
 class TransformResult:
     hardened: Program
     added_block_count: int
-    reserved: ReservedRegs
     # Original labels keep their indices; fresh edge-split labels start at
     # the original block count and are assigned in instruction order.
 
@@ -166,5 +165,4 @@ def harden(
     return TransformResult(
         hardened=Program(tuple(out) + tuple(added)),
         added_block_count=len(added),
-        reserved=r,
     )

@@ -364,19 +364,20 @@ class RunResult:
     status: str
     reason: Optional[str] = None
     state: Optional[SeqState] = None
-    directives_used: int = 0
     final_ms: Optional[bool] = None
 
 
-def result(trace: list[Obs], out: Optional[Outcome], s, used: int) -> RunResult:
-    """The result of a run that stopped in state `s`, after consuming `used`
-    directives, with the terminal outcome `out` or, when `out` is None, out
-    of fuel. An ideal call fault adds its call observation to the trace."""
-    if isinstance(out, Fault) and out.obs is not None:
-        trace.append(out.obs)
+def result(trace: list[Obs], out: Optional[Outcome], s) -> RunResult:
+    """The result of a run that stopped in state `s` with the terminal
+    outcome `out` or, when `out` is None, out of fuel. An outcome that
+    carries an observation (an ideal call fault, a lockstep divergence) adds
+    it to the trace."""
+    obs = getattr(out, "obs", None)
+    if obs is not None:
+        trace.append(obs)
     status = "fuel" if out is None else out.status
     return RunResult(
-        trace, status, getattr(out, "reason", None), s, used, getattr(s, "ms", None)
+        trace, status, getattr(out, "reason", None), s, getattr(s, "ms", None)
     )
 
 
@@ -392,7 +393,7 @@ def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
         out = step(s, None)
         if isinstance(out, OutOfDirectives):
             if used >= len(directives):
-                return result(trace, out, s, used)
+                return result(trace, out, s)
             out = step(s, directives[used])
             used += 1
         if isinstance(out, Next):
@@ -400,8 +401,8 @@ def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
                 trace.append(out.obs)
             s = out.state
             continue
-        return result(trace, out, s, used)
-    return result(trace, None, s, used)
+        return result(trace, out, s)
+    return result(trace, None, s)
 
 
 def run_seq(p: Program, s: SeqState, fuel: int) -> RunResult:

@@ -1,7 +1,7 @@
 """Relations between executions and languages: trace prefix-equivalence,
-register-file agreement modulo reserved registers, the value/state
-refinement relation across linearization, and directive/observation
-mappings between the block-structured and flat machine levels.
+the value/state refinement relation across linearization, and
+directive/observation mappings between the block-structured and flat
+machine levels.
 """
 
 from __future__ import annotations
@@ -26,16 +26,6 @@ def trace_cmp(o1: Sequence[Obs], o2: Sequence[Obs]) -> bool:
     not transitive."""
     n = min(len(o1), len(o2))
     return list(o1[:n]) == list(o2[:n])
-
-
-def regs_agree(
-    r1: dict[str, Value], r2: dict[str, Value], reserved: Iterable[str]
-) -> bool:
-    """Agreement on every register except the reserved ones. Register files
-    are total with default UV."""
-    skip = set(reserved)
-    names = (set(r1) | set(r2)) - skip
-    return all(r1.get(n, UV) == r2.get(n, UV) for n in names)
 
 
 def value_rel(v: Value, n: int, lay: LayoutMap) -> bool:

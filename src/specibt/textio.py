@@ -13,8 +13,9 @@ Grammar::
               | "(" expr "?" expr ":" expr ")"
 
 Comments run from "#" to end of line. Labels resolve to block indices in
-order of first definition. Flat machine listings use the same instruction
-grammar with numeric targets and no "&" constants.
+order of first definition. Flat machine listings are printed, not parsed:
+one instruction per line in the same grammar, with absolute addresses as
+branch and jump targets.
 """
 
 from __future__ import annotations
@@ -151,11 +152,10 @@ def _header_at(toks: list[_Tok], j: int) -> bool:
 
 class _Parser:
     """Recursive-descent parser over the token stream. `labels` maps block
-    names to indices; None parses a flat machine listing: numeric targets,
-    no function-pointer constants. Unknown labels are collected in `issues`
-    and parsing goes on; any other error raises at once."""
+    names to indices. Unknown labels are collected in `issues` and parsing
+    goes on; any other error raises at once."""
 
-    def __init__(self, toks: list[_Tok], labels: Optional[dict[str, int]] = None):
+    def __init__(self, toks: list[_Tok], labels: dict[str, int]):
         self.toks = toks
         self.i = 0
         self.labels = labels
@@ -190,8 +190,6 @@ class _Parser:
             self._advance()
             return Const(int(t.text))
         if t.kind == "sym" and t.text == "&":
-            if self.labels is None:
-                raise self._fail("function pointer constant in machine listing")
             self._advance()
             name = self._expect("ident")
             return FpConst(self._label(name))
@@ -228,8 +226,6 @@ class _Parser:
         return self.labels[tok.text]
 
     def _target(self) -> int:
-        if self.labels is None:
-            return int(self._expect("nat").text)
         return self._label(self._expect("ident"))
 
     # -- instructions
@@ -312,16 +308,6 @@ def parse_program(text: str) -> Program:
     if parser.issues:
         raise ParseError(parser.issues)
     return prog
-
-
-def parse_mc_program(text: str) -> McProgram:
-    """Parse a flat machine listing: one instruction per line, numeric
-    branch/jump targets."""
-    parser = _Parser(_tokenize(text))
-    code: list[Inst] = []
-    while parser.cur.kind != "eof":
-        code.append(parser.inst())
-    return McProgram(tuple(code))
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from specibt.checks import (
-    _lockstep,
+    _lockstep_driver,
     attack_search,
     check_bcc_linearize,
     check_bcc_specibt,
@@ -23,7 +23,17 @@ from specibt.hardening import (
     HardenError,
     harden,
 )
-from specibt.interp import DBranch, DCallMc, DCallMir, OLoad, SeqState, run_spec
+from specibt.interp import (
+    DBranch,
+    DCallMc,
+    DCallMir,
+    Next,
+    OCall,
+    OLoad,
+    OutOfDirectives,
+    SeqState,
+    run_spec,
+)
 from specibt.ir import PC
 from specibt.machine import concretize_state, layout, linearize
 from specibt.textio import parse_program
@@ -178,12 +188,16 @@ def test_lockstep_unmappable_directive_is_inconclusive():
     p = parse_program("entry b0:\n  call &b1\n  ret\nentry b1:\n  ret\n")
     sp = spec_of(SeqState(PC(0, 0), {}, (0,) * 4))
     mc, lay = linearize(p, 4), layout(p, 4)
-    m0 = concretize_state(sp, lay)
-    v = _lockstep(p, sp, mc, lay, m0, [DCallMc(0)], 100, 5)
-    assert v is not None and v.status == "inconclusive"
-    assert "no source counterpart" in v.reason
+    drv = _lockstep_driver(p, mc, lay)
+    s = (sp, concretize_state(sp, lay), 0)
+    assert isinstance(drv.step(s, None), OutOfDirectives)
+    out = drv.step(s, DCallMc(0))
+    assert out.status == "inconclusive"
+    assert "no source counterpart" in out.reason
     # the mappable call into b1 agrees at both levels
-    assert _lockstep(p, sp, mc, lay, m0, [DCallMc(lay.addr(1))], 100, 5) is None
+    out = drv.step(s, DCallMc(lay.addr(1)))
+    assert isinstance(out, Next)
+    assert out.obs == (OCall(lay.addr(1)), OCall(lay.addr(1)))
 
 
 def test_bcc_linearize_fuzzed():

@@ -56,6 +56,19 @@ def test_bad_call_directive_exits_1(runner, tmp_path, sem, call):
     assert "/1: not a directive" in res.output
 
 
+@pytest.mark.parametrize("sem,call", [
+    ("spec", {"addr": 15}),  # a machine-level call at the block level
+    ("mc", {"label": 4, "offset": 0}),  # a block-level call at machine level
+    ("spec", {"label": 99, "offset": 0}),  # a label Listing 1 does not have
+])
+def test_directive_of_the_wrong_level_exits_1(runner, tmp_path, sem, call):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    dirs = _write(tmp_path / "d.json", [{"branch": True}, {"call": call}])
+    res = runner.invoke(main, ["run", "--sem", sem, "--dir", dirs, LISTING1, state])
+    assert res.exit_code == 1
+    assert f"Error: {dirs}: directives do not fit --sem {sem}" in res.output
+
+
 def test_decoders_accept_only_naturals():
     with pytest.raises(DocError):
         decode_directive({"call": {"addr": True}})

@@ -11,7 +11,6 @@ from specibt.relate import (
     map_directive_mc_to_mir,
     map_obs_mir_to_mc,
     pc_rel,
-    regs_agree,
     state_rel,
     trace_cmp,
     value_rel,
@@ -32,15 +31,6 @@ def test_trace_cmp_is_not_transitive():
     x, y = [OLoad(1)], [OLoad(2)]
     assert trace_cmp(x, []) and trace_cmp([], y)
     assert not trace_cmp(x, y)
-
-
-def test_regs_agree_ignores_reserved():
-    r1 = {"a": 1, "msf": 0}
-    r2 = {"a": 1, "msf": 1, "callee": FP(0)}
-    assert regs_agree(r1, r2, ("msf", "callee"))
-    assert not regs_agree({"a": 1}, {"a": 2}, ("msf",))
-    # totality: absent registers default to the undefined value
-    assert regs_agree({"a": UV}, {}, ())
 
 
 def test_value_and_pc_relation(listing1):

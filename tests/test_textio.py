@@ -31,7 +31,7 @@ from specibt.ir import (
     Reg,
     Store,
 )
-from specibt.machine import layout, linearize
+from specibt.machine import layout
 from specibt.textio import (
     DocError,
     ParseError,
@@ -46,9 +46,7 @@ from specibt.textio import (
     encode_state,
     encode_trace,
     encode_value,
-    parse_mc_program,
     parse_program,
-    print_mc_program,
     print_program,
 )
 
@@ -112,14 +110,6 @@ def test_print_parse_round_trip_generated():
     for _ in range(200):
         p = gen_program(rng, GenConfig())
         assert parse_program(print_program(p)) == p
-
-
-def test_mc_listing_round_trip():
-    rng = random.Random(11)
-    for _ in range(100):
-        p = gen_program(rng, GenConfig())
-        mc = linearize(p, 8)
-        assert parse_mc_program(print_mc_program(mc)) == mc
 
 
 values = st.one_of(
@@ -228,16 +218,6 @@ def test_labels_resolve_forward():
     p = parse_program("entry a:\n  jump later\nblock later:\n  f <- &a\n  ret\n")
     assert p.blocks[0].insts == (Jump(1),)
     assert p.blocks[1].insts[0] == Asgn("f", FpConst(0))
-
-
-@pytest.mark.parametrize("text,message", [
-    ("f <- &a\n", "1:6: function pointer constant in machine listing"),
-    ("jump a\n", "1:6: expected 'nat', found 'a'"),
-])
-def test_mc_listing_errors(text, message):
-    with pytest.raises(ParseError) as exc:
-        parse_mc_program(text)
-    assert str(exc.value) == message
 
 
 def test_decode_layout_needs_sizes(listing1):
