@@ -108,9 +108,10 @@ def _verdict(runs: int, found: Optional[Divergence], reason: str) -> Verdict:
     return Verdict("counterexample", runs, reason, dirs, list(r1.trace), list(r2.trace))
 
 
-def _hardened_init(s: SeqState, r: ReservedRegs) -> SpecState:
+def _hardened_init(s: SeqState) -> SpecState:
     """The theorems' initial target state: misspeculation flag clear, callee
     register pointing at the entry, ctarget check armed."""
+    r = ReservedRegs()
     regs = dict(s.regs)
     regs[r.msf] = 0
     regs[r.callee] = FP(0)
@@ -121,16 +122,15 @@ def check_bcc_specibt(
     p: Program,
     s0: SeqState,
     budget: ExploreBudget,
-    r: ReservedRegs = ReservedRegs(),
     cfg: PassConfig = FULL,
 ) -> Verdict:
     """Every speculative behavior of the hardened program is an ideal
     behavior of the source program under the same directives."""
-    hp = harden(p, r, cfg).hardened
+    hp = harden(p, cfg=cfg).hardened
     ideal = ideal_of(s0)
     runs, found = _diverge(
         SpecDriver(hp, cet=True),
-        _hardened_init(s0, r),
+        _hardened_init(s0),
         lambda dirs: run_ideal(p, ideal, dirs, budget.fuel),
         budget,
     )
@@ -143,7 +143,6 @@ def check_safety_preservation(
     p: Program,
     s0: SeqState,
     budget: ExploreBudget,
-    r: ReservedRegs = ReservedRegs(),
     cfg: PassConfig = FULL,
 ) -> Verdict:
     """Hardened speculative execution never reaches undefined behavior from
@@ -151,10 +150,10 @@ def check_safety_preservation(
     seq = run_seq(p, s0, budget.fuel)
     if seq.status == "stuck":
         return Verdict("inconclusive", reason="sequential run is not safe")
-    hp = harden(p, r, cfg).hardened
+    hp = harden(p, cfg=cfg).hardened
     runs, stuck = _first(
         SpecDriver(hp, cet=True),
-        _hardened_init(s0, r),
+        _hardened_init(s0),
         budget,
         lambda dirs, res: (list(dirs), res, res) if res.status == "stuck" else None,
     )
@@ -186,7 +185,6 @@ def check_relative_security(
     s2: SeqState,
     budget: ExploreBudget,
     pipeline: str = "hardened-only",
-    r: ReservedRegs = ReservedRegs(),
     cfg: PassConfig = FULL,
 ) -> Verdict:
     """Sequentially indistinguishable inputs stay indistinguishable under
@@ -203,8 +201,8 @@ def check_relative_security(
         return Verdict(
             "inconclusive", reason="inputs are sequentially distinguishable"
         )
-    hp = harden(p, r, cfg).hardened
-    h1, h2 = _hardened_init(s1, r), _hardened_init(s2, r)
+    hp = harden(p, cfg=cfg).hardened
+    h1, h2 = _hardened_init(s1), _hardened_init(s2)
     if pipeline == "hardened-only":
         runs, found = _diverge(
             SpecDriver(hp, cet=True),
@@ -283,7 +281,7 @@ def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
             return _Parted("counterexample", "state relation broken", obs)
         return Next((out_mir.state, out_mc.state, i + 1), obs)
 
-    return Driver(p, step, lambda s: md.candidates(s[1]), lambda s: md.correct(s[1]))
+    return Driver(step, lambda s: md.candidates(s[1]), lambda s: md.correct(s[1]))
 
 
 def _parted(dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:

@@ -1,8 +1,9 @@
 """Command-line entry point: run programs under the four semantics,
 harden, linearize, search for attacks, and drive the fuzzing checkers.
 
-Exit codes: 0 success/pass, 1 IO or parse error, 2 counterexample,
-3 inconclusive, 4 stuck run, 5 violated side conditions.
+Exit codes: 0 success/pass, 1 IO or parse error or directives that do not
+fit the run, 2 counterexample, 3 inconclusive, 4 stuck run, 5 violated side
+conditions.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def _emit_run(res: RunResult) -> None:
     click.echo(json.dumps({"trace": encode_trace(res.trace), "outcome": outcome}))
     if res.status == "stuck":
         sys.exit(EXIT_STUCK)
+    if res.status == "directive-mismatch":
+        sys.exit(1)
 
 
 @main.command("run")
@@ -153,10 +156,12 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     ideal, and code addresses under mc."""
     p = _load(program, parse_program)
     directives = _load(directives_path, decode_directives) if directives_path else []
+    misfit = f"{directives_path}: directives do not fit --sem {sem}"
     if sem == "seq":
+        if directives:
+            raise click.ClickException(misfit)
         _emit_run(run_seq(p, _load(state, decode_state), fuel))
         return
-    misfit = f"{directives_path}: directives do not fit --sem {sem}"
     if sem != "mc" and not wf_directives_mir(p, directives):
         raise click.ClickException(misfit)
     s = _load(state, decode_state, "spec")  # carries both flags

@@ -42,12 +42,11 @@ class ExploreBudget:
 
 @dataclass(frozen=True)
 class Driver:
-    """Execution of program `p` under one semantics, as exploration needs
+    """Execution of a program under one semantics, as exploration needs
     it: `step` takes a step with an optional directive, `candidates` are
     the directives the attacker may pick at a prediction point, and
     `correct` is the directive that follows the program there."""
 
-    p: Any
     step: Callable[[Any, Optional[Directive]], Outcome]
     candidates: Callable[[Any], list[Directive]]
     correct: Callable[[Any], Directive]
@@ -82,7 +81,7 @@ def _mir_driver(p: Program, step, masked: bool) -> Driver:
     cands.extend(
         DCallMir(PC(l, 1)) for l, b in enumerate(p.blocks) if len(b.insts) > 1
     )
-    return Driver(p, step, _choices(lambda s: fetch(p, s.pc), cands), correct)
+    return Driver(step, _choices(lambda s: fetch(p, s.pc), cands), correct)
 
 
 def SpecDriver(p: Program, cet: bool = True) -> Driver:
@@ -111,9 +110,7 @@ def McDriver(mc: McProgram, lay: LayoutMap) -> Driver:
     cands.extend(
         DCallMc(lay.addr(l) + 1) for l in range(len(lay.starts)) if lay.sizes[l] > 1
     )
-    return Driver(
-        mc, lambda s, d: step_mc(mc, lay, s, d), _choices(inst, cands), correct
-    )
+    return Driver(lambda s, d: step_mc(mc, lay, s, d), _choices(inst, cands), correct)
 
 
 def explore(

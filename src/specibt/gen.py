@@ -294,11 +294,10 @@ def gen_seq_equiv_pair(
     rng: random.Random,
     cfg: GenConfig = GenConfig(),
     fuel: int = 10_000,
-    attempts: int = 200,
 ) -> EquivPair:
     """A program with two safe initial states differing in exactly one
     memory cell whose sequential traces coincide."""
-    for _ in range(attempts):
+    for _ in range(200):
         p = gen_program(rng, cfg)
         s1 = gen_safe_input(rng, p, cfg, fuel, attempts=5)
         if s1 is None:

@@ -21,8 +21,6 @@ from .ir import (
     Cond,
     Const,
     CTARGET,
-    CTarget,
-    Expr,
     FpConst,
     Inst,
     Jump,
@@ -66,77 +64,9 @@ class HardenError(ValueError):
 
 @dataclass(frozen=True)
 class TransformResult:
-    hardened: Program
-    added_block_count: int
     # Original labels keep their indices; fresh edge-split labels start at
     # the original block count and are assigned in instruction order.
-
-
-def _mask(msf: str, e: Expr) -> Cond:
-    return Cond(Reg(msf), Const(0), e)
-
-
-def tr_inst(
-    i: Inst,
-    fresh: int,
-    r: ReservedRegs = ReservedRegs(),
-    cfg: PassConfig = FULL,
-) -> tuple[list[Inst], list[Block], int]:
-    """Translate one instruction; returns emitted code, added blocks and the
-    next free label."""
-    msf = Reg(r.msf)
-    if isinstance(i, CTarget):
-        raise HardenError("source program must not contain ctarget")
-    if isinstance(i, Load):
-        return [Load(i.reg, _mask(r.msf, i.addr))], [], fresh
-    if isinstance(i, Store):
-        return [Store(_mask(r.msf, i.addr), i.value)], [], fresh
-    if isinstance(i, Branch):
-        cond = _mask(r.msf, i.cond)
-        fallthrough_update = Asgn(r.msf, Cond(cond, Const(1), msf))
-        if not cfg.edge_split:
-            return [Branch(cond, i.target), fallthrough_update], [], fresh
-        taken_update = Asgn(r.msf, Cond(BinOp("=", cond, Const(0)), Const(1), msf))
-        split = Block((taken_update, Jump(i.target)), is_entry=False)
-        return [Branch(cond, fresh), fallthrough_update], [split], fresh + 1
-    if isinstance(i, Call):
-        target = Cond(msf, FpConst(0), i.target) if cfg.mask_call_target else i.target
-        insts: list[Inst] = []
-        if cfg.set_callee:
-            insts.append(Asgn(r.callee, target))
-        insts.append(Call(target))
-        return insts, [], fresh
-    return [i], [], fresh
-
-
-def entry_prelude(
-    label: int, r: ReservedRegs = ReservedRegs(), cfg: PassConfig = FULL
-) -> list[Inst]:
-    pre: list[Inst] = []
-    if cfg.insert_ctarget:
-        pre.append(CTARGET)
-    if cfg.entry_check:
-        check = BinOp("=", Reg(r.callee), FpConst(label))
-        pre.append(Asgn(r.msf, Cond(check, Reg(r.msf), Const(1))))
-    return pre
-
-
-def tr_block(
-    label: int,
-    b: Block,
-    fresh: int,
-    r: ReservedRegs = ReservedRegs(),
-    cfg: PassConfig = FULL,
-) -> tuple[Block, list[Block], int]:
-    body: list[Inst] = []
-    added: list[Block] = []
-    for i in b.insts:
-        insts, blocks, fresh = tr_inst(i, fresh, r, cfg)
-        body.extend(insts)
-        added.extend(blocks)
-    if b.is_entry:
-        body = entry_prelude(label, r, cfg) + body
-    return Block(tuple(body), is_entry=b.is_entry), added, fresh
+    hardened: Program
 
 
 def harden(
@@ -155,14 +85,37 @@ def harden(
         raise HardenError(
             "source program uses reserved registers: " + ", ".join(clashes)
         )
-    fresh = len(p.blocks)
+    msf = Reg(r.msf)
     out: list[Block] = []
     added: list[Block] = []
     for label, b in enumerate(p.blocks):
-        nb, blocks, fresh = tr_block(label, b, fresh, r, cfg)
-        out.append(nb)
-        added.extend(blocks)
-    return TransformResult(
-        hardened=Program(tuple(out) + tuple(added)),
-        added_block_count=len(added),
-    )
+        body: list[Inst] = []
+        if b.is_entry and cfg.insert_ctarget:
+            body.append(CTARGET)
+        if b.is_entry and cfg.entry_check:
+            check = BinOp("=", Reg(r.callee), FpConst(label))
+            body.append(Asgn(r.msf, Cond(check, msf, Const(1))))
+        for i in b.insts:
+            if isinstance(i, Load):
+                body.append(Load(i.reg, Cond(msf, Const(0), i.addr)))
+            elif isinstance(i, Store):
+                body.append(Store(Cond(msf, Const(0), i.addr), i.value))
+            elif isinstance(i, Branch):
+                cond = Cond(msf, Const(0), i.cond)
+                if cfg.edge_split:
+                    taken = Asgn(r.msf, Cond(BinOp("=", cond, Const(0)), Const(1), msf))
+                    body.append(Branch(cond, len(p.blocks) + len(added)))
+                    added.append(Block((taken, Jump(i.target)), is_entry=False))
+                else:
+                    body.append(Branch(cond, i.target))
+                body.append(Asgn(r.msf, Cond(cond, Const(1), msf)))
+            elif isinstance(i, Call):
+                target = (Cond(msf, FpConst(0), i.target)
+                          if cfg.mask_call_target else i.target)
+                if cfg.set_callee:
+                    body.append(Asgn(r.callee, target))
+                body.append(Call(target))
+            else:
+                body.append(i)
+        out.append(Block(tuple(body), is_entry=b.is_entry))
+    return TransformResult(Program(tuple(out) + tuple(added)))

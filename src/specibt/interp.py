@@ -364,7 +364,6 @@ class RunResult:
     status: str
     reason: Optional[str] = None
     state: Optional[SeqState] = None
-    final_ms: Optional[bool] = None
 
 
 def result(trace: list[Obs], out: Optional[Outcome], s) -> RunResult:
@@ -376,9 +375,7 @@ def result(trace: list[Obs], out: Optional[Outcome], s) -> RunResult:
     if obs is not None:
         trace.append(obs)
     status = "fuel" if out is None else out.status
-    return RunResult(
-        trace, status, getattr(out, "reason", None), s, getattr(s, "ms", None)
-    )
+    return RunResult(trace, status, getattr(out, "reason", None), s)
 
 
 Step = Callable[[SeqState, Optional[Directive]], Outcome]

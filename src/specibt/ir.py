@@ -161,9 +161,6 @@ class Block:
 class Program:
     blocks: tuple[Block, ...]
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 @dataclass(frozen=True, slots=True)
 class PC:

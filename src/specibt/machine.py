@@ -9,7 +9,6 @@ become absolute addresses; machine values are plain naturals.
 from __future__ import annotations
 
 import bisect
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -263,25 +262,20 @@ def wf_directives_mc(
 # Concretization of block-structured states to machine states
 
 
-def concretize_value(
-    v: Value, lay: LayoutMap, rng: Optional[random.Random] = None
-) -> int:
-    """Refine a value to a concrete natural. Undefined values become 0, or a
-    sampled natural when an `rng` is supplied."""
+def concretize_value(v: Value, lay: LayoutMap) -> int:
+    """Refine a value to a concrete natural. Undefined values become 0."""
     if isinstance(v, FP):
         return lay.addr(v.label)
     if v is UV:
-        return rng.randrange(lay.data_len + lay.code_len) if rng else 0
+        return 0
     return v
 
 
-def concretize_state(
-    s: SpecState, lay: LayoutMap, rng: Optional[random.Random] = None
-) -> McState:
+def concretize_state(s: SpecState, lay: LayoutMap) -> McState:
     return McState(
         pc=lay.addr(s.pc.label) + s.pc.offset,
-        regs={k: concretize_value(v, lay, rng) for k, v in s.regs.items()},
-        mem=tuple(concretize_value(v, lay, rng) for v in s.mem),
+        regs={k: concretize_value(v, lay) for k, v in s.regs.items()},
+        mem=tuple(concretize_value(v, lay) for v in s.mem),
         stk=tuple(lay.addr(pc.label) + pc.offset for pc in s.stk),
         ct=s.ct,
         ms=s.ms,

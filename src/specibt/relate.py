@@ -6,7 +6,7 @@ machine levels.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ir import UV, FP, PC, Value
 from .interp import (
@@ -42,15 +42,9 @@ def pc_rel(pc: PC, a: int, lay: LayoutMap) -> bool:
     return lay.addr(pc.label) + pc.offset == a
 
 
-def state_rel(
-    s_mir: SpecState,
-    s_mc: McState,
-    lay: LayoutMap,
-    exclude: Iterable[str] = (),
-) -> bool:
+def state_rel(s_mir: SpecState, s_mc: McState, lay: LayoutMap) -> bool:
     """Pointwise value relation over pc, registers, memory and return stack,
-    plus equality of the ct/ms flags. `exclude` names registers left out of
-    the comparison."""
+    plus equality of the ct/ms flags."""
     if s_mir.ct != s_mc.ct or s_mir.ms != s_mc.ms:
         return False
     if not pc_rel(s_mir.pc, s_mc.pc, lay):
@@ -63,8 +57,7 @@ def state_rel(
         return False
     if not all(value_rel(v, n, lay) for v, n in zip(s_mir.mem, s_mc.mem)):
         return False
-    skip = set(exclude)
-    names = (set(s_mir.regs) | set(s_mc.regs)) - skip
+    names = set(s_mir.regs) | set(s_mc.regs)
     return all(
         value_rel(s_mir.regs.get(n, UV), s_mc.regs.get(n, 0), lay) for n in names
     )

@@ -328,7 +328,8 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _print_inst(i: Inst, target: str) -> str:
+def _print_inst(i: Inst, label: str) -> str:
+    """One instruction; jump and branch targets are printed after `label`."""
     if isinstance(i, Skip):
         return "skip"
     if isinstance(i, CTarget):
@@ -338,9 +339,9 @@ def _print_inst(i: Inst, target: str) -> str:
     if isinstance(i, Asgn):
         return f"{i.reg} <- {print_expr(i.expr)}"
     if isinstance(i, Branch):
-        return f"branch {print_expr(i.cond)} {target}"
+        return f"branch {print_expr(i.cond)} {label}{i.target}"
     if isinstance(i, Jump):
-        return f"jump {target}"
+        return f"jump {label}{i.target}"
     if isinstance(i, Load):
         return f"load {i.reg}, {print_expr(i.addr)}"
     if isinstance(i, Store):
@@ -348,13 +349,6 @@ def _print_inst(i: Inst, target: str) -> str:
     if isinstance(i, Call):
         return f"call {print_expr(i.target)}"
     raise TypeError(f"not an instruction: {i!r}")
-
-
-def print_inst(i: Inst) -> str:
-    target = ""
-    if isinstance(i, (Branch, Jump)):
-        target = f"b{i.target}"
-    return _print_inst(i, target)
 
 
 def print_program(p: Program) -> str:
@@ -365,16 +359,12 @@ def print_program(p: Program) -> str:
         kw = "entry" if b.is_entry else "block"
         lines.append(f"{kw} b{l}:")
         for i in b.insts:
-            lines.append(f"  {print_inst(i)}")
+            lines.append(f"  {_print_inst(i, 'b')}")
     return "\n".join(lines) + "\n"
 
 
 def print_mc_program(mc: McProgram) -> str:
-    lines = []
-    for i in mc.code:
-        target = str(i.target) if isinstance(i, (Branch, Jump)) else ""
-        lines.append(_print_inst(i, target))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_print_inst(i, "") for i in mc.code) + "\n"
 
 
 # --------------------------------------------------------------------------

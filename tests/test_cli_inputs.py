@@ -69,6 +69,36 @@ def test_directive_of_the_wrong_level_exits_1(runner, tmp_path, sem, call):
     assert f"Error: {dirs}: directives do not fit --sem {sem}" in res.output
 
 
+def test_directives_under_seq_exit_1(runner, tmp_path):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    dirs = _write(tmp_path / "d.json", [{"call": {"label": 4, "offset": 0}}])
+    res = runner.invoke(main, ["run", "--sem", "seq", "--dir", dirs, LISTING1, state])
+    assert res.exit_code == 1
+    assert f"Error: {dirs}: directives do not fit --sem seq" in res.output
+    # an empty sequence fits every semantics
+    empty = _write(tmp_path / "e.json", [])
+    res = runner.invoke(main, ["run", "--sem", "seq", "--dir", empty, LISTING1, state])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["outcome"] == "term"
+
+
+@pytest.mark.parametrize("sem,call", [
+    ("spec", {"label": 4, "offset": 0}),
+    ("mc", {"addr": 15}),
+])
+def test_directive_mismatch_run_exits_1(runner, tmp_path, sem, call):
+    # well-formed for the level, but a call directive where the run
+    # reaches a branch
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    dirs = _write(tmp_path / "d.json", [{"call": call}])
+    res = runner.invoke(main, ["run", "--sem", sem, "--dir", dirs, LISTING1, state])
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {
+        "trace": [],
+        "outcome": "directive-mismatch:branch instruction needs a branch directive",
+    }
+
+
 def test_decoders_accept_only_naturals():
     with pytest.raises(DocError):
         decode_directive({"call": {"addr": True}})

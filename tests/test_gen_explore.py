@@ -87,18 +87,19 @@ def test_injected_midblock_call_faults(listing1, listing1_pair):
 
 
 def test_call_candidates_cover_heads_and_midblocks(listing1):
-    drv = SpecDriver(harden(listing1).hardened)
+    hp = harden(listing1).hardened
+    drv = SpecDriver(hp)
     s = spec_of(gen_state(random.Random(1)))
     # candidates are inspected at a call site; fabricate one
     call_pc = PC(2, 1)  # the call in the hardened call block
     from specibt.ir import fetch
 
-    assert isinstance(fetch(drv.p, call_pc), Call)
+    assert isinstance(fetch(hp, call_pc), Call)
     from dataclasses import replace
 
     cands = drv.candidates(replace(s, pc=call_pc))
     labels = {d.target for d in cands}
-    n = len(drv.p.blocks)
+    n = len(hp.blocks)
     assert {PC(l, 0) for l in range(n)} <= labels
     assert PC(1, 1) in labels  # one mid-block offset per multi-inst block
 

@@ -227,7 +227,7 @@ def test_spec_correct_predictions_match_sequential(listing1, listing1_pair):
     r = run_spec(listing1, spec_of(s1), d, 100, cet=False)
     assert r.status == "term"
     assert r.trace == run_seq(listing1, s1, 100).trace
-    assert r.final_ms is False
+    assert r.state.ms is False
 
 
 def test_run_spec_out_of_directives(listing1, listing1_pair):

@@ -52,7 +52,7 @@ def test_state_rel_on_concretized_states(listing1):
     assert not state_rel(s, replace(m, ms=not m.ms), lay)
 
 
-def test_state_rel_excludes_named_registers(listing1):
+def test_state_rel_compares_every_register(listing1):
     lay = layout(listing1, 8)
     s = spec_of(gen_state(random.Random(4), GenConfig(mem_len=8)))
     s.regs["msf"] = 0
@@ -61,7 +61,6 @@ def test_state_rel_excludes_named_registers(listing1):
     regs["msf"] = 99
     m2 = replace(m, regs=regs)
     assert not state_rel(s, m2, lay)
-    assert state_rel(s, m2, lay, exclude=("msf",))
 
 
 def test_directive_mapping_round_trip(listing1):
