@@ -254,8 +254,9 @@ def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
     is (source state, machine state, steps taken); an observation is the
     pair of both levels' observations, the source's mapped to machine
     addresses. A step on which the levels disagree ends the run with
-    `_Parted`; the state relation is checked after every fifth step."""
-    md = McDriver(mc, lay)
+    `_Parted`; the state relation is checked after every fifth step. At a
+    prediction point the machine's `OutOfDirectives` is returned, so the
+    correct directive is the machine's."""
 
     def step(s, d: Optional[Directive]):
         sp, sc, i = s
@@ -281,7 +282,7 @@ def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
             return _Parted("counterexample", "state relation broken", obs)
         return Next((out_mir.state, out_mc.state, i + 1), obs)
 
-    return Driver(step, lambda s: md.candidates(s[1]), lambda s: md.correct(s[1]))
+    return Driver(step, McDriver(mc, lay).calls)
 
 
 def _parted(dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:

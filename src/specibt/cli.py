@@ -144,16 +144,22 @@ def _emit_run(res: RunResult) -> None:
               help="JSON directive sequence for spec/ideal/mc runs.")
 @click.option("--fuel", type=int, default=10_000, show_default=True)
 @click.option("--ct/--no-ct", "ct", default=None,
-              help="Override the initial ctarget-armed flag.")
+              help="Override the initial ctarget-armed flag (spec, mc).")
 @click.option("--ms", is_flag=True, default=False,
-              help="Start with the misspeculation flag set.")
+              help="Start with the misspeculation flag set (spec, ideal, mc).")
 @click.option("--no-cet", is_flag=True, default=False,
-              help="Model hardware without indirect-branch tracking.")
+              help="Model hardware without indirect-branch tracking (spec).")
 def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     """Execute PROGRAM from STATE and print the observation trace. Under
     --sem mc the data section is as long as the state's memory. Call
     directives name block labels and offsets of PROGRAM under spec and
     ideal, and code addresses under mc."""
+    ignored = {"seq": "--ct --no-ct --ms --no-cet", "ideal": "--ct --no-ct --no-cet",
+               "mc": "--no-cet", "spec": ""}[sem].split()
+    given = {"--ct": ct is True, "--no-ct": ct is False, "--ms": ms, "--no-cet": no_cet}
+    unread = [f for f in ignored if given[f]]
+    if unread:
+        raise click.UsageError(f"{', '.join(unread)}: no effect under --sem {sem}")
     p = _load(program, parse_program)
     directives = _load(directives_path, decode_directives) if directives_path else []
     misfit = f"{directives_path}: directives do not fit --sem {sem}"

@@ -1,19 +1,22 @@
 """Bounded enumeration of attacker directive sequences.
 
-Exploration forks every prediction point (branch outcome, call target)
-within the first `depth` predictions; beyond the depth, the correct
-prediction is supplied so runs still finish. Call-target candidates are
-every block head plus one mid-block offset per multi-instruction block:
-correct calls, wrong-function calls and mid-function injection are all
-covered without exponential blowup.
+The semantics mark each prediction point (a branch or a call) with
+`OutOfDirectives`, which carries the directive that follows the program
+there. Exploration forks every prediction point within the first `depth`
+predictions, over both outcomes at a branch and over the driver's call
+candidates at a call; beyond the depth, it supplies the correct directive
+so runs still finish. Call candidates are every block head plus one
+mid-block offset per multi-instruction block: correct calls, wrong-function
+calls and mid-function injection are all covered without exponential
+blowup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .ir import Branch, FP, PC, Inst, Program, fetch
+from .ir import PC, Program
 from .interp import (
     DBranch,
     DCallMc,
@@ -24,13 +27,11 @@ from .interp import (
     Outcome,
     OutOfDirectives,
     RunResult,
-    eval_expr,
-    is_nat,
     result,
     step_ideal,
     step_spec,
 )
-from .machine import LayoutMap, McProgram, McState, eval_mc, step_mc
+from .machine import LayoutMap, McProgram, step_mc
 
 
 @dataclass(frozen=True)
@@ -43,74 +44,42 @@ class ExploreBudget:
 @dataclass(frozen=True)
 class Driver:
     """Execution of a program under one semantics, as exploration needs
-    it: `step` takes a step with an optional directive, `candidates` are
-    the directives the attacker may pick at a prediction point, and
-    `correct` is the directive that follows the program there."""
+    it: `step` takes a step with an optional directive, and `calls` are the
+    directives the attacker may pick at a call."""
 
     step: Callable[[Any, Optional[Directive]], Outcome]
-    candidates: Callable[[Any], list[Directive]]
-    correct: Callable[[Any], Directive]
+    calls: tuple[Directive, ...]
 
 
-def _choices(
-    fetch: Callable[[Any], Inst], calls: list[Directive]
-) -> Callable[[Any], list[Directive]]:
-    """Both outcomes at a branch, every call candidate at a call."""
-
-    def candidates(s) -> list[Directive]:
-        if isinstance(fetch(s), Branch):
-            return [DBranch(True), DBranch(False)]
-        return list(calls)
-
-    return candidates
+_BRANCHES = (DBranch(True), DBranch(False))
 
 
-def _mir_driver(p: Program, step, masked: bool) -> Driver:
-    def correct(s) -> Directive:
-        # Under the ideal semantics' masking, a misspeculating state's
-        # conditions read 0 and its call targets &0.
-        mask = masked and s.ms
-        inst = fetch(p, s.pc)
-        if isinstance(inst, Branch):
-            v = 0 if mask else eval_expr(inst.cond, s.regs)
-            return DBranch(is_nat(v) and v != 0)
-        v = FP(0) if mask else eval_expr(inst.target, s.regs)
-        return DCallMir(PC(v.label, 0))
+def _call_pcs(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """(label, offset) of every block head, then of offset 1 of every
+    block with more than one instruction."""
+    heads = [(l, 0) for l in range(len(sizes))]
+    return heads + [(l, 1) for l, n in enumerate(sizes) if n > 1]
 
-    cands: list[Directive] = [DCallMir(PC(l, 0)) for l in range(len(p.blocks))]
-    cands.extend(
-        DCallMir(PC(l, 1)) for l, b in enumerate(p.blocks) if len(b.insts) > 1
-    )
-    return Driver(step, _choices(lambda s: fetch(p, s.pc), cands), correct)
+
+def _mir_calls(p: Program) -> tuple[Directive, ...]:
+    pcs = _call_pcs([len(b.insts) for b in p.blocks])
+    return tuple(DCallMir(PC(l, o)) for l, o in pcs)
 
 
 def SpecDriver(p: Program, cet: bool = True) -> Driver:
     """Speculative block-structured execution of `p`."""
-    return _mir_driver(p, lambda s, d: step_spec(p, s, d, cet), False)
+    return Driver(lambda s, d: step_spec(p, s, d, cet), _mir_calls(p))
 
 
 def IdealDriver(p: Program) -> Driver:
     """Ideal-semantics execution, with masking applied when predicting."""
-    return _mir_driver(p, lambda s, d: step_ideal(p, s, d), True)
+    return Driver(lambda s, d: step_ideal(p, s, d), _mir_calls(p))
 
 
 def McDriver(mc: McProgram, lay: LayoutMap) -> Driver:
     """Speculative flat-machine execution."""
-
-    def inst(s: McState) -> Inst:
-        return mc.code[s.pc - lay.data_len]
-
-    def correct(s: McState) -> Directive:
-        i = inst(s)
-        if isinstance(i, Branch):
-            return DBranch(eval_mc(i.cond, s.regs) != 0)
-        return DCallMc(eval_mc(i.target, s.regs))
-
-    cands: list[Directive] = [DCallMc(lay.addr(l)) for l in range(len(lay.starts))]
-    cands.extend(
-        DCallMc(lay.addr(l) + 1) for l in range(len(lay.starts)) if lay.sizes[l] > 1
-    )
-    return Driver(lambda s, d: step_mc(mc, lay, s, d), _choices(inst, cands), correct)
+    calls = tuple(DCallMc(lay.addr(l) + o) for l, o in _call_pcs(lay.sizes))
+    return Driver(lambda s, d: step_mc(mc, lay, s, d), calls)
 
 
 def explore(
@@ -134,7 +103,8 @@ def explore(
             out = driver.step(s, None)
             if isinstance(out, OutOfDirectives):
                 if forks < budget.depth:
-                    for d in driver.candidates(s):
+                    branch = isinstance(out.correct, DBranch)
+                    for d in _BRANCHES if branch else driver.calls:
                         if emitted >= budget.max_sequences:
                             return
                         out2 = driver.step(s, d)
@@ -149,7 +119,7 @@ def explore(
                             emitted += 1
                             yield dirs + (d,), result(list(trace), out2, s)
                     return
-                d = driver.correct(s)
+                d = out.correct
                 out = driver.step(s, d)
                 dirs = dirs + (d,)
             if isinstance(out, Next):

@@ -153,6 +153,10 @@ class Stuck:
 
 @dataclass(frozen=True, slots=True)
 class OutOfDirectives:
+    # A prediction point reached without a directive. `correct` is the
+    # directive that follows the program there: the branch outcome or call
+    # target the step computed, masked as the semantics masks it.
+    correct: Directive
     status: ClassVar[str] = "out-of-directives"
 
 
@@ -167,7 +171,9 @@ class DirectiveMismatch:
 Outcome = Union[Next, Term, Fault, Stuck, OutOfDirectives, DirectiveMismatch]
 
 TERM = Term()
-OUT_OF_DIRECTIVES = OutOfDirectives()
+# The prediction point of a branch, indexed by the outcome the program
+# computes; built once, since every spec, ideal and mc run reaches it.
+BRANCH_POINTS = (OutOfDirectives(DBranch(False)), OutOfDirectives(DBranch(True)))
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +285,7 @@ def _step(
         taken = b
         if spec:
             if d is None:
-                return OUT_OF_DIRECTIVES
+                return BRANCH_POINTS[b]
             if not isinstance(d, DBranch):
                 return DirectiveMismatch("branch instruction needs a branch directive")
             taken = d.taken
@@ -306,7 +312,7 @@ def _step(
             return Stuck("call target is not a function pointer")
         if spec:
             if d is None:
-                return OUT_OF_DIRECTIVES
+                return OutOfDirectives(DCallMir(PC(v.label, 0)))
             if not isinstance(d, DCallMir):
                 return DirectiveMismatch("call instruction needs a call directive")
             pc2 = d.target

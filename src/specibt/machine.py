@@ -36,6 +36,7 @@ from .ir import (
     Value,
 )
 from .interp import (
+    BRANCH_POINTS,
     DBranch,
     DCallMc,
     DCallMir,
@@ -48,7 +49,7 @@ from .interp import (
     OLoad,
     OStore,
     Outcome,
-    OUT_OF_DIRECTIVES,
+    OutOfDirectives,
     RunResult,
     SpecState,
     Stuck,
@@ -194,12 +195,11 @@ def step_mc(
         regs = with_reg(regs, inst.reg, eval_mc(inst.expr, regs))
         return Next(McState(pc + 1, regs, mem, stk, False, ms))
     if isinstance(inst, Branch):
-        n = eval_mc(inst.cond, regs)
+        b = eval_mc(inst.cond, regs) != 0
         if d is None:
-            return OUT_OF_DIRECTIVES
+            return BRANCH_POINTS[b]
         if not isinstance(d, DBranch):
             return DirectiveMismatch("branch instruction needs a branch directive")
-        b = n != 0
         pc2 = inst.target if d.taken else pc + 1
         return Next(McState(pc2, regs, mem, stk, False, ms or b != d.taken), OBranch(b))
     if isinstance(inst, Jump):
@@ -221,7 +221,7 @@ def step_mc(
         if not lay.data_len <= t < lay.data_len + len(mc.code):
             return Stuck(f"call target {t} outside code section")
         if d is None:
-            return OUT_OF_DIRECTIVES
+            return OutOfDirectives(DCallMc(t))
         if not isinstance(d, DCallMc):
             return DirectiveMismatch("call instruction needs a call directive")
         stk = (pc + 1,) + stk

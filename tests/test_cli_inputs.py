@@ -211,6 +211,19 @@ def test_empty_budget_is_a_usage_error(runner, tmp_path, args):
     assert "Invalid value" in res.stderr
 
 
+@pytest.mark.parametrize("sem,flag", [
+    ("seq", "--ct"), ("seq", "--no-ct"), ("seq", "--ms"), ("seq", "--no-cet"),
+    ("ideal", "--ct"), ("ideal", "--no-ct"), ("ideal", "--no-cet"),
+    ("mc", "--no-cet"),
+])
+def test_run_flag_the_semantics_never_reads_is_a_usage_error(runner, tmp_path, sem, flag):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    res = runner.invoke(main, ["run", "--sem", sem, flag, LISTING1, state])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"{flag}: no effect under --sem {sem}" in res.stderr
+
+
 @pytest.mark.parametrize("data_len", [1, 8])
 def test_layout_sidecar_round_trip(runner, tmp_path, listing1, data_len):
     out = tmp_path / "layout.json"

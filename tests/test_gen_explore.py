@@ -1,20 +1,39 @@
 """Generator and directive-exploration tests."""
 
+import hashlib
+import json
+import pathlib
 import random
 
-from specibt.explore import ExploreBudget, IdealDriver, McDriver, SpecDriver, explore
+from specibt.explore import (
+    Driver,
+    ExploreBudget,
+    IdealDriver,
+    McDriver,
+    SpecDriver,
+    explore,
+)
 from specibt.gen import (
     gen_program,
+    gen_safe_input,
     gen_seq_equiv_pair,
     gen_state,
     ideal_of,
     spec_of,
 )
 from specibt.hardening import harden
-from specibt.interp import DCallMir, run_seq, run_spec
-from specibt.ir import FP, PC, Call, wf_program
+from specibt.interp import (
+    DBranch,
+    DCallMir,
+    Next,
+    OBranch,
+    OutOfDirectives,
+    run_seq,
+    run_spec,
+)
+from specibt.ir import FP, PC, wf_program
 from specibt.machine import concretize_state, layout, linearize
-from specibt.textio import parse_program
+from specibt.textio import encode_directives, encode_trace, parse_program
 
 
 def test_generated_programs_are_well_formed():
@@ -88,17 +107,7 @@ def test_injected_midblock_call_faults(listing1, listing1_pair):
 
 def test_call_candidates_cover_heads_and_midblocks(listing1):
     hp = harden(listing1).hardened
-    drv = SpecDriver(hp)
-    s = spec_of(gen_state(random.Random(1)))
-    # candidates are inspected at a call site; fabricate one
-    call_pc = PC(2, 1)  # the call in the hardened call block
-    from specibt.ir import fetch
-
-    assert isinstance(fetch(hp, call_pc), Call)
-    from dataclasses import replace
-
-    cands = drv.candidates(replace(s, pc=call_pc))
-    labels = {d.target for d in cands}
+    labels = {d.target for d in SpecDriver(hp).calls}
     n = len(hp.blocks)
     assert {PC(l, 0) for l in range(n)} <= labels
     assert PC(1, 1) in labels  # one mid-block offset per multi-inst block
@@ -148,3 +157,85 @@ def test_ideal_and_mc_drivers_run(listing1, listing1_pair):
     # the unhardened program has no ctarget landing pads, so every call
     # faults at the machine level
     assert {r.status for _, r in runs} == {"fault"}
+
+
+EXPLORE_PINNED = pathlib.Path(__file__).parent / "data" / "explore_outputs.json"
+
+
+def _explorations(seed: int, programs: int):
+    """(driver name, driver, initial state) for `programs` generated
+    programs with a safe input each: the hardened program speculatively
+    (CET on) from the hardened initial state and at machine level, and the
+    source program speculatively (CET off) and under the ideal semantics,
+    with the misspeculation flag clear and set."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 5 * programs:
+        p = gen_program(rng)
+        s = gen_safe_input(rng, p, fuel=200)
+        if s is None:
+            continue
+        hp = harden(p).hardened
+        hs = spec_of(s, ct=True)
+        hs.regs["msf"], hs.regs["callee"] = 0, FP(0)
+        lay = layout(hp, len(s.mem))
+        out += [
+            ("spec-hardened", SpecDriver(hp, cet=True), hs),
+            ("spec-source", SpecDriver(p, cet=False), spec_of(s)),
+            ("ideal", IdealDriver(p), ideal_of(s)),
+            ("ideal-ms", IdealDriver(p), ideal_of(s, ms=True)),
+            ("mc", McDriver(linearize(hp, len(s.mem)), lay), concretize_state(hs, lay)),
+        ]
+    return out
+
+
+def _explore_digests(seed: int, programs: int, depths) -> dict[str, str]:
+    """SHA-256 of every explored sequence's directives, trace, status and
+    reason, one digest per driver and depth."""
+    digests = {}
+    for depth in depths:
+        budget = ExploreBudget(depth=depth, max_sequences=40, fuel=200)
+        for name, drv, s0 in _explorations(seed, programs):
+            h = digests.setdefault(f"{name}/{depth}", hashlib.sha256())
+            for dirs, r in explore(drv, s0, budget):
+                doc = [encode_directives(dirs), encode_trace(r.trace), r.status, r.reason]
+                h.update(json.dumps(doc).encode())
+    return {k: h.hexdigest() for k, h in sorted(digests.items())}
+
+
+def test_explored_outputs_are_pinned():
+    pinned = json.loads(EXPLORE_PINNED.read_text())
+    got = _explore_digests(pinned["seed"], pinned["programs"], pinned["depths"])
+    assert got == pinned["sha256"]
+
+
+def test_correct_directive_follows_the_program():
+    """At every prediction point that exploration reaches, stepping with
+    the reported correct directive goes on without changing `ms`. Under
+    the ideal semantics with `ms` set, it is the masked one: branch not
+    taken, call to &0."""
+    budget = ExploreBudget(depth=3, max_sequences=40, fuel=200)
+    masked = {"branch": 0, "call": 0}
+    reached = set()
+    for name, drv, s0 in _explorations(11, 20):
+        points = []
+
+        def step(s, d, drv=drv, points=points):
+            out = drv.step(s, d)
+            if isinstance(out, OutOfDirectives):
+                points.append((s, out.correct))
+            return out
+
+        for _ in explore(Driver(step, drv.calls), s0, budget):
+            pass
+        reached |= {name} if points else set()
+        for s, correct in points:
+            out = drv.step(s, correct)
+            assert isinstance(out, Next) and out.state.ms == s.ms, (name, s, correct)
+            if name.startswith("ideal") and s.ms:
+                kind = "branch" if isinstance(out.obs, OBranch) else "call"
+                want = DBranch(False) if kind == "branch" else DCallMir(PC(0, 0))
+                assert correct == want
+                masked[kind] += 1
+    assert reached == {"spec-hardened", "spec-source", "ideal", "ideal-ms", "mc"}
+    assert masked["branch"] and masked["call"]
