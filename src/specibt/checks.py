@@ -18,8 +18,7 @@ from .interp import (
     Obs,
     OutOfDirectives,
     RunResult,
-    SeqState,
-    SpecState,
+    State,
     Stuck,
     run_ideal,
     run_seq,
@@ -27,7 +26,7 @@ from .interp import (
     step_spec,
 )
 from .explore import Driver, ExploreBudget, McDriver, SpecDriver, explore
-from .gen import ideal_of
+from .gen import spec_of
 from .hardening import FULL, PassConfig, ReservedRegs, harden
 from .machine import (
     LayoutMap,
@@ -108,26 +107,26 @@ def _verdict(runs: int, found: Optional[Divergence], reason: str) -> Verdict:
     return Verdict("counterexample", runs, reason, dirs, list(r1.trace), list(r2.trace))
 
 
-def _hardened_init(s: SeqState) -> SpecState:
+def _hardened_init(s: State) -> State:
     """The theorems' initial target state: misspeculation flag clear, callee
     register pointing at the entry, ctarget check armed."""
     r = ReservedRegs()
     regs = dict(s.regs)
     regs[r.msf] = 0
     regs[r.callee] = FP(0)
-    return SpecState(s.pc, regs, s.mem, s.stk, ct=True, ms=False)
+    return State(s.pc, regs, s.mem, s.stk, ct=True, ms=False)
 
 
 def check_bcc_specibt(
     p: Program,
-    s0: SeqState,
+    s0: State,
     budget: ExploreBudget,
     cfg: PassConfig = FULL,
 ) -> Verdict:
     """Every speculative behavior of the hardened program is an ideal
     behavior of the source program under the same directives."""
-    hp = harden(p, cfg=cfg).hardened
-    ideal = ideal_of(s0)
+    hp = harden(p, cfg=cfg)
+    ideal = spec_of(s0)  # not misspeculating, whatever `s0` carries
     runs, found = _diverge(
         SpecDriver(hp, cet=True),
         _hardened_init(s0),
@@ -141,7 +140,7 @@ def check_bcc_specibt(
 
 def check_safety_preservation(
     p: Program,
-    s0: SeqState,
+    s0: State,
     budget: ExploreBudget,
     cfg: PassConfig = FULL,
 ) -> Verdict:
@@ -150,7 +149,7 @@ def check_safety_preservation(
     seq = run_seq(p, s0, budget.fuel)
     if seq.status == "stuck":
         return Verdict("inconclusive", reason="sequential run is not safe")
-    hp = harden(p, cfg=cfg).hardened
+    hp = harden(p, cfg=cfg)
     runs, stuck = _first(
         SpecDriver(hp, cet=True),
         _hardened_init(s0),
@@ -163,8 +162,8 @@ def check_safety_preservation(
 
 def attack_search(
     p: Program,
-    sp1: SpecState,
-    sp2: SpecState,
+    sp1: State,
+    sp2: State,
     budget: ExploreBudget,
     cet: bool = True,
 ) -> Optional[Divergence]:
@@ -181,8 +180,8 @@ def attack_search(
 
 def check_relative_security(
     p: Program,
-    s1: SeqState,
-    s2: SeqState,
+    s1: State,
+    s2: State,
     budget: ExploreBudget,
     pipeline: str = "hardened-only",
     cfg: PassConfig = FULL,
@@ -201,7 +200,7 @@ def check_relative_security(
         return Verdict(
             "inconclusive", reason="inputs are sequentially distinguishable"
         )
-    hp = harden(p, cfg=cfg).hardened
+    hp = harden(p, cfg=cfg)
     h1, h2 = _hardened_init(s1), _hardened_init(s2)
     if pipeline == "hardened-only":
         runs, found = _diverge(
@@ -224,16 +223,13 @@ def check_relative_security(
     return _verdict(runs, found, "machine-level traces distinguish the inputs")
 
 
-def check_bcc_linearize(
-    p: Program, s0: SpecState, data_len: int, budget: ExploreBudget
-) -> Verdict:
+def check_bcc_linearize(p: Program, s0: State, budget: ExploreBudget) -> Verdict:
     """Every machine behavior corresponds, observation by observation and
     state by state, to a speculative behavior of `p` under the mapped
-    directives. `p` runs as given; it need not be hardened."""
-    if len(s0.mem) != data_len:
-        raise ValueError("initial memory length must equal data_len")
-    mc = linearize(p, data_len)
-    lay = layout(p, data_len)
+    directives. `p` runs as given; it need not be hardened. The data
+    section is as long as `s0`'s memory."""
+    mc = linearize(p, len(s0.mem))
+    lay = layout(p, len(s0.mem))
     return _lockstep(p, s0, mc, lay, concretize_state(s0, lay), budget)
 
 
@@ -299,7 +295,7 @@ def _parted(dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:
 
 def _lockstep(
     p: Program,
-    s0: SpecState,
+    s0: State,
     mc: McProgram,
     lay: LayoutMap,
     m0: McState,

@@ -33,7 +33,6 @@ from .gen import (
     gen_program,
     gen_safe_input,
     gen_seq_equiv_pair,
-    ideal_of,
     no_input_terminates,
     spec_of,
 )
@@ -49,7 +48,7 @@ from .hardening import (
     harden,
 )
 from .ir import CTarget, FP, used_registers, wf_program
-from .interp import RunResult, run_ideal, run_seq, run_spec, wf_directives_mir
+from .interp import RunResult, State, run_ideal, run_seq, run_spec, wf_directives_mir
 from .machine import (
     LayoutError, concretize_state, layout, linearize, run_mc, wf_directives_mc
 )
@@ -170,11 +169,11 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
         return
     if sem != "mc" and not wf_directives_mir(p, directives):
         raise click.ClickException(misfit)
-    s = _load(state, decode_state, "spec")  # carries both flags
-    if sem == "ideal":
-        _emit_run(run_ideal(p, ideal_of(s, s.ms or ms), directives, fuel))
-        return
+    s = _load(state, decode_state)
     s = spec_of(s, s.ct if ct is None else ct, s.ms or ms)
+    if sem == "ideal":
+        _emit_run(run_ideal(p, s, directives, fuel))
+        return
     if sem == "spec":
         _emit_run(run_spec(p, s, directives, fuel, cet=not no_cet))
         return
@@ -200,11 +199,11 @@ def cmd_harden(program, output, msf_reg, callee_reg, variant):
     """Apply the hardening pass and print the transformed program."""
     p = _load(program, parse_program)
     try:
-        res = harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant])
+        hp = harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant])
     except HardenError as exc:
         click.echo(f"side condition violated: {exc}", err=True)
         sys.exit(EXIT_SIDE_CONDITION)
-    text = print_program(res.hardened)
+    text = print_program(hp)
     if output:
         pathlib.Path(output).write_text(text)
     else:
@@ -259,10 +258,6 @@ def _finish_verdict(v: Verdict) -> None:
         sys.exit(EXIT_INCONCLUSIVE)
 
 
-def _budget(depth: int, runs: int, fuel: int) -> ExploreBudget:
-    return ExploreBudget(depth=depth, max_sequences=runs, fuel=fuel)
-
-
 @main.command("check")
 @click.argument("property", type=click.Choice(["bcc", "safety", "rs", "linearize"]))
 @click.argument("program", type=click.Path(exists=True))
@@ -279,7 +274,7 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
     linearize) or a two-state pair JSON (rs)."""
     p = _load(program, parse_program)
-    budget = _budget(depth, runs, fuel)
+    budget = ExploreBudget(depth, runs, fuel)
     cfg = VARIANTS[variant]
     try:
         if property == "bcc":
@@ -290,8 +285,7 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
             s1, s2 = _load(state, decode_pair)
             v = check_relative_security(p, s1, s2, budget, pipeline, cfg=cfg)
         else:
-            s = _load(state, decode_state, "spec")
-            v = check_bcc_linearize(p, s, len(s.mem), budget)
+            v = check_bcc_linearize(p, _load(state, decode_state), budget)
     except LayoutError as exc:
         raise click.ClickException(f"{state}: {exc}") from exc
     except (HardenError, ValueError) as exc:
@@ -318,25 +312,24 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
     tracking."""
     p = _load(program, parse_program)
     s1, s2 = _load(pair, decode_pair)
-    budget = _budget(depth, runs, fuel)
+    budget = ExploreBudget(depth, runs, fuel)
     candidates = []
     if target in ("pht", "auto"):
         candidates.append(("pht", p))
     if target in ("btb", "auto"):
         try:
-            candidates.append(("btb", harden(p, cfg=MASK_ONLY).hardened))
+            candidates.append(("btb", harden(p, cfg=MASK_ONLY)))
         except HardenError:
             pass  # already-instrumented input: attack it as given only
+    r = ReservedRegs()
     for name, q in candidates:
         has_ibt = any(isinstance(i, CTarget) for b in q.blocks for i in b.insts)
         use_cet = has_ibt if cet is None else cet
+        # reserved registers the program reads start as on entry, unless given
         used = used_registers(q)
-        sp1, sp2 = spec_of(s1, ct=use_cet), spec_of(s2, ct=use_cet)
-        for sp in (sp1, sp2):
-            if "msf" in used:
-                sp.regs.setdefault("msf", 0)
-            if "callee" in used:
-                sp.regs.setdefault("callee", FP(0))
+        init = {k: v for k, v in ((r.msf, 0), (r.callee, FP(0))) if k in used}
+        sp1, sp2 = (State(s.pc, {**init, **s.regs}, s.mem, s.stk, ct=use_cet)
+                    for s in (s1, s2))
         found = attack_search(q, sp1, sp2, budget, cet=use_cet)
         if found:
             dirs, r1, r2 = found
@@ -423,7 +416,7 @@ def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
     and print the verdict: the first counterexample, with the sequences of
     all cases up to it, else a pass over all of them, or inconclusive if no
     case passed."""
-    budget = _budget(depth, sequences, fuel)
+    budget = ExploreBudget(depth, sequences, fuel)
     total = 0
     passed = False
     for case in cases:
@@ -473,10 +466,8 @@ def cmd_fuzz_rs(corpus, seed, depth, runs, fuel, sequences, pipeline):
 @_fuzz_options
 def cmd_fuzz_linearize(corpus, seed, depth, runs, fuel, sequences):
     """Fuzz machine-level vs block-level lockstep correspondence."""
-    def one(p, s, b):
-        return check_bcc_linearize(p, spec_of(s), len(s.mem), b)
-
-    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel, one)
+    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
+               check_bcc_linearize)
 
 
 if __name__ == "__main__":

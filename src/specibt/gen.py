@@ -31,7 +31,7 @@ from .ir import (
     Store,
     wf_program,
 )
-from .interp import IdealState, Next, SeqState, SpecState, Term, run_seq, step_seq
+from .interp import Next, State, Term, run_seq, step_seq
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,18 @@ def gen_program(rng: random.Random, cfg: GenConfig = GenConfig()) -> Program:
     return p
 
 
-def gen_state(rng: random.Random, cfg: GenConfig = GenConfig()) -> SeqState:
+def gen_state(rng: random.Random, cfg: GenConfig = GenConfig()) -> State:
     regs = {r: rng.randrange(cfg.max_const + 1) for r in cfg.reg_pool}
     mem = tuple(rng.randrange(cfg.max_const + 1) for _ in range(cfg.mem_len))
-    return SeqState(PC(0, 0), regs, mem)
+    return State(PC(0, 0), regs, mem)
 
 
-def spec_of(s: SeqState, ct: bool = False, ms: bool = False) -> SpecState:
-    return SpecState(s.pc, dict(s.regs), s.mem, s.stk, ct, ms)
+def spec_of(s: State, ct: bool = False, ms: bool = False) -> State:
+    """A copy of `s` with its flags set to `ct` and `ms`."""
+    return State(s.pc, dict(s.regs), s.mem, s.stk, ct, ms)
 
 
-def ideal_of(s: SeqState, ms: bool = False) -> IdealState:
-    return IdealState(s.pc, dict(s.regs), s.mem, s.stk, ms)
-
-
-def _terminates(p: Program, s: SeqState, fuel: int) -> bool:
+def _terminates(p: Program, s: State, fuel: int) -> bool:
     """`run_seq(p, s, fuel).status == "term"`, without building a trace,
     and answered False as soon as the run provably never terminates.
 
@@ -191,7 +188,7 @@ def _terminates(p: Program, s: SeqState, fuel: int) -> bool:
     return False
 
 
-def _join(w: SeqState, s: SeqState) -> SeqState:
+def _join(w: State, s: State) -> State:
     """`w` with UV in every register and memory cell where `s` differs (a
     register missing from a state reads as UV)."""
     regs = {}
@@ -199,10 +196,10 @@ def _join(w: SeqState, s: SeqState) -> SeqState:
         v = w.regs.get(r, UV)
         regs[r] = v if v == s.regs.get(r, UV) else UV
     mem = tuple(v if v == u else UV for v, u in zip(w.mem, s.mem))
-    return SeqState(w.pc, regs, mem, w.stk)
+    return State(w.pc, regs, mem, w.stk)
 
 
-def _loops_widened(p: Program, w: SeqState, budget: int) -> tuple[bool, int]:
+def _loops_widened(p: Program, w: State, budget: int) -> tuple[bool, int]:
     """Whether every state below `w` at `w`'s pc runs forever, proved within
     `budget` abstract steps from `w`, and the steps taken. A state is below
     `w` when each of its registers and memory cells equals `w`'s or is UV
@@ -245,7 +242,7 @@ def no_input_terminates(p: Program, cfg: GenConfig, fuel: int) -> bool:
     # condition, call target or address, so an all-UV run that reaches fuel
     # took every control decision and bounds check on such values, and every
     # input repeats it step for step into the same fuel-out.
-    all_uv = SeqState(PC(0, 0), {}, (UV,) * cfg.mem_len)
+    all_uv = State(PC(0, 0), {}, (UV,) * cfg.mem_len)
     return run_seq(p, all_uv, fuel).status == "fuel"
 
 
@@ -256,7 +253,7 @@ def gen_safe_input(
     fuel: int = 10_000,
     attempts: int = 50,
     hopeless: Optional[bool] = None,
-) -> Optional[SeqState]:
+) -> Optional[State]:
     """A random initial state whose sequential run terminates cleanly within
     `fuel` steps, or None if rejection sampling runs out of attempts.
 
@@ -285,8 +282,8 @@ def gen_safe_input(
 @dataclass(frozen=True)
 class EquivPair:
     program: Program
-    s1: SeqState
-    s2: SeqState
+    s1: State
+    s2: State
     secret_cell: int
 
 
@@ -307,7 +304,7 @@ def gen_seq_equiv_pair(
         if alt == s1.mem[cell]:
             alt = s1.mem[cell] + 1
         mem2 = s1.mem[:cell] + (alt,) + s1.mem[cell + 1 :]
-        s2 = SeqState(s1.pc, dict(s1.regs), mem2, s1.stk)
+        s2 = State(s1.pc, dict(s1.regs), mem2, s1.stk)
         r1 = run_seq(p, s1, fuel)
         r2 = run_seq(p, s2, fuel)
         if r1.status == "term" and r2.status == "term" and r1.trace == r2.trace:

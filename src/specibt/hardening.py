@@ -62,20 +62,14 @@ class HardenError(ValueError):
     """A precondition of the hardening pass was violated."""
 
 
-@dataclass(frozen=True)
-class TransformResult:
-    # Original labels keep their indices; fresh edge-split labels start at
-    # the original block count and are assigned in instruction order.
-    hardened: Program
-
-
 def harden(
     p: Program,
     r: ReservedRegs = ReservedRegs(),
     cfg: PassConfig = FULL,
-) -> TransformResult:
-    """Harden a well-formed source program. Fresh edge-split blocks are
-    appended after the originals, one per branch, in instruction order."""
+) -> Program:
+    """Harden a well-formed source program. Original labels keep their
+    indices; fresh edge-split blocks are appended after the originals, one
+    per branch, in instruction order."""
     issues = wf_program(p, mode="source")
     if issues:
         raise HardenError("source program is not well-formed: " + "; ".join(issues))
@@ -118,4 +112,4 @@ def harden(
             else:
                 body.append(i)
         out.append(Block(tuple(body), is_entry=b.is_entry))
-    return TransformResult(Program(tuple(out) + tuple(added)))
+    return Program(tuple(out) + tuple(added))

@@ -93,34 +93,18 @@ Directive = Union[DBranch, DCallMir, DCallMc]
 # States and step outcomes
 
 
-@dataclass(frozen=True)
-class SeqState:
+@dataclass(frozen=True, slots=True)
+class State:
+    """A block-level state of any of the three semantics. `ct` is the armed
+    ctarget check and `ms` the misspeculation flag; `_step` decides which
+    of them a semantics reads."""
+
     pc: PC
     regs: dict[str, Value]
     mem: tuple[Value, ...]
     stk: tuple[PC, ...] = ()
-
-    def move(self, pc, regs, mem, stk, ct, ms) -> "SeqState":
-        """A successor state of the same kind; flags this kind does not
-        carry are dropped."""
-        return SeqState(pc, regs, mem, stk)
-
-
-@dataclass(frozen=True)
-class SpecState(SeqState):
     ct: bool = False
     ms: bool = False
-
-    def move(self, pc, regs, mem, stk, ct, ms) -> "SpecState":
-        return SpecState(pc, regs, mem, stk, ct, ms)
-
-
-@dataclass(frozen=True)
-class IdealState(SeqState):
-    ms: bool = False
-
-    def move(self, pc, regs, mem, stk, ct, ms) -> "IdealState":
-        return IdealState(pc, regs, mem, stk, ms)
 
 
 # Each outcome names the run status it ends a run with.
@@ -128,7 +112,7 @@ class IdealState(SeqState):
 
 @dataclass(frozen=True, slots=True)
 class Next:
-    state: SeqState
+    state: State
     obs: Optional[Obs] = None
     status: ClassVar[str] = "next"
 
@@ -247,7 +231,7 @@ def _nat_addr(v: Value, mem: tuple[Value, ...], what: str) -> Union[int, Stuck]:
 
 def _step(
     p: Program,
-    s: SeqState,
+    s: State,
     d: Optional[Directive],
     spec: bool,
     ideal: bool,
@@ -258,8 +242,10 @@ def _step(
     `ideal` adds masking (under misspeculation, branch conditions read 0,
     addresses 0 and call targets &0) and faults calls whose directive is not
     a function entry; `cet` makes calls arm the ctarget check and faults
-    any other instruction while it is armed. Speculative states carry the
-    ms flag, and only non-ideal ones the ct flag.
+    any other instruction while it is armed. Every state carries both
+    flags, but only the speculative semantics reads `ct`, and the
+    sequential one reads neither; a flag a semantics does not read is
+    clear in every successor.
     """
     inst = fetch(p, s.pc)
     if inst is None:
@@ -271,12 +257,12 @@ def _step(
         return Fault()
     masked = ideal and ms
     if isinstance(inst, CTarget):
-        return Next(s.move(pc.next(), regs, mem, stk, False, ms))
+        return Next(State(pc.next(), regs, mem, stk, False, ms))
     if isinstance(inst, Skip):
-        return Next(s.move(pc.next(), regs, mem, stk, ct, ms))
+        return Next(State(pc.next(), regs, mem, stk, ct, ms))
     if isinstance(inst, Asgn):
         regs = with_reg(regs, inst.reg, eval_expr(inst.expr, regs))
-        return Next(s.move(pc.next(), regs, mem, stk, ct, ms))
+        return Next(State(pc.next(), regs, mem, stk, ct, ms))
     if isinstance(inst, Branch):
         v = 0 if masked else eval_expr(inst.cond, regs)
         if not is_nat(v):
@@ -291,21 +277,21 @@ def _step(
             taken = d.taken
             ms = ms or b != taken
         pc2 = PC(inst.target, 0) if taken else pc.next()
-        return Next(s.move(pc2, regs, mem, stk, ct, ms), OBranch(b))
+        return Next(State(pc2, regs, mem, stk, ct, ms), OBranch(b))
     if isinstance(inst, Jump):
-        return Next(s.move(PC(inst.target, 0), regs, mem, stk, ct, ms))
+        return Next(State(PC(inst.target, 0), regs, mem, stk, ct, ms))
     if isinstance(inst, Load):
         a = _nat_addr(0 if masked else eval_expr(inst.addr, regs), mem, "load")
         if isinstance(a, Stuck):
             return a
         regs = with_reg(regs, inst.reg, mem[a])
-        return Next(s.move(pc.next(), regs, mem, stk, ct, ms), OLoad(a))
+        return Next(State(pc.next(), regs, mem, stk, ct, ms), OLoad(a))
     if isinstance(inst, Store):
         a = _nat_addr(0 if masked else eval_expr(inst.addr, regs), mem, "store")
         if isinstance(a, Stuck):
             return a
         mem = mem[:a] + (eval_expr(inst.value, regs),) + mem[a + 1 :]
-        return Next(s.move(pc.next(), regs, mem, stk, ct, ms), OStore(a))
+        return Next(State(pc.next(), regs, mem, stk, ct, ms), OStore(a))
     if isinstance(inst, Call):
         v = FP(0) if masked else eval_expr(inst.target, regs)
         if not isinstance(v, FP):
@@ -330,21 +316,21 @@ def _step(
                 return Stuck(f"call target &{v.label} is not a function entry")
             pc2 = PC(v.label, 0)
         stk = (pc.next(),) + stk
-        return Next(s.move(pc2, regs, mem, stk, ct, ms), OCall(v.label))
+        return Next(State(pc2, regs, mem, stk, ct, ms), OCall(v.label))
     if isinstance(inst, Ret):
         if not stk:
             return TERM
-        return Next(s.move(stk[0], regs, mem, stk[1:], ct, ms))
+        return Next(State(stk[0], regs, mem, stk[1:], ct, ms))
     raise TypeError(f"not an instruction: {inst!r}")
 
 
-def step_seq(p: Program, s: SeqState) -> Outcome:
+def step_seq(p: Program, s: State) -> Outcome:
     return _step(p, s, None, False, False, False)
 
 
 def step_spec(
     p: Program,
-    s: SpecState,
+    s: State,
     d: Optional[Directive] = None,
     cet: bool = True,
 ) -> Outcome:
@@ -355,7 +341,7 @@ def step_spec(
     return _step(p, s, d, True, False, cet)
 
 
-def step_ideal(p: Program, s: IdealState, d: Optional[Directive] = None) -> Outcome:
+def step_ideal(p: Program, s: State, d: Optional[Directive] = None) -> Outcome:
     return _step(p, s, d, True, True, False)
 
 
@@ -369,7 +355,7 @@ class RunResult:
     # One of: term, fault, stuck, out-of-directives, directive-mismatch, fuel
     status: str
     reason: Optional[str] = None
-    state: Optional[SeqState] = None
+    state: Optional[State] = None
 
 
 def result(trace: list[Obs], out: Optional[Outcome], s) -> RunResult:
@@ -384,7 +370,7 @@ def result(trace: list[Obs], out: Optional[Outcome], s) -> RunResult:
     return RunResult(trace, status, getattr(out, "reason", None), s)
 
 
-Step = Callable[[SeqState, Optional[Directive]], Outcome]
+Step = Callable[[State, Optional[Directive]], Outcome]
 
 
 def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
@@ -408,13 +394,13 @@ def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
     return result(trace, None, s)
 
 
-def run_seq(p: Program, s: SeqState, fuel: int) -> RunResult:
+def run_seq(p: Program, s: State, fuel: int) -> RunResult:
     return run(lambda s, d: step_seq(p, s), s, (), fuel)
 
 
 def run_spec(
     p: Program,
-    s: SpecState,
+    s: State,
     directives: Sequence[Directive],
     fuel: int,
     cet: bool = True,
@@ -423,7 +409,7 @@ def run_spec(
 
 
 def run_ideal(
-    p: Program, s: IdealState, directives: Sequence[Directive], fuel: int
+    p: Program, s: State, directives: Sequence[Directive], fuel: int
 ) -> RunResult:
     return run(lambda s, d: step_ideal(p, s, d), s, directives, fuel)
 

@@ -51,7 +51,7 @@ from .interp import (
     Outcome,
     OutOfDirectives,
     RunResult,
-    SpecState,
+    State,
     Stuck,
     TERM,
     nat_op,
@@ -271,7 +271,7 @@ def concretize_value(v: Value, lay: LayoutMap) -> int:
     return v
 
 
-def concretize_state(s: SpecState, lay: LayoutMap) -> McState:
+def concretize_state(s: State, lay: LayoutMap) -> McState:
     return McState(
         pc=lay.addr(s.pc.label) + s.pc.offset,
         regs={k: concretize_value(v, lay) for k, v in s.regs.items()},

@@ -16,7 +16,7 @@ from .interp import (
     Directive,
     Obs,
     OCall,
-    SpecState,
+    State,
 )
 from .machine import LayoutMap, McState
 
@@ -42,7 +42,7 @@ def pc_rel(pc: PC, a: int, lay: LayoutMap) -> bool:
     return lay.addr(pc.label) + pc.offset == a
 
 
-def state_rel(s_mir: SpecState, s_mc: McState, lay: LayoutMap) -> bool:
+def state_rel(s_mir: State, s_mc: McState, lay: LayoutMap) -> bool:
     """Pointwise value relation over pc, registers, memory and return stack,
     plus equality of the ct/ms flags."""
     if s_mir.ct != s_mc.ct or s_mir.ms != s_mc.ms:

@@ -57,16 +57,13 @@ from .interp import (
     DCallMc,
     DCallMir,
     Directive,
-    IdealState,
     Obs,
     OBranch,
     OCall,
     OLoad,
     OStore,
-    SeqState,
-    SpecState,
+    State,
 )
-from .gen import ideal_of, spec_of
 from .machine import LayoutMap, McProgram
 
 KEYWORDS = {
@@ -487,18 +484,18 @@ def _decode_pc(doc: Any, path: str) -> PC:
     raise DocError(path, f"not a program counter: {doc!r}")
 
 
-def encode_state(s: SeqState) -> dict[str, Any]:
+def encode_state(s: State) -> dict[str, Any]:
+    """A state document; a flag is written only when it is set."""
     doc: dict[str, Any] = {
         "regs": {k: encode_value(v) for k, v in sorted(s.regs.items())},
         "mem": [encode_value(v) for v in s.mem],
         "pc": {"label": s.pc.label, "offset": s.pc.offset},
         "stk": [{"label": pc.label, "offset": pc.offset} for pc in s.stk],
     }
-    if isinstance(s, SpecState):
-        doc["ct"] = s.ct
-        doc["ms"] = s.ms
-    elif isinstance(s, IdealState):
-        doc["ms"] = s.ms
+    if s.ct:
+        doc["ct"] = True
+    if s.ms:
+        doc["ms"] = True
     return doc
 
 
@@ -509,10 +506,9 @@ def _flag(doc: dict, key: str, path: str) -> bool:
     return flag
 
 
-def decode_state(doc: Any, kind: str = "seq", path: str = "") -> SeqState:
-    """Decode an initial-state document. `kind` selects the state flavor:
-    seq, spec or ideal. The `ct` and `ms` flags, where present, must be
-    booleans; each flavor keeps the flags it carries."""
+def decode_state(doc: Any, path: str = "") -> State:
+    """Decode an initial-state document. The `ct` and `ms` flags, where
+    present, must be booleans; absent, they are clear."""
     if not isinstance(doc, dict):
         raise DocError(path, "state must be an object")
     regs_doc = doc.get("regs", {})
@@ -528,23 +524,15 @@ def decode_state(doc: Any, kind: str = "seq", path: str = "") -> SeqState:
     if not isinstance(stk_doc, list):
         raise DocError(f"{path}/stk", "stack must be a list")
     stk = tuple(_decode_pc(x, f"{path}/stk/{k}") for k, x in enumerate(stk_doc))
-    s = SeqState(pc, regs, mem, stk)
-    ct, ms = _flag(doc, "ct", path), _flag(doc, "ms", path)
-    if kind == "seq":
-        return s
-    if kind == "spec":
-        return spec_of(s, ct, ms)
-    if kind == "ideal":
-        return ideal_of(s, ms)
-    raise ValueError(f"unknown state kind {kind!r}")
+    return State(pc, regs, mem, stk, _flag(doc, "ct", path), _flag(doc, "ms", path))
 
 
-def decode_pair(doc: Any, path: str = "") -> tuple[SeqState, SeqState]:
+def decode_pair(doc: Any, path: str = "") -> tuple[State, State]:
     """A pair document: an object holding two sequential states, s1 and s2."""
     if not isinstance(doc, dict) or not {"s1", "s2"} <= doc.keys():
         raise DocError(path, "pair must be an object with states s1 and s2")
-    return (decode_state(doc["s1"], "seq", f"{path}/s1"),
-            decode_state(doc["s2"], "seq", f"{path}/s2"))
+    return (decode_state(doc["s1"], f"{path}/s1"),
+            decode_state(doc["s2"], f"{path}/s2"))
 
 
 def encode_layout(lay: LayoutMap) -> dict[str, Any]:

@@ -27,7 +27,7 @@ def listing1_hardened_text():
 @pytest.fixture(scope="session")
 def listing1_pair():
     doc = json.loads((CORPUS / "listing1_pair.json").read_text())
-    return decode_state(doc["s1"], "seq"), decode_state(doc["s2"], "seq")
+    return decode_state(doc["s1"]), decode_state(doc["s2"])
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from specibt.gen import (
     gen_program,
     gen_safe_input,
     gen_state,
-    ideal_of,
     spec_of,
 )
 from specibt.hardening import (
@@ -41,7 +40,7 @@ from specibt.interp import (
     OCall,
     OLoad,
     OStore,
-    SeqState,
+    State,
     run_ideal,
     run_seq,
     run_spec,
@@ -70,7 +69,7 @@ def report(capsys, n, ok, detail):
 
 def _pair():
     doc = json.loads((CORPUS / "listing1_pair.json").read_text())
-    return decode_state(doc["s1"], "seq"), decode_state(doc["s2"], "seq")
+    return decode_state(doc["s1"]), decode_state(doc["s2"])
 
 
 def _listing1():
@@ -93,7 +92,7 @@ def test_criterion_1_attack_reproduction(capsys):
 
     # the masking-only baseline falls to mid-block call injection past the
     # edge-split block head, which skips the taken-edge flag update
-    hp = harden(p, cfg=MASK_ONLY).hardened
+    hp = harden(p, cfg=MASK_ONLY)
     sp1, sp2 = spec_of(s1), spec_of(s2)
     sp1.regs["msf"] = sp2.regs["msf"] = 0
     t0 = time.time()
@@ -167,7 +166,7 @@ def test_criterion_4_safety_preservation(capsys):
         sequences += v.runs
 
     illtyped = parse_program((CORPUS / "illtyped.mir").read_text())
-    s = SeqState(PC(0, 0), {"x": 1, "i": 0, "j": 1}, (0,) * 4)
+    s = State(PC(0, 0), {"x": 1, "i": 0, "j": 1}, (0,) * 4)
     v = check_safety_preservation(illtyped, s, ExploreBudget(4, 3000, 300))
     report(
         capsys, 4, v.ok,
@@ -187,7 +186,7 @@ def test_criterion_5_linearization_bcc(capsys):
         if s is None:
             continue
         checked += 1
-        v = check_bcc_linearize(p, spec_of(s), len(s.mem), budget)
+        v = check_bcc_linearize(p, spec_of(s), budget)
         if v.status == "counterexample":
             report(capsys, 5, False, f"lockstep break: {v.reason}")
         if v.ok:
@@ -223,11 +222,11 @@ def test_criterion_7_sequential_transparency(capsys):
         if s is None:
             continue
         checked += 1
-        hp = harden(p).hardened
+        hp = harden(p)
         regs = dict(s.regs)
         regs["msf"], regs["callee"] = 0, FP(0)
         r_src = run_seq(p, s, 3000)
-        r_tgt = run_seq(hp, SeqState(s.pc, regs, s.mem, s.stk), 6000)
+        r_tgt = run_seq(hp, State(s.pc, regs, s.mem, s.stk), 6000)
         if r_src.trace != r_tgt.trace or r_tgt.status != "term":
             report(capsys, 7, False, "hardening changed sequential behavior")
     report(capsys, 7, True, "500 safe inputs, identical sequential traces")
@@ -268,7 +267,7 @@ def test_criterion_9_ideal_invariants(capsys):
     # (a) everything observable is masked once misspeculation is flagged
     for _ in range(1000):
         p = gen_program(rng)
-        s = ideal_of(gen_state(rng), ms=True)
+        s = spec_of(gen_state(rng), ms=True)
         r = run_ideal(p, s, random_directives(6), 200)
         if not set(r.trace) <= masked_obs:
             report(capsys, 9, False, f"unmasked observation in {r.trace}")
@@ -277,15 +276,15 @@ def test_criterion_9_ideal_invariants(capsys):
     for _ in range(1000):
         p = gen_program(rng)
         d = random_directives(6)
-        r1 = run_ideal(p, ideal_of(gen_state(rng), ms=True), d, 200)
-        r2 = run_ideal(p, ideal_of(gen_state(rng), ms=True), d, 200)
+        r1 = run_ideal(p, spec_of(gen_state(rng), ms=True), d, 200)
+        r2 = run_ideal(p, spec_of(gen_state(rng), ms=True), d, 200)
         if r1.trace != r2.trace or r1.status != r2.status:
             report(capsys, 9, False, "trace depends on masked state")
 
     # (c) the misspeculation flag is monotone along every run
     for _ in range(1000):
         p = gen_program(rng)
-        s = ideal_of(gen_state(rng))
+        s = spec_of(gen_state(rng))
         ds = random_directives(6)
         used = 0
         for _step in range(200):
@@ -311,7 +310,7 @@ def test_criterion_10_round_trips(capsys):
             report(capsys, 10, False, "program text round trip broke")
     for _ in range(1000):
         s = spec_of(gen_state(rng), ct=rng.random() < 0.5, ms=rng.random() < 0.5)
-        if decode_state(json.loads(json.dumps(encode_state(s))), "spec") != s:
+        if decode_state(json.loads(json.dumps(encode_state(s)))) != s:
             report(capsys, 10, False, "state JSON round trip broke")
         p = gen_program(rng)
         sp = spec_of(gen_state(rng))

@@ -31,7 +31,7 @@ from specibt.interp import (
     OCall,
     OLoad,
     OutOfDirectives,
-    SeqState,
+    State,
     run_spec,
 )
 from specibt.ir import PC
@@ -63,7 +63,7 @@ def test_safety_passes_on_listing1(listing1, listing1_pair):
 
 def test_safety_precondition_gate(listing1):
     # An unsafe sequential input makes the check inconclusive, not a failure.
-    bad = SeqState(PC(0, 0), {"arg1": 1, "len": 4, "base": 100}, (0,) * 8)
+    bad = State(PC(0, 0), {"arg1": 1, "len": 4, "base": 100}, (0,) * 8)
     v = check_safety_preservation(listing1, bad, BUDGET)
     assert v.status == "inconclusive"
 
@@ -71,7 +71,7 @@ def test_safety_precondition_gate(listing1):
 def test_safety_illtyped_fixture(illtyped):
     # Misspeculation routes an undefined value through a comparison; the
     # hardened program still never gets stuck.
-    s = SeqState(PC(0, 0), {"x": 1, "i": 0, "j": 1}, (0,) * 4)
+    s = State(PC(0, 0), {"x": 1, "i": 0, "j": 1}, (0,) * 4)
     v = check_safety_preservation(illtyped, s, DEEP)
     assert v.ok
 
@@ -79,9 +79,9 @@ def test_safety_illtyped_fixture(illtyped):
 def test_illtyped_fixture_reaches_the_uv_comparison(illtyped):
     # The interesting path really executes: the masked store writes a code
     # pointer that the masked load then feeds into the comparison.
-    hp = harden(illtyped).hardened
+    hp = harden(illtyped)
     s = spec_of(
-        SeqState(PC(0, 0), {"x": 1, "i": 0, "j": 1}, (0,) * 4), ct=True
+        State(PC(0, 0), {"x": 1, "i": 0, "j": 1}, (0,) * 4), ct=True
     )
     s.regs["msf"] = 0
     from specibt.ir import FP, UV
@@ -107,7 +107,7 @@ def test_rs_trivial_on_identical_states(listing1, listing1_pair):
 
 def test_rs_inconclusive_on_distinguishable_inputs(listing1, listing1_pair):
     s1, _ = listing1_pair
-    s2 = SeqState(s1.pc, {**s1.regs, "arg1": 1}, s1.mem)
+    s2 = State(s1.pc, {**s1.regs, "arg1": 1}, s1.mem)
     v = check_relative_security(listing1, s1, s2, BUDGET)
     assert v.status == "inconclusive"
 
@@ -144,7 +144,7 @@ def test_pht_attack_search(listing1, listing1_pair):
 
 def test_btb_attack_on_masking_only(listing1, listing1_pair):
     s1, s2 = listing1_pair
-    hp = harden(listing1, cfg=MASK_ONLY).hardened
+    hp = harden(listing1, cfg=MASK_ONLY)
     sp1, sp2 = spec_of(s1), spec_of(s2)
     sp1.regs["msf"] = sp2.regs["msf"] = 0
     found = attack_search(hp, sp1, sp2, BUDGET, cet=False)
@@ -155,7 +155,7 @@ def test_example3_exact_injection(listing1, listing1_pair):
     # Correct branch prediction, then the call is misdirected one past the
     # edge-split block head: the taken path runs without its flag update.
     s1, s2 = listing1_pair
-    hp = harden(listing1, cfg=MASK_ONLY).hardened
+    hp = harden(listing1, cfg=MASK_ONLY)
     d = [DBranch(False), DCallMir(PC(5, 1)), DCallMir(PC(4, 0))]
     traces = []
     for s in (s1, s2):
@@ -174,19 +174,19 @@ def test_no_attack_on_fully_hardened(listing1, listing1_pair):
 
 def test_bcc_linearize_on_hardened_listing1(listing1, listing1_pair):
     s1, _ = listing1_pair
-    hp = harden(listing1).hardened
+    hp = harden(listing1)
     from specibt.ir import FP
 
     sp = spec_of(s1, ct=True)
     sp.regs["msf"], sp.regs["callee"] = 0, FP(0)
-    v = check_bcc_linearize(hp, sp, 8, BUDGET)
+    v = check_bcc_linearize(hp, sp, BUDGET)
     assert v.ok and v.runs > 0
 
 
 def test_lockstep_unmappable_directive_is_inconclusive():
     # the only prediction point is a call; address 0 is in the data section
     p = parse_program("entry b0:\n  call &b1\n  ret\nentry b1:\n  ret\n")
-    sp = spec_of(SeqState(PC(0, 0), {}, (0,) * 4))
+    sp = spec_of(State(PC(0, 0), {}, (0,) * 4))
     mc, lay = linearize(p, 4), layout(p, 4)
     drv = _lockstep_driver(p, mc, lay)
     s = (sp, concretize_state(sp, lay), 0)
@@ -205,7 +205,5 @@ def test_bcc_linearize_fuzzed():
     b = ExploreBudget(depth=2, max_sequences=60, fuel=300)
     for _ in range(20):
         pair = gen_seq_equiv_pair(rng, fuel=2000)
-        v = check_bcc_linearize(
-            pair.program, spec_of(pair.s1), len(pair.s1.mem), b
-        )
+        v = check_bcc_linearize(pair.program, spec_of(pair.s1), b)
         assert v.status in ("pass", "inconclusive")

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from specibt.checks import check_relative_security
 from specibt.cli import main
 from specibt.explore import ExploreBudget
-from specibt.interp import SeqState
+from specibt.interp import State
 from specibt.machine import layout
 from specibt.textio import DocError, decode_directive, decode_layout, decode_state
 
@@ -128,7 +128,7 @@ def test_rs_rejects_memories_of_different_length(runner, tmp_path):
 
 def test_rs_memory_length_check(listing1, listing1_pair):
     s1, s2 = listing1_pair
-    short = SeqState(s2.pc, s2.regs, s2.mem[:2], s2.stk)
+    short = State(s2.pc, s2.regs, s2.mem[:2], s2.stk)
     for pipeline in ("hardened-only", "end-to-end"):
         with pytest.raises(ValueError, match="differ in length"):
             check_relative_security(listing1, s1, short, ExploreBudget(), pipeline)

@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from specibt.explore import ExploreBudget, IdealDriver, McDriver, SpecDriver, explore
-from specibt.gen import ideal_of, spec_of
+from specibt.gen import spec_of
 from specibt.hardening import harden
 from specibt.ir import FP
 from specibt.machine import concretize_state, layout, linearize
@@ -26,13 +26,13 @@ def explorations(listing1, s1):
     """Every (directives, status, trace) that each driver explores: the
     hardened program speculatively and at machine level, from the hardened
     initial state, and the source program under the ideal semantics."""
-    hp = harden(listing1).hardened
+    hp = harden(listing1)
     hs = spec_of(s1, ct=True)
     hs.regs["msf"], hs.regs["callee"] = 0, FP(0)
     lay = layout(hp, len(s1.mem))
     runs = {
         "spec": explore(SpecDriver(hp, cet=True), hs, BUDGET),
-        "ideal": explore(IdealDriver(listing1), ideal_of(s1), BUDGET),
+        "ideal": explore(IdealDriver(listing1), spec_of(s1), BUDGET),
         "mc": explore(McDriver(linearize(hp, len(s1.mem)), lay),
                       concretize_state(hs, lay), BUDGET),
     }

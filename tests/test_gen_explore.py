@@ -18,7 +18,6 @@ from specibt.gen import (
     gen_safe_input,
     gen_seq_equiv_pair,
     gen_state,
-    ideal_of,
     spec_of,
 )
 from specibt.hardening import harden
@@ -94,7 +93,7 @@ def test_depth_zero_is_a_single_correct_run():
 def test_injected_midblock_call_faults(listing1, listing1_pair):
     # With the ctarget check armed, landing past a block head faults.
     s1, _ = listing1_pair
-    hp = harden(listing1).hardened
+    hp = harden(listing1)
     sp = spec_of(s1, ct=True)
     sp.regs["msf"], sp.regs["callee"] = 0, FP(0)
     faulted = False
@@ -106,7 +105,7 @@ def test_injected_midblock_call_faults(listing1, listing1_pair):
 
 
 def test_call_candidates_cover_heads_and_midblocks(listing1):
-    hp = harden(listing1).hardened
+    hp = harden(listing1)
     labels = {d.target for d in SpecDriver(hp).calls}
     n = len(hp.blocks)
     assert {PC(l, 0) for l in range(n)} <= labels
@@ -115,7 +114,7 @@ def test_call_candidates_cover_heads_and_midblocks(listing1):
 
 def test_explore_respects_max_sequences():
     rng = random.Random(3)
-    p = harden(gen_program(rng)).hardened
+    p = harden(gen_program(rng))
     s = spec_of(gen_state(rng), ct=True)
     s.regs["msf"], s.regs["callee"] = 0, FP(0)
     runs = list(explore(SpecDriver(p), s, ExploreBudget(depth=4, max_sequences=17)))
@@ -135,7 +134,7 @@ def test_explore_is_deterministic():
 def test_explored_spec_runs_replay():
     # Re-running an explored directive sequence reproduces its result.
     rng = random.Random(31)
-    p = harden(gen_program(rng)).hardened
+    p = harden(gen_program(rng))
     s = spec_of(gen_state(rng), ct=True)
     s.regs["msf"], s.regs["callee"] = 0, FP(0)
     b = ExploreBudget(depth=2, max_sequences=40, fuel=300)
@@ -146,7 +145,7 @@ def test_explored_spec_runs_replay():
 
 def test_ideal_and_mc_drivers_run(listing1, listing1_pair):
     s1, _ = listing1_pair
-    runs = list(explore(IdealDriver(listing1), ideal_of(s1), ExploreBudget(depth=2)))
+    runs = list(explore(IdealDriver(listing1), spec_of(s1), ExploreBudget(depth=2)))
     assert runs
     assert {r.status for _, r in runs} <= {"term", "fault", "fuel"}
     lay = layout(listing1, 8)
@@ -175,15 +174,15 @@ def _explorations(seed: int, programs: int):
         s = gen_safe_input(rng, p, fuel=200)
         if s is None:
             continue
-        hp = harden(p).hardened
+        hp = harden(p)
         hs = spec_of(s, ct=True)
         hs.regs["msf"], hs.regs["callee"] = 0, FP(0)
         lay = layout(hp, len(s.mem))
         out += [
             ("spec-hardened", SpecDriver(hp, cet=True), hs),
             ("spec-source", SpecDriver(p, cet=False), spec_of(s)),
-            ("ideal", IdealDriver(p), ideal_of(s)),
-            ("ideal-ms", IdealDriver(p), ideal_of(s, ms=True)),
+            ("ideal", IdealDriver(p), spec_of(s)),
+            ("ideal-ms", IdealDriver(p), spec_of(s, ms=True)),
             ("mc", McDriver(linearize(hp, len(s.mem)), lay), concretize_state(hs, lay)),
         ]
     return out

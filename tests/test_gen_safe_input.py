@@ -14,7 +14,7 @@ import pathlib
 import random
 
 from specibt.gen import GenConfig, gen_program, gen_safe_input, gen_state
-from specibt.interp import SeqState, run_seq
+from specibt.interp import State, run_seq
 from specibt.ir import PC, UV
 from specibt.textio import encode_state
 
@@ -31,7 +31,7 @@ def test_all_uv_fuel_out_implies_every_input_fuels_out():
     hopeless = 0
     for _ in range(200):
         p = gen_program(rng, cfg)
-        all_uv = SeqState(PC(0, 0), {}, (UV,) * cfg.mem_len)
+        all_uv = State(PC(0, 0), {}, (UV,) * cfg.mem_len)
         if run_seq(p, all_uv, 500).status != "fuel":
             continue
         hopeless += 1

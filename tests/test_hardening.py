@@ -18,7 +18,7 @@ from specibt.hardening import (
     ReservedRegs,
     harden,
 )
-from specibt.interp import SeqState, run_seq
+from specibt.interp import State, run_seq
 from specibt.ir import (
     FP,
     Asgn,
@@ -45,20 +45,20 @@ def count_branches(p):
 
 
 def test_golden_hardened_listing(listing1, listing1_hardened_text):
-    assert print_program(harden(listing1).hardened) == listing1_hardened_text
+    assert print_program(harden(listing1)) == listing1_hardened_text
 
 
 def test_block_count_identity():
     rng = random.Random(5)
     for _ in range(100):
         p = gen_program(rng, GenConfig())
-        res = harden(p)
-        assert len(res.hardened.blocks) == len(p.blocks) + count_branches(p)
-        assert wf_program(res.hardened, mode="hardened") == []
+        hp = harden(p)
+        assert len(hp.blocks) == len(p.blocks) + count_branches(p)
+        assert wf_program(hp, mode="hardened") == []
 
 
 def test_entry_prelude_structure(listing1):
-    hp = harden(listing1).hardened
+    hp = harden(listing1)
     for l, b in enumerate(hp.blocks):
         if b.is_entry:
             assert isinstance(b.insts[0], CTarget)
@@ -71,7 +71,7 @@ def test_entry_prelude_structure(listing1):
 
 def test_edge_split_block_shape():
     p = parse_program("entry a:\n  branch x tgt\n  ret\nblock tgt:\n  ret\n")
-    hp = harden(p).hardened
+    hp = harden(p)
     assert len(hp.blocks) == 3
     split = hp.blocks[2]
     assert not split.is_entry
@@ -84,7 +84,7 @@ def test_edge_split_block_shape():
 
 
 def test_call_sites_register_callee(listing1):
-    hp = harden(listing1).hardened
+    hp = harden(listing1)
     call_block = hp.blocks[2].insts
     asgn, call = call_block[0], call_block[1]
     assert isinstance(asgn, Asgn) and asgn.reg == "callee"
@@ -95,22 +95,22 @@ def test_call_sites_register_callee(listing1):
 
 
 def test_variants_drop_their_protection(listing1):
-    mask_only = harden(listing1, cfg=MASK_ONLY).hardened
+    mask_only = harden(listing1, cfg=MASK_ONLY)
     assert not any(
         isinstance(i, CTarget) for b in mask_only.blocks for i in b.insts
     )
     assert "callee" not in print_program(mask_only)
 
-    no_split = harden(listing1, cfg=NO_EDGE_SPLIT).hardened
+    no_split = harden(listing1, cfg=NO_EDGE_SPLIT)
     assert len(no_split.blocks) == len(listing1.blocks)
 
-    no_check = harden(listing1, cfg=NO_ENTRY_CHECK).hardened
+    no_check = harden(listing1, cfg=NO_ENTRY_CHECK)
     for b in no_check.blocks:
         if b.is_entry:
             assert isinstance(b.insts[0], CTarget)
             assert not (isinstance(b.insts[1], Asgn) and b.insts[1].reg == "msf")
 
-    no_mask = harden(listing1, cfg=NO_CALL_MASK).hardened
+    no_mask = harden(listing1, cfg=NO_CALL_MASK)
     call = next(
         i for b in no_mask.blocks for i in b.insts if isinstance(i, Call)
     )
@@ -122,8 +122,8 @@ def test_rejects_reserved_register_clash():
     with pytest.raises(HardenError, match="msf"):
         harden(p)
     # a different reserved name sidesteps the clash
-    res = harden(p, ReservedRegs("flag", "target"))
-    assert wf_program(res.hardened, mode="hardened") == []
+    hp = harden(p, ReservedRegs("flag", "target"))
+    assert wf_program(hp, mode="hardened") == []
 
 
 def test_rejects_ill_formed_and_prehardened_sources():
@@ -143,11 +143,11 @@ def test_sequential_transparency():
         if s is None:
             continue
         checked += 1
-        hp = harden(p).hardened
+        hp = harden(p)
         r_src = run_seq(p, s, 5000)
         regs = dict(s.regs)
         regs["msf"], regs["callee"] = 0, FP(0)
-        r_tgt = run_seq(hp, SeqState(s.pc, regs, s.mem, s.stk), 10000)
+        r_tgt = run_seq(hp, State(s.pc, regs, s.mem, s.stk), 10000)
         assert r_tgt.status == r_src.status == "term"
         assert r_tgt.trace == r_src.trace
 
@@ -165,7 +165,7 @@ def _harden_digests(seed: int, programs: int) -> dict[str, str]:
         for regs in (ReservedRegs(), ReservedRegs("flag", "target")):
             h = hashlib.sha256()
             for p in sources:
-                h.update(print_program(harden(p, regs, cfg).hardened).encode())
+                h.update(print_program(harden(p, regs, cfg)).encode())
             digests[f"{name}/{regs.msf}/{regs.callee}"] = h.hexdigest()
     return digests
 

@@ -1,21 +1,22 @@
 """Hand-applied rule examples and properties for the three semantics."""
 
+import random
 
-from specibt.gen import ideal_of, spec_of
+import pytest
+
+from specibt.gen import gen_program, gen_state, spec_of
 from specibt.interp import (
     DBranch,
     DCallMir,
     DirectiveMismatch,
     Fault,
-    IdealState,
     Next,
     OBranch,
     OCall,
     OLoad,
     OStore,
     OutOfDirectives,
-    SeqState,
-    SpecState,
+    State,
     Stuck,
     Term,
     eval_expr,
@@ -109,7 +110,7 @@ TWO_FUN = Program(
 
 
 def seq(regs, mem=(0, 0)):
-    return SeqState(PC(0, 0), regs, tuple(mem))
+    return State(PC(0, 0), regs, tuple(mem))
 
 
 def test_seq_call_pushes_return_address():
@@ -126,17 +127,17 @@ def test_seq_call_requires_function_pointer():
 
 
 def test_seq_ret_on_empty_stack_terminates():
-    s = SeqState(PC(0, 1), {}, (0,))
+    s = State(PC(0, 1), {}, (0,))
     assert isinstance(step_seq(TWO_FUN, s), Term)
 
 
 def test_seq_load_store_bounds():
     p = Program((Block((Load("x", Reg("a")), RET), is_entry=True),))
-    assert isinstance(step_seq(p, SeqState(PC(0, 0), {"a": 5}, (0, 0))), Stuck)
-    out = step_seq(p, SeqState(PC(0, 0), {"a": 1}, (0, 9)))
+    assert isinstance(step_seq(p, State(PC(0, 0), {"a": 5}, (0, 0))), Stuck)
+    out = step_seq(p, State(PC(0, 0), {"a": 1}, (0, 9)))
     assert isinstance(out, Next) and out.state.regs["x"] == 9 and out.obs == OLoad(1)
     p = Program((Block((Store(Const(0), Const(3)), RET), is_entry=True),))
-    out = step_seq(p, SeqState(PC(0, 0), {}, (0,)))
+    out = step_seq(p, State(PC(0, 0), {}, (0,)))
     assert out.state.mem == (3,) and out.obs == OStore(0)
 
 
@@ -153,7 +154,7 @@ def test_seq_full_run(listing1, listing1_pair):
 
 
 def spec(regs, mem=(0, 0), ct=False, ms=False):
-    return SpecState(PC(0, 0), regs, tuple(mem), (), ct, ms)
+    return State(PC(0, 0), regs, tuple(mem), (), ct, ms)
 
 
 def test_spec_branch_sets_ms_on_mispredict():
@@ -248,15 +249,15 @@ def test_wf_directives_mir(listing1):
 
 
 def ideal(regs, mem=(0, 0), ms=False):
-    return IdealState(PC(0, 0), regs, tuple(mem), (), ms)
+    return State(PC(0, 0), regs, tuple(mem), (), ms=ms)
 
 
 def test_ideal_masks_addresses_under_ms():
     p = Program((Block((Load("x", Const(1)), RET), is_entry=True),))
-    out = step_ideal(p, IdealState(PC(0, 0), {}, (7, 8), (), True))
+    out = step_ideal(p, State(PC(0, 0), {}, (7, 8), (), ms=True))
     assert out.obs == OLoad(0)
     assert out.state.regs["x"] == 7
-    out = step_ideal(p, IdealState(PC(0, 0), {}, (7, 8), (), False))
+    out = step_ideal(p, State(PC(0, 0), {}, (7, 8), (), ms=False))
     assert out.obs == OLoad(1)
 
 
@@ -310,7 +311,7 @@ def test_ideal_fault_observation_lands_in_trace():
 def test_ideal_correct_predictions_match_sequential(listing1, listing1_pair):
     s1, _ = listing1_pair
     d = [DBranch(False), DCallMir(PC(3, 0))]
-    r = run_ideal(listing1, ideal_of(s1), d, 100)
+    r = run_ideal(listing1, spec_of(s1), d, 100)
     assert r.trace == run_seq(listing1, s1, 100).trace
 
 
@@ -318,7 +319,45 @@ def test_ideal_masking_after_ms(listing1, listing1_pair):
     # Once misspeculating, every data observation is forced to zero.
     s1, _ = listing1_pair
     d = [DBranch(True), DCallMir(PC(4, 0))]
-    r = run_ideal(listing1, ideal_of(s1), d, 100)
+    r = run_ideal(listing1, spec_of(s1), d, 100)
     for o in r.trace[1:]:
         if isinstance(o, (OLoad, OStore)):
             assert o.addr == 0
+
+
+# --------------------------------------------------------------------------
+# Flags a semantics does not model
+
+
+@pytest.mark.parametrize("sem", ["seq", "ideal"])
+def test_unmodeled_flags_change_nothing_and_stay_clear(sem):
+    """The sequential semantics reads neither flag and the ideal one not
+    `ct`: along runs of generated programs, setting them changes no step's
+    outcome or observation, and every successor has them clear."""
+    rng = random.Random(11)
+    steps = 0
+    for _ in range(300):
+        p = gen_program(rng)
+        s = spec_of(gen_state(rng), ms=sem == "ideal" and rng.random() < 0.5)
+        for _ in range(40):
+            d = None
+            if sem == "ideal":
+                point = step_ideal(p, s)
+                if isinstance(point, OutOfDirectives):
+                    assert step_ideal(p, spec_of(s, ct=True, ms=s.ms)) == point
+                    d = (DBranch(rng.random() < 0.5)
+                         if isinstance(point.correct, DBranch)
+                         else DCallMir(PC(rng.randrange(len(p.blocks)), 0)))
+            if sem == "seq":
+                out = step_seq(p, s)
+                flagged = step_seq(p, spec_of(s, ct=True, ms=True))
+            else:
+                out = step_ideal(p, s, d)
+                flagged = step_ideal(p, spec_of(s, ct=True, ms=s.ms), d)
+            assert flagged == out
+            if not isinstance(out, Next):
+                break
+            steps += 1
+            assert not out.state.ct and (sem == "ideal" or not out.state.ms)
+            s = out.state
+    assert steps > 1000

@@ -82,10 +82,10 @@ def programs():
     """(name, program, initial speculative state) of every pinned case."""
     pair = json.loads((ROOT / "corpus" / "listing1_pair.json").read_text())
     l1 = parse_program((ROOT / "corpus" / "listing1.mir").read_text())
-    s1 = decode_state(pair["s1"], "seq")
+    s1 = decode_state(pair["s1"])
     hs = spec_of(s1, ct=True)
     hs.regs["msf"], hs.regs["callee"] = 0, FP(0)
-    hp = harden(l1).hardened
+    hp = harden(l1)
     out = [("listing1", l1, spec_of(s1)), ("listing1-hardened", hp, hs),
            # without its reserved registers set, the hardened program's
            # speculative run gets stuck on an undefined misspeculation flag
@@ -124,7 +124,7 @@ def verdict_doc(v) -> dict:
 
 def run_case(mp: pytest.MonkeyPatch, p, s0, mutant):
     mp.setattr(specibt.checks, "linearize", broken(mutant))
-    return check_bcc_linearize(p, s0, len(s0.mem), BUDGET)
+    return check_bcc_linearize(p, s0, BUDGET)
 
 
 @pytest.fixture(scope="module")

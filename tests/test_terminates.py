@@ -17,7 +17,7 @@ from click.testing import CliRunner
 import specibt.gen as gen
 from specibt.cli import main
 from specibt.gen import GenConfig, _terminates, gen_program, gen_state
-from specibt.interp import Next, SeqState, run_seq, step_seq
+from specibt.interp import Next, State, run_seq, step_seq
 from specibt.ir import PC, UV
 from specibt.textio import parse_program
 
@@ -157,11 +157,11 @@ entry b0:
 """
 
 
-def _state(**regs) -> SeqState:
-    return SeqState(PC(0, 0), dict(regs), (0,) * 8)
+def _state(**regs) -> State:
+    return State(PC(0, 0), dict(regs), (0,) * 8)
 
 
-def _plain_steps(p, s: SeqState) -> int:
+def _plain_steps(p, s: State) -> int:
     """The steps of the sequential run from `s`, its last one included."""
     n = 1
     while isinstance(out := step_seq(p, s), Next):

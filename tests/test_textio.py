@@ -162,9 +162,9 @@ def test_state_round_trip():
     rng = random.Random(3)
     for _ in range(100):
         s = gen_state(rng)
-        assert decode_state(encode_state(s), "seq") == s
+        assert decode_state(encode_state(s)) == s
         sp = spec_of(s, ct=True, ms=True)
-        back = decode_state(encode_state(sp), "spec")
+        back = decode_state(encode_state(sp))
         assert back == sp and back.ct and back.ms
 
 
@@ -184,7 +184,7 @@ def test_decode_rejects_garbage():
         decode_trace([{"load": 1}, {"bogus": 2}])
     assert "/1" in exc.value.path
     with pytest.raises(DocError):
-        decode_state({"regs": {"x": {"fp": "one"}}}, "seq")
+        decode_state({"regs": {"x": {"fp": "one"}}})
 
 
 def test_canonical_printing_uses_dense_labels(listing1):
@@ -231,9 +231,8 @@ def test_decode_layout_needs_sizes(listing1):
 
 @pytest.mark.parametrize("flags", [{"ct": "no"}, {"ms": "false"}, {"ms": 1}])
 def test_state_flags_must_be_booleans(flags):
-    for kind in ("seq", "spec", "ideal"):
-        with pytest.raises(DocError, match="flag must be true or false"):
-            decode_state(flags, kind)
+    with pytest.raises(DocError, match="flag must be true or false"):
+        decode_state(flags)
 
 
 @pytest.mark.parametrize("field, value, path", [
