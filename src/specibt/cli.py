@@ -9,7 +9,6 @@ conditions.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import pathlib
 import random
@@ -18,7 +17,7 @@ from typing import Any, Callable, Optional
 
 import click
 
-from . import __version__
+from . import SEMANTICS_REVISION, __version__
 from .checks import (
     Verdict,
     attack_search,
@@ -84,20 +83,10 @@ COUNT = click.IntRange(min=1)
 DEPTH = click.IntRange(min=0)
 
 
-def _semantics_revision() -> str:
-    """Hash of the semantics-defining sources, so golden files can be
-    invalidated deliberately."""
-    here = pathlib.Path(__file__).parent
-    h = hashlib.sha256()
-    for name in ("ir.py", "interp.py", "hardening.py", "machine.py", "relate.py"):
-        h.update((here / name).read_bytes())
-    return h.hexdigest()[:12]
-
-
 def _print_version(ctx: click.Context, param: click.Parameter, value: bool) -> None:
     if not value or ctx.resilient_parsing:
         return
-    click.echo(f"specibt {__version__} (semantics {_semantics_revision()})")
+    click.echo(f"specibt {__version__} (semantics {SEMANTICS_REVISION})")
     ctx.exit()
 
 
@@ -108,7 +97,7 @@ def _print_version(ctx: click.Context, param: click.Parameter, value: bool) -> N
     callback=_print_version,
     expose_value=False,
     is_eager=True,
-    help="Print version and semantics revision hash.",
+    help="Print version and semantics revision.",
 )
 def main() -> None:
     """Speculative control-flow integrity laboratory."""

@@ -138,8 +138,9 @@ def gen_state(rng: random.Random, cfg: GenConfig = GenConfig()) -> State:
 
 
 def spec_of(s: State, ct: bool = False, ms: bool = False) -> State:
-    """A copy of `s` with its flags set to `ct` and `ms`."""
-    return State(s.pc, dict(s.regs), s.mem, s.stk, ct, ms)
+    """`s` with its flags set to `ct` and `ms`. States are never written
+    into, so the copy shares the register file."""
+    return State(s.pc, s.regs, s.mem, s.stk, ct, ms)
 
 
 def _terminates(p: Program, s: State, fuel: int) -> bool:
@@ -236,9 +237,9 @@ def _loops_widened(p: Program, w: State, budget: int) -> tuple[bool, int]:
 def no_input_terminates(p: Program, cfg: GenConfig, fuel: int) -> bool:
     """True if the run from the all-UV state (every register and memory cell
     undefined) runs out of fuel: then no input terminates within `fuel`."""
-    # Sound because evaluation is monotone in UV: `_binop` and `Cond` give
+    # Sound because evaluation is monotone in UV: operators and `Cond` give
     # UV on any UV operand or condition, so a value the all-UV run computes
-    # is computed alike by every input. `_step` is stuck on a UV branch
+    # is computed alike by every input. A step is stuck on a UV branch
     # condition, call target or address, so an all-UV run that reaches fuel
     # took every control decision and bounds check on such values, and every
     # input repeats it step for step into the same fuel-out.
@@ -304,7 +305,7 @@ def gen_seq_equiv_pair(
         if alt == s1.mem[cell]:
             alt = s1.mem[cell] + 1
         mem2 = s1.mem[:cell] + (alt,) + s1.mem[cell + 1 :]
-        s2 = State(s1.pc, dict(s1.regs), mem2, s1.stk)
+        s2 = State(s1.pc, s1.regs, mem2, s1.stk)
         r1 = run_seq(p, s1, fuel)
         r2 = run_seq(p, s2, fuel)
         if r1.status == "term" and r2.status == "term" and r1.trace == r2.trace:

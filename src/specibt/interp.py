@@ -5,16 +5,19 @@ sequential, speculative with a CET-style ctarget model, and ideal
 The semantics are layered as in the paper: the speculative semantics is
 the sequential one plus attacker directives at branches and calls, and the
 ideal semantics is the speculative one plus masking and call-target
-validation. One step function, `_step`, implements every rule once and
-takes the layers as policy flags; `step_seq`, `step_spec` and `step_ideal`
-select them. One run loop, `run`, drives any step function, the machine
-semantics' included.
+validation. One closure factory, `_compile`, implements every rule once
+and takes the layers as policy flags; `step_seq`, `step_spec` and
+`step_ideal` select them. A run compiles each instruction it reaches to a
+closure once per program (Feeley and Lapalme, "Using closures for code
+generation", 1987). One run loop, `run`, drives any step function, the
+machine semantics' included.
 
 All step functions are pure; states are immutable snapshots.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence, Union
 
@@ -39,8 +42,6 @@ from .ir import (
     Skip,
     Store,
     Value,
-    fetch,
-    is_nat,
 )
 
 # --------------------------------------------------------------------------
@@ -155,59 +156,64 @@ class DirectiveMismatch:
 Outcome = Union[Next, Term, Fault, Stuck, OutOfDirectives, DirectiveMismatch]
 
 TERM = Term()
-# The prediction point of a branch, indexed by the outcome the program
-# computes; built once, since every spec, ideal and mc run reaches it.
+# The prediction point and the observation of a branch, indexed by the
+# outcome the program computes; built once, since every run reaches them.
 BRANCH_POINTS = (OutOfDirectives(DBranch(False)), OutOfDirectives(DBranch(True)))
+OBRANCH = (OBranch(False), OBranch(True))
 
 
 # --------------------------------------------------------------------------
-# Expression evaluation
+# Expressions, compiled to closures over the registers
+
+# The binary operators on naturals, shared by the block-structured and the
+# machine value domains.
+NAT_OPS: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": lambda a, b: a - b if a >= b else 0,  # naturals never go below zero
+    "*": operator.mul,
+    "=": lambda a, b: 1 if a == b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    "&&": lambda a, b: 1 if a != 0 and b != 0 else 0,
+    "->": lambda a, b: 1 if a == 0 or b != 0 else 0,
+}
 
 
-def nat_op(op: str, a: int, b: int) -> int:
-    """The binary operators on naturals, shared by the block-structured and
-    the machine value domains."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        # Truncated subtraction: naturals never go below zero.
-        return a - b if a >= b else 0
-    if op == "*":
-        return a * b
-    if op == "=":
-        return 1 if a == b else 0
-    if op == "<=":
-        return 1 if a <= b else 0
-    if op == "&&":
-        return 1 if a != 0 and b != 0 else 0
-    if op == "->":
-        return 1 if a == 0 or b != 0 else 0
-    raise ValueError(f"unknown operator {op!r}")
+def nat_op(op: str) -> Callable[[int, int], int]:
+    """`NAT_OPS[op]`; an unknown operator raises ValueError when it is
+    applied, not when its expression is compiled."""
+    def unknown(a: int, b: int) -> int:
+        raise ValueError(f"unknown operator {op!r}")
+    return NAT_OPS.get(op, unknown)
 
 
-def _binop(op: str, v1: Value, v2: Value) -> Value:
-    if isinstance(v1, FP) and isinstance(v2, FP) and op == "=":
-        return 1 if v1.label == v2.label else 0
-    if is_nat(v1) and is_nat(v2):
-        return nat_op(op, v1, v2)
-    return UV
-
-
-def eval_expr(e: Expr, regs: dict[str, Value]) -> Value:
-    """Total evaluation; never fails, unresolvable results are UV."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, FpConst):
-        return FP(e.label)
+def _compile_expr(e: Expr) -> Callable[[dict[str, Value]], Value]:
+    """`e` as a closure from registers to its value. Evaluation is total:
+    unresolvable results are UV."""
+    if isinstance(e, (Const, FpConst)):
+        v = e.value if isinstance(e, Const) else FP(e.label)
+        return lambda regs: v
     if isinstance(e, Reg):
-        return regs.get(e.name, UV)
+        name = e.name
+        return lambda regs: regs.get(name, UV)
     if isinstance(e, BinOp):
-        return _binop(e.op, eval_expr(e.lhs, regs), eval_expr(e.rhs, regs))
-    if isinstance(e, Cond):
-        c = eval_expr(e.cond, regs)
-        if not is_nat(c):
+        f, lhs, rhs = nat_op(e.op), _compile_expr(e.lhs), _compile_expr(e.rhs)
+        eq = e.op == "="
+        def binop(regs):
+            v1, v2 = lhs(regs), rhs(regs)
+            if isinstance(v1, int) and isinstance(v2, int):
+                return f(v1, v2)
+            if eq and isinstance(v1, FP) and isinstance(v2, FP):
+                return 1 if v1.label == v2.label else 0
             return UV
-        return eval_expr(e.then if c != 0 else e.els, regs)
+        return binop
+    if isinstance(e, Cond):
+        c, then, els = _compile_expr(e.cond), _compile_expr(e.then), _compile_expr(e.els)
+        def cond(regs):
+            v = c(regs)
+            if not isinstance(v, int):
+                return UV
+            return then(regs) if v != 0 else els(regs)
+        return cond
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -217,132 +223,155 @@ def with_reg(regs: dict[str, Value], name: str, v: Value) -> dict[str, Value]:
     return out
 
 
-def _nat_addr(v: Value, mem: tuple[Value, ...], what: str) -> Union[int, Stuck]:
-    if not is_nat(v):
+def _bad_addr(v: Value, what: str) -> Stuck:
+    if not isinstance(v, int):
         return Stuck(f"{what} address is not a number")
-    if not 0 <= v < len(mem):
-        return Stuck(f"{what} address {v} out of bounds")
-    return v
+    return Stuck(f"{what} address {v} out of bounds")
 
 
 # --------------------------------------------------------------------------
-# The block-structured semantics
+# The block-structured semantics, compiled to closures
+
+# A semantics is a policy (spec, ideal, cet). `spec` makes branches and
+# calls follow the directive `d` and track misspeculation; `ideal` adds
+# masking (under misspeculation, branch conditions read 0, addresses 0 and
+# call targets &0) and faults calls whose directive is not a function entry;
+# `cet` makes calls arm the ctarget check and faults any other instruction
+# while it is armed. Every state carries both flags, but only the
+# speculative semantics reads `ct`, and the sequential one reads neither; a
+# flag a semantics does not read is clear in every successor.
+Sem = tuple[bool, bool, bool]
+SEQ, SPEC = (False, False, False), (True, False, False)
+SPEC_CET, IDEAL = (True, False, True), (True, True, False)
+
+# The rule of an instruction: (state at its pc, directive or None) -> outcome
+Rule = Callable[[State, Optional[Directive]], Outcome]
 
 
-def _step(
-    p: Program,
-    s: State,
-    d: Optional[Directive],
-    spec: bool,
-    ideal: bool,
-    cet: bool,
-) -> Outcome:
-    """One step under the semantics the policy selects. `spec` makes
-    branches and calls follow the directive `d` and track misspeculation;
-    `ideal` adds masking (under misspeculation, branch conditions read 0,
-    addresses 0 and call targets &0) and faults calls whose directive is not
-    a function entry; `cet` makes calls arm the ctarget check and faults
-    any other instruction while it is armed. Every state carries both
-    flags, but only the speculative semantics reads `ct`, and the
-    sequential one reads neither; a flag a semantics does not read is
-    clear in every successor.
-    """
-    inst = fetch(p, s.pc)
-    if inst is None:
+def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
+    """The rule of instruction `o` of block `l` under `sem`. Its entry point,
+    `_step`, has checked the pc and the armed ctarget check."""
+    spec, ideal, cet = sem
+    rct = spec and not ideal  # the semantics reads `ct`
+    inst, nxt = p.blocks[l].insts[o], PC(l, o + 1)
+    if isinstance(inst, (Skip, Jump, CTarget)):
+        to = PC(inst.target, 0) if isinstance(inst, Jump) else nxt
+        keep = rct and not isinstance(inst, CTarget)  # a ctarget clears `ct`
+        def rule(s, d):
+            return Next(State(to, s.regs, s.mem, s.stk, keep and s.ct, spec and s.ms))
+    elif isinstance(inst, Asgn):
+        reg, expr = inst.reg, _compile_expr(inst.expr)
+        def rule(s, d):
+            regs = with_reg(s.regs, reg, expr(s.regs))
+            return Next(State(nxt, regs, s.mem, s.stk, rct and s.ct, spec and s.ms))
+    elif isinstance(inst, Branch):
+        cond, target = _compile_expr(inst.cond), PC(inst.target, 0)
+        def rule(s, d):
+            ms = spec and s.ms
+            v = 0 if ideal and ms else cond(s.regs)
+            if not isinstance(v, int):
+                return Stuck("branch condition is not a number")
+            b = taken = v != 0
+            if spec:
+                if d is None:
+                    return BRANCH_POINTS[b]
+                if not isinstance(d, DBranch):
+                    return DirectiveMismatch("branch instruction needs a branch directive")
+                taken = d.taken
+                ms = ms or b != taken
+            pc2 = target if taken else nxt
+            return Next(State(pc2, s.regs, s.mem, s.stk, rct and s.ct, ms), OBRANCH[b])
+    elif isinstance(inst, Load):
+        reg, addr = inst.reg, _compile_expr(inst.addr)
+        def rule(s, d):
+            ms, mem = spec and s.ms, s.mem
+            a = 0 if ideal and ms else addr(s.regs)
+            if not (isinstance(a, int) and 0 <= a < len(mem)):
+                return _bad_addr(a, "load")
+            regs = with_reg(s.regs, reg, mem[a])
+            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OLoad(a))
+    elif isinstance(inst, Store):
+        addr, value = _compile_expr(inst.addr), _compile_expr(inst.value)
+        def rule(s, d):
+            ms, regs, mem = spec and s.ms, s.regs, s.mem
+            a = 0 if ideal and ms else addr(regs)
+            if not (isinstance(a, int) and 0 <= a < len(mem)):
+                return _bad_addr(a, "store")
+            mem = mem[:a] + (value(regs),) + mem[a + 1 :]
+            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OStore(a))
+    elif isinstance(inst, Call):
+        target, blocks, fp0 = _compile_expr(inst.target), p.blocks, FP(0)
+        entries = {PC(t, 0) for t, b in enumerate(blocks) if b.insts and b.is_entry}
+        # the prediction point of a call to each block label, built once
+        points = p.compiled.get("calls") or p.compiled.setdefault("calls", tuple(
+            OutOfDirectives(DCallMir(PC(t, 0))) for t in range(len(blocks))))
+        def rule(s, d):
+            ms = spec and s.ms
+            v = fp0 if ideal and ms else target(s.regs)
+            if not isinstance(v, FP):
+                return Stuck("call target is not a function pointer")
+            t, ct = v.label, rct and s.ct
+            if spec:
+                if d is None:
+                    if 0 <= t < len(points):
+                        return points[t]
+                    return OutOfDirectives(DCallMir(PC(t, 0)))
+                if not isinstance(d, DCallMir):
+                    return DirectiveMismatch("call instruction needs a call directive")
+                pc2 = d.target
+                if ideal and pc2 not in entries:
+                    return Fault(OCall(t))
+                ms = ms or pc2 != PC(t, 0)
+                ct = cet
+            else:
+                if not (0 <= t < len(blocks) and blocks[t].is_entry):
+                    return Stuck(f"call target &{t} is not a function entry")
+                pc2 = PC(t, 0)
+            return Next(State(pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms), OCall(t))
+    elif isinstance(inst, Ret):
+        def rule(s, d):
+            if not s.stk:
+                return TERM
+            ct, ms = rct and s.ct, spec and s.ms
+            return Next(State(s.stk[0], s.regs, s.mem, s.stk[1:], ct, ms))
+    else:
+        raise TypeError(f"not an instruction: {inst!r}")
+    return rule
+
+
+def _step(p: Program, s: State, d: Optional[Directive], sem: Sem) -> Outcome:
+    """One step under `sem`: the rule of the instruction at the pc, compiled
+    the first time a run reaches it and kept on the program."""
+    code = p.compiled.get(sem)
+    if code is None:
+        code = p.compiled[sem] = [[None] * len(b.insts) for b in p.blocks]
+    l, o = s.pc.label, s.pc.offset
+    if not (0 <= l < len(code) and 0 <= o < len(code[l])):
         return Stuck("pc out of range")
-    pc, regs, mem, stk = s.pc, s.regs, s.mem, s.stk
-    ms = spec and s.ms
-    ct = spec and not ideal and s.ct
-    if cet and ct and not isinstance(inst, CTarget):
+    if s.ct and sem == SPEC_CET and not isinstance(p.blocks[l].insts[o], CTarget):
         return Fault()
-    masked = ideal and ms
-    if isinstance(inst, CTarget):
-        return Next(State(pc.next(), regs, mem, stk, False, ms))
-    if isinstance(inst, Skip):
-        return Next(State(pc.next(), regs, mem, stk, ct, ms))
-    if isinstance(inst, Asgn):
-        regs = with_reg(regs, inst.reg, eval_expr(inst.expr, regs))
-        return Next(State(pc.next(), regs, mem, stk, ct, ms))
-    if isinstance(inst, Branch):
-        v = 0 if masked else eval_expr(inst.cond, regs)
-        if not is_nat(v):
-            return Stuck("branch condition is not a number")
-        b = v != 0
-        taken = b
-        if spec:
-            if d is None:
-                return BRANCH_POINTS[b]
-            if not isinstance(d, DBranch):
-                return DirectiveMismatch("branch instruction needs a branch directive")
-            taken = d.taken
-            ms = ms or b != taken
-        pc2 = PC(inst.target, 0) if taken else pc.next()
-        return Next(State(pc2, regs, mem, stk, ct, ms), OBranch(b))
-    if isinstance(inst, Jump):
-        return Next(State(PC(inst.target, 0), regs, mem, stk, ct, ms))
-    if isinstance(inst, Load):
-        a = _nat_addr(0 if masked else eval_expr(inst.addr, regs), mem, "load")
-        if isinstance(a, Stuck):
-            return a
-        regs = with_reg(regs, inst.reg, mem[a])
-        return Next(State(pc.next(), regs, mem, stk, ct, ms), OLoad(a))
-    if isinstance(inst, Store):
-        a = _nat_addr(0 if masked else eval_expr(inst.addr, regs), mem, "store")
-        if isinstance(a, Stuck):
-            return a
-        mem = mem[:a] + (eval_expr(inst.value, regs),) + mem[a + 1 :]
-        return Next(State(pc.next(), regs, mem, stk, ct, ms), OStore(a))
-    if isinstance(inst, Call):
-        v = FP(0) if masked else eval_expr(inst.target, regs)
-        if not isinstance(v, FP):
-            return Stuck("call target is not a function pointer")
-        if spec:
-            if d is None:
-                return OutOfDirectives(DCallMir(PC(v.label, 0)))
-            if not isinstance(d, DCallMir):
-                return DirectiveMismatch("call instruction needs a call directive")
-            pc2 = d.target
-            if ideal and not (
-                pc2.offset == 0
-                and 0 <= pc2.label < len(p.blocks)
-                and len(p.blocks[pc2.label].insts) > 0
-                and p.blocks[pc2.label].is_entry
-            ):
-                return Fault(OCall(v.label))
-            ms = ms or pc2 != PC(v.label, 0)
-            ct = cet
-        else:
-            if not (0 <= v.label < len(p.blocks) and p.blocks[v.label].is_entry):
-                return Stuck(f"call target &{v.label} is not a function entry")
-            pc2 = PC(v.label, 0)
-        stk = (pc.next(),) + stk
-        return Next(State(pc2, regs, mem, stk, ct, ms), OCall(v.label))
-    if isinstance(inst, Ret):
-        if not stk:
-            return TERM
-        return Next(State(stk[0], regs, mem, stk[1:], ct, ms))
-    raise TypeError(f"not an instruction: {inst!r}")
+    rule = code[l][o]
+    if rule is None:
+        rule = code[l][o] = _compile(p, sem, l, o)
+    return rule(s, d)
 
 
 def step_seq(p: Program, s: State) -> Outcome:
-    return _step(p, s, None, False, False, False)
+    return _step(p, s, None, SEQ)
 
 
 def step_spec(
-    p: Program,
-    s: State,
-    d: Optional[Directive] = None,
-    cet: bool = True,
+    p: Program, s: State, d: Optional[Directive] = None, cet: bool = True
 ) -> Outcome:
     """One speculative step. A directive is consumed only at branch and call
     instructions. With `cet` disabled, calls do not arm the ctarget check,
     modeling hardware without indirect-branch tracking.
     """
-    return _step(p, s, d, True, False, cet)
+    return _step(p, s, d, SPEC_CET if cet else SPEC)
 
 
 def step_ideal(p: Program, s: State, d: Optional[Directive] = None) -> Outcome:
-    return _step(p, s, d, True, True, False)
+    return _step(p, s, d, IDEAL)
 
 
 # --------------------------------------------------------------------------

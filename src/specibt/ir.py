@@ -9,7 +9,7 @@ undefined value UV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 
@@ -39,10 +39,6 @@ class FP:
 
 # Naturals are plain non-negative ints.
 Value = Union[int, FP, _Undef]
-
-
-def is_nat(v: Value) -> bool:
-    return isinstance(v, int)
 
 
 # --------------------------------------------------------------------------
@@ -160,25 +156,14 @@ class Block:
 @dataclass(frozen=True, slots=True)
 class Program:
     blocks: tuple[Block, ...]
+    # Rules compiled from the instructions, per semantics (see `interp._step`)
+    compiled: dict = field(default_factory=dict, compare=False, repr=False, init=False)
 
 
 @dataclass(frozen=True, slots=True)
 class PC:
     label: int
     offset: int
-
-    def next(self) -> "PC":
-        return PC(self.label, self.offset + 1)
-
-
-def fetch(p: Program, pc: PC) -> Optional[Inst]:
-    """Instruction at `pc`, or None when the counter is out of range."""
-    if not 0 <= pc.label < len(p.blocks):
-        return None
-    insts = p.blocks[pc.label].insts
-    if not 0 <= pc.offset < len(insts):
-        return None
-    return insts[pc.offset]
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ become absolute addresses; machine values are plain naturals.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 from .ir import (
     UV,
@@ -44,12 +44,13 @@ from .interp import (
     DirectiveMismatch,
     Fault,
     Next,
-    OBranch,
+    OBRANCH,
     OCall,
     OLoad,
     OStore,
     Outcome,
     OutOfDirectives,
+    Rule,
     RunResult,
     State,
     Stuck,
@@ -91,6 +92,8 @@ class LayoutMap:
 @dataclass(frozen=True)
 class McProgram:
     code: tuple[Inst, ...]
+    # Rules compiled from the instructions, per data section size (`step_mc`)
+    compiled: dict = field(default_factory=dict, compare=False, repr=False, init=False)
 
 
 @dataclass(frozen=True)
@@ -157,80 +160,116 @@ def linearize(p: Program, data_len: int) -> McProgram:
 
 
 # --------------------------------------------------------------------------
-# Machine-level expression evaluation (plain naturals, total)
+# The speculative machine semantics, compiled to closures over plain
+# naturals
 
 
-def eval_mc(e: Expr, regs: dict[str, int]) -> int:
+def _compile_mc_expr(e: Expr) -> Callable[[dict[str, int]], int]:
+    """`e` as a closure from machine registers to its value; an unset
+    register reads 0."""
     if isinstance(e, Const):
-        return e.value
+        n = e.value
+        return lambda regs: n
     if isinstance(e, Reg):
-        return regs.get(e.name, 0)
+        name = e.name
+        return lambda regs: regs.get(name, 0)
     if isinstance(e, BinOp):
-        return nat_op(e.op, eval_mc(e.lhs, regs), eval_mc(e.rhs, regs))
+        f, lhs, rhs = nat_op(e.op), _compile_mc_expr(e.lhs), _compile_mc_expr(e.rhs)
+        return lambda regs: f(lhs(regs), rhs(regs))
     if isinstance(e, Cond):
-        return eval_mc(e.then if eval_mc(e.cond, regs) != 0 else e.els, regs)
+        c, then, els = map(_compile_mc_expr, (e.cond, e.then, e.els))
+        return lambda regs: then(regs) if c(regs) != 0 else els(regs)
     if isinstance(e, FpConst):
-        raise ValueError("function pointer constant in machine code")
+        def fp(regs: dict[str, int]) -> int:
+            raise ValueError("function pointer constant in machine code")
+        return fp
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _compile_mc(mc: McProgram, data_len: int, pc: int) -> Rule:
+    """The rule of the instruction at address `pc`: that of the speculative
+    block-structured semantics with cet on, over absolute addresses. Its
+    entry point, `step_mc`, has checked the pc and the armed ctarget check,
+    so `ct` is clear, or the instruction is the ctarget clearing it."""
+    inst, nxt, end = mc.code[pc - data_len], pc + 1, data_len + len(mc.code)
+    if isinstance(inst, (Skip, Jump, CTarget)):
+        to = inst.target if isinstance(inst, Jump) else nxt
+        def rule(s, d):
+            return Next(McState(to, s.regs, s.mem, s.stk, False, s.ms))
+    elif isinstance(inst, Asgn):
+        reg, expr = inst.reg, _compile_mc_expr(inst.expr)
+        def rule(s, d):
+            regs = with_reg(s.regs, reg, expr(s.regs))
+            return Next(McState(nxt, regs, s.mem, s.stk, False, s.ms))
+    elif isinstance(inst, Branch):
+        cond, target = _compile_mc_expr(inst.cond), inst.target
+        def rule(s, d):
+            b = cond(s.regs) != 0
+            if d is None:
+                return BRANCH_POINTS[b]
+            if not isinstance(d, DBranch):
+                return DirectiveMismatch("branch instruction needs a branch directive")
+            pc2, ms = target if d.taken else nxt, s.ms or b != d.taken
+            return Next(McState(pc2, s.regs, s.mem, s.stk, False, ms), OBRANCH[b])
+    elif isinstance(inst, Load):
+        reg, addr = inst.reg, _compile_mc_expr(inst.addr)
+        def rule(s, d):
+            a = addr(s.regs)
+            if not a < data_len:
+                return Stuck(f"load address {a} outside data section")
+            regs = with_reg(s.regs, reg, s.mem[a])
+            return Next(McState(nxt, regs, s.mem, s.stk, False, s.ms), OLoad(a))
+    elif isinstance(inst, Store):
+        addr, value = _compile_mc_expr(inst.addr), _compile_mc_expr(inst.value)
+        def rule(s, d):
+            a = addr(s.regs)
+            if not a < data_len:
+                return Stuck(f"store address {a} outside data section")
+            mem = s.mem[:a] + (value(s.regs),) + s.mem[a + 1 :]
+            return Next(McState(nxt, s.regs, mem, s.stk, False, s.ms), OStore(a))
+    elif isinstance(inst, Call):
+        target, key = _compile_mc_expr(inst.target), ("calls", data_len)
+        # the prediction point of a call to each code address, built once
+        points = mc.compiled.get(key) or mc.compiled.setdefault(key, tuple(
+            OutOfDirectives(DCallMc(a)) for a in range(data_len, end)))
+        def rule(s, d):
+            t = target(s.regs)
+            if not data_len <= t < end:
+                return Stuck(f"call target {t} outside code section")
+            if d is None:
+                return points[t - data_len]
+            if not isinstance(d, DCallMc):
+                return DirectiveMismatch("call instruction needs a call directive")
+            stk, ms = (nxt,) + s.stk, s.ms or d.addr != t
+            return Next(McState(d.addr, s.regs, s.mem, stk, True, ms), OCall(t))
+    elif isinstance(inst, Ret):
+        def rule(s, d):
+            if not s.stk:
+                return TERM
+            return Next(McState(s.stk[0], s.regs, s.mem, s.stk[1:], False, s.ms))
+    else:
+        raise TypeError(f"not an instruction: {inst!r}")
+    return rule
+
+
 def step_mc(
-    mc: McProgram,
-    lay: LayoutMap,
-    s: McState,
-    d: Optional[Directive] = None,
+    mc: McProgram, lay: LayoutMap, s: McState, d: Optional[Directive] = None
 ) -> Outcome:
-    """One speculative machine step: the rules of the speculative
-    block-structured semantics with cet on, over absolute addresses."""
-    if not lay.data_len <= s.pc < lay.data_len + len(mc.code):
+    """One speculative machine step: the rule of the instruction at the pc,
+    compiled the first time a run reaches it and kept on the program."""
+    base = lay.data_len
+    code = mc.compiled.get(base)
+    if code is None:
+        code = mc.compiled[base] = [None] * len(mc.code)
+    i = s.pc - base
+    if not 0 <= i < len(code):
         return Stuck("pc outside code section")
-    inst = mc.code[s.pc - lay.data_len]
-    pc, regs, mem, stk, ms = s.pc, s.regs, s.mem, s.stk, s.ms
-    if s.ct and not isinstance(inst, CTarget):
+    if s.ct and not isinstance(mc.code[i], CTarget):
         return Fault()
-    # From here on ct is clear, or the instruction is the ctarget clearing it.
-    if isinstance(inst, (Skip, CTarget)):
-        return Next(McState(pc + 1, regs, mem, stk, False, ms))
-    if isinstance(inst, Asgn):
-        regs = with_reg(regs, inst.reg, eval_mc(inst.expr, regs))
-        return Next(McState(pc + 1, regs, mem, stk, False, ms))
-    if isinstance(inst, Branch):
-        b = eval_mc(inst.cond, regs) != 0
-        if d is None:
-            return BRANCH_POINTS[b]
-        if not isinstance(d, DBranch):
-            return DirectiveMismatch("branch instruction needs a branch directive")
-        pc2 = inst.target if d.taken else pc + 1
-        return Next(McState(pc2, regs, mem, stk, False, ms or b != d.taken), OBranch(b))
-    if isinstance(inst, Jump):
-        return Next(McState(inst.target, regs, mem, stk, False, ms))
-    if isinstance(inst, Load):
-        a = eval_mc(inst.addr, regs)
-        if not a < lay.data_len:
-            return Stuck(f"load address {a} outside data section")
-        regs = with_reg(regs, inst.reg, mem[a])
-        return Next(McState(pc + 1, regs, mem, stk, False, ms), OLoad(a))
-    if isinstance(inst, Store):
-        a = eval_mc(inst.addr, regs)
-        if not a < lay.data_len:
-            return Stuck(f"store address {a} outside data section")
-        mem = mem[:a] + (eval_mc(inst.value, regs),) + mem[a + 1 :]
-        return Next(McState(pc + 1, regs, mem, stk, False, ms), OStore(a))
-    if isinstance(inst, Call):
-        t = eval_mc(inst.target, regs)
-        if not lay.data_len <= t < lay.data_len + len(mc.code):
-            return Stuck(f"call target {t} outside code section")
-        if d is None:
-            return OutOfDirectives(DCallMc(t))
-        if not isinstance(d, DCallMc):
-            return DirectiveMismatch("call instruction needs a call directive")
-        stk = (pc + 1,) + stk
-        return Next(McState(d.addr, regs, mem, stk, True, ms or d.addr != t), OCall(t))
-    if isinstance(inst, Ret):
-        if not stk:
-            return TERM
-        return Next(McState(stk[0], regs, mem, stk[1:], False, ms))
-    raise TypeError(f"not an instruction: {inst!r}")
+    rule = code[i]
+    if rule is None:
+        rule = code[i] = _compile_mc(mc, base, s.pc)
+    return rule(s, d)
 
 
 def run_mc(

@@ -93,8 +93,7 @@ def test_criterion_1_attack_reproduction(capsys):
     # the masking-only baseline falls to mid-block call injection past the
     # edge-split block head, which skips the taken-edge flag update
     hp = harden(p, cfg=MASK_ONLY)
-    sp1, sp2 = spec_of(s1), spec_of(s2)
-    sp1.regs["msf"] = sp2.regs["msf"] = 0
+    sp1, sp2 = (State(s.pc, {**s.regs, "msf": 0}, s.mem, s.stk) for s in (s1, s2))
     t0 = time.time()
     btb = attack_search(hp, sp1, sp2, budget, cet=False)
     t_btb = time.time() - t0
@@ -103,8 +102,7 @@ def test_criterion_1_attack_reproduction(capsys):
     inject = [DBranch(False), DCallMir(PC(5, 1)), DCallMir(PC(4, 0))]
     tr = []
     for s in (s1, s2):
-        sp = spec_of(s)
-        sp.regs["msf"] = 0
+        sp = State(s.pc, {**s.regs, "msf": 0}, s.mem, s.stk)
         tr.append(run_spec(hp, sp, inject, 300, cet=False).trace)
     ok_inject = tr[0] != tr[1]
 

@@ -80,13 +80,10 @@ def test_illtyped_fixture_reaches_the_uv_comparison(illtyped):
     # The interesting path really executes: the masked store writes a code
     # pointer that the masked load then feeds into the comparison.
     hp = harden(illtyped)
-    s = spec_of(
-        State(PC(0, 0), {"x": 1, "i": 0, "j": 1}, (0,) * 4), ct=True
-    )
-    s.regs["msf"] = 0
     from specibt.ir import FP, UV
 
-    s.regs["callee"] = FP(0)
+    regs = {"x": 1, "i": 0, "j": 1, "msf": 0, "callee": FP(0)}
+    s = State(PC(0, 0), regs, (0,) * 4, ct=True)
     r = run_spec(hp, s, [DBranch(True), DBranch(False)], 200)
     assert r.status == "term"
     assert r.state is not None and r.state.regs["b"] is UV
@@ -145,8 +142,7 @@ def test_pht_attack_search(listing1, listing1_pair):
 def test_btb_attack_on_masking_only(listing1, listing1_pair):
     s1, s2 = listing1_pair
     hp = harden(listing1, cfg=MASK_ONLY)
-    sp1, sp2 = spec_of(s1), spec_of(s2)
-    sp1.regs["msf"] = sp2.regs["msf"] = 0
+    sp1, sp2 = (State(s.pc, {**s.regs, "msf": 0}, s.mem, s.stk) for s in (s1, s2))
     found = attack_search(hp, sp1, sp2, BUDGET, cet=False)
     assert found is not None
 
@@ -159,8 +155,7 @@ def test_example3_exact_injection(listing1, listing1_pair):
     d = [DBranch(False), DCallMir(PC(5, 1)), DCallMir(PC(4, 0))]
     traces = []
     for s in (s1, s2):
-        sp = spec_of(s)
-        sp.regs["msf"] = 0
+        sp = State(s.pc, {**s.regs, "msf": 0}, s.mem, s.stk)
         traces.append(run_spec(hp, sp, d, 300, cet=False).trace)
     assert traces[0] != traces[1]
     assert traces[0][-1] == OLoad(5) and traces[1][-1] == OLoad(7)
@@ -177,8 +172,7 @@ def test_bcc_linearize_on_hardened_listing1(listing1, listing1_pair):
     hp = harden(listing1)
     from specibt.ir import FP
 
-    sp = spec_of(s1, ct=True)
-    sp.regs["msf"], sp.regs["callee"] = 0, FP(0)
+    sp = State(s1.pc, {**s1.regs, "msf": 0, "callee": FP(0)}, s1.mem, s1.stk, ct=True)
     v = check_bcc_linearize(hp, sp, BUDGET)
     assert v.ok and v.runs > 0
 

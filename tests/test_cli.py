@@ -30,7 +30,7 @@ def state1(tmp_path):
 def test_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
-    assert "semantics" in res.output
+    assert res.output == "specibt 0.1.0 (semantics 1)\n"
 
 
 def test_run_seq(runner, state1):

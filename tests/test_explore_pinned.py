@@ -14,6 +14,7 @@ import pytest
 from specibt.explore import ExploreBudget, IdealDriver, McDriver, SpecDriver, explore
 from specibt.gen import spec_of
 from specibt.hardening import harden
+from specibt.interp import State
 from specibt.ir import FP
 from specibt.machine import concretize_state, layout, linearize
 from specibt.textio import encode_directives, encode_trace
@@ -27,8 +28,7 @@ def explorations(listing1, s1):
     hardened program speculatively and at machine level, from the hardened
     initial state, and the source program under the ideal semantics."""
     hp = harden(listing1)
-    hs = spec_of(s1, ct=True)
-    hs.regs["msf"], hs.regs["callee"] = 0, FP(0)
+    hs = State(s1.pc, {**s1.regs, "msf": 0, "callee": FP(0)}, s1.mem, s1.stk, ct=True)
     lay = layout(hp, len(s1.mem))
     runs = {
         "spec": explore(SpecDriver(hp, cet=True), hs, BUDGET),

@@ -27,6 +27,7 @@ from specibt.interp import (
     Next,
     OBranch,
     OutOfDirectives,
+    State,
     run_seq,
     run_spec,
 )
@@ -68,8 +69,8 @@ ONE_BRANCH = parse_program(
 
 
 def test_single_branch_forks_twice():
-    s = spec_of(gen_state(random.Random(0)))
-    s.regs["x"] = 1
+    s0 = gen_state(random.Random(0))
+    s = State(s0.pc, {**s0.regs, "x": 1}, s0.mem)
     runs = list(explore(SpecDriver(ONE_BRANCH, cet=False), s, ExploreBudget(depth=1)))
     assert len(runs) == 2
     dirs = {d for ds, _ in runs for d in ds}
@@ -78,8 +79,8 @@ def test_single_branch_forks_twice():
 
 
 def test_depth_zero_is_a_single_correct_run():
-    s0 = gen_state(random.Random(0))
-    s0.regs["x"] = 0
+    g = gen_state(random.Random(0))
+    s0 = State(g.pc, {**g.regs, "x": 0}, g.mem)
     s = spec_of(s0)
     runs = list(explore(SpecDriver(ONE_BRANCH, cet=False), s, ExploreBudget(depth=0)))
     assert len(runs) == 1
@@ -94,8 +95,7 @@ def test_injected_midblock_call_faults(listing1, listing1_pair):
     # With the ctarget check armed, landing past a block head faults.
     s1, _ = listing1_pair
     hp = harden(listing1)
-    sp = spec_of(s1, ct=True)
-    sp.regs["msf"], sp.regs["callee"] = 0, FP(0)
+    sp = State(s1.pc, {**s1.regs, "msf": 0, "callee": FP(0)}, s1.mem, s1.stk, ct=True)
     faulted = False
     for dirs, res in explore(SpecDriver(hp, cet=True), sp, ExploreBudget(depth=3)):
         if any(isinstance(d, DCallMir) and d.target.offset == 1 for d in dirs):
@@ -115,8 +115,8 @@ def test_call_candidates_cover_heads_and_midblocks(listing1):
 def test_explore_respects_max_sequences():
     rng = random.Random(3)
     p = harden(gen_program(rng))
-    s = spec_of(gen_state(rng), ct=True)
-    s.regs["msf"], s.regs["callee"] = 0, FP(0)
+    g = gen_state(rng)
+    s = State(g.pc, {**g.regs, "msf": 0, "callee": FP(0)}, g.mem, g.stk, ct=True)
     runs = list(explore(SpecDriver(p), s, ExploreBudget(depth=4, max_sequences=17)))
     assert len(runs) <= 17
 
@@ -135,8 +135,8 @@ def test_explored_spec_runs_replay():
     # Re-running an explored directive sequence reproduces its result.
     rng = random.Random(31)
     p = harden(gen_program(rng))
-    s = spec_of(gen_state(rng), ct=True)
-    s.regs["msf"], s.regs["callee"] = 0, FP(0)
+    g = gen_state(rng)
+    s = State(g.pc, {**g.regs, "msf": 0, "callee": FP(0)}, g.mem, g.stk, ct=True)
     b = ExploreBudget(depth=2, max_sequences=40, fuel=300)
     for dirs, res in explore(SpecDriver(p), s, b):
         again = run_spec(p, s, dirs, 300)
@@ -161,22 +161,28 @@ def test_ideal_and_mc_drivers_run(listing1, listing1_pair):
 EXPLORE_PINNED = pathlib.Path(__file__).parent / "data" / "explore_outputs.json"
 
 
+def _safe_programs(seed: int, programs: int):
+    """`programs` generated programs, each with a safe input."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < programs:
+        p = gen_program(rng)
+        s = gen_safe_input(rng, p, fuel=200)
+        if s is not None:
+            out.append((p, s))
+    return out
+
+
 def _explorations(seed: int, programs: int):
     """(driver name, driver, initial state) for `programs` generated
     programs with a safe input each: the hardened program speculatively
     (CET on) from the hardened initial state and at machine level, and the
     source program speculatively (CET off) and under the ideal semantics,
     with the misspeculation flag clear and set."""
-    rng = random.Random(seed)
     out = []
-    while len(out) < 5 * programs:
-        p = gen_program(rng)
-        s = gen_safe_input(rng, p, fuel=200)
-        if s is None:
-            continue
+    for p, s in _safe_programs(seed, programs):
         hp = harden(p)
-        hs = spec_of(s, ct=True)
-        hs.regs["msf"], hs.regs["callee"] = 0, FP(0)
+        hs = State(s.pc, {**s.regs, "msf": 0, "callee": FP(0)}, s.mem, s.stk, ct=True)
         lay = layout(hp, len(s.mem))
         out += [
             ("spec-hardened", SpecDriver(hp, cet=True), hs),

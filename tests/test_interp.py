@@ -16,10 +16,10 @@ from specibt.interp import (
     OLoad,
     OStore,
     OutOfDirectives,
+    SEQ,
     State,
     Stuck,
     Term,
-    eval_expr,
     run_ideal,
     run_seq,
     run_spec,
@@ -30,6 +30,7 @@ from specibt.interp import (
 )
 from specibt.ir import (
     UV,
+    Asgn,
     BinOp,
     Block,
     Branch,
@@ -53,7 +54,9 @@ from specibt.ir import (
 
 
 def ev(e, **regs):
-    return eval_expr(e, regs)
+    """The value of `e`, as a sequential assignment step computes it."""
+    p = Program((Block((Asgn("out", e), RET), is_entry=True),))
+    return step_seq(p, State(PC(0, 0), regs, ())).state.regs["out"]
 
 
 def test_fp_equality_compares_labels():
@@ -95,6 +98,26 @@ def test_cond_on_non_nat_is_undefined():
 
 def test_unset_register_reads_uv():
     assert ev(Reg("r")) is UV
+
+
+def test_unknown_operator_raises_when_applied():
+    # compiling the expression does not apply it, and UV never reaches it
+    assert ev(BinOp("%", Reg("u"), Const(1))) is UV
+    with pytest.raises(ValueError, match="unknown operator"):
+        ev(BinOp("%", Const(1), Const(1)))
+
+
+def test_rules_are_compiled_once_and_kept_on_the_program():
+    p = Program((Block((SKIP, RET), is_entry=True),))
+    s = State(PC(0, 0), {}, ())
+    step_seq(p, s)
+    (rule, unreached), = p.compiled[SEQ]
+    assert unreached is None
+    step_seq(p, s)
+    assert p.compiled[SEQ][0][0] is rule
+    # the compiled rules are no part of the program's value
+    assert p == Program(p.blocks) and hash(p) == hash(Program(p.blocks))
+    assert repr(p) == repr(Program(p.blocks))
 
 
 # --------------------------------------------------------------------------

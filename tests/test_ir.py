@@ -6,7 +6,6 @@ from specibt.ir import (
     Call,
     Const,
     CTARGET,
-    FP,
     FpConst,
     Jump,
     PC,
@@ -14,8 +13,6 @@ from specibt.ir import (
     Reg,
     RET,
     SKIP,
-    fetch,
-    is_nat,
     used_registers,
     wf_program,
 )
@@ -23,17 +20,20 @@ from specibt.ir import (
 
 def test_uv_is_singleton():
     assert UV is type(UV)()
-    assert not is_nat(UV)
-    assert not is_nat(FP(0))
-    assert is_nat(0) and is_nat(7)
 
 
 def test_fetch_in_and_out_of_range():
+    from specibt.interp import Next, State, Stuck, TERM, step_seq
+
     p = Program((Block((SKIP, RET), is_entry=True),))
-    assert fetch(p, PC(0, 0)) is SKIP
-    assert fetch(p, PC(0, 1)) is RET
-    assert fetch(p, PC(0, 2)) is None
-    assert fetch(p, PC(1, 0)) is None
+
+    def step(pc):
+        return step_seq(p, State(pc, {}, ()))
+
+    assert step(PC(0, 0)) == Next(State(PC(0, 1), {}, ()))
+    assert step(PC(0, 1)) is TERM
+    for pc in (PC(0, 2), PC(1, 0), PC(-1, 0), PC(0, -1)):
+        assert step(pc) == Stuck("pc out of range")
 
 
 def test_wf_accepts_minimal_program():

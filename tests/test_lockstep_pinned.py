@@ -24,7 +24,7 @@ from specibt.checks import check_bcc_linearize
 from specibt.explore import ExploreBudget, McDriver, explore
 from specibt.gen import GenConfig, gen_program, gen_safe_input, spec_of
 from specibt.hardening import harden
-from specibt.interp import run_spec
+from specibt.interp import State, run_spec
 from specibt.ir import FP, Asgn, BinOp, Branch, Const, CTarget, Load, Skip, Store
 from specibt.machine import McProgram, concretize_state, layout, linearize, run_mc
 from specibt.relate import map_directive_mc_to_mir, map_obs_mir_to_mc
@@ -83,8 +83,7 @@ def programs():
     pair = json.loads((ROOT / "corpus" / "listing1_pair.json").read_text())
     l1 = parse_program((ROOT / "corpus" / "listing1.mir").read_text())
     s1 = decode_state(pair["s1"])
-    hs = spec_of(s1, ct=True)
-    hs.regs["msf"], hs.regs["callee"] = 0, FP(0)
+    hs = State(s1.pc, {**s1.regs, "msf": 0, "callee": FP(0)}, s1.mem, s1.stk, ct=True)
     hp = harden(l1)
     out = [("listing1", l1, spec_of(s1)), ("listing1-hardened", hp, hs),
            # without its reserved registers set, the hardened program's

@@ -33,8 +33,8 @@ from specibt.ir import (
 from specibt.machine import (
     McState,
     concretize_state,
+    McProgram,
     concretize_value,
-    eval_mc,
     layout,
     linearize,
     run_mc,
@@ -81,13 +81,19 @@ def test_linearize_rewrites_labels():
 
 
 def test_eval_mc_is_plain_natural_arithmetic():
+    from specibt.ir import Asgn, BinOp, Reg
+
+    def eval_mc(e, regs):
+        mc = McProgram((Asgn("out", e), RET))
+        return step_mc(mc, layout(TINY, 2), McState(2, regs, (0, 0))).state.regs["out"]
+
     assert eval_mc(Const(3), {}) == 3
     assert eval_mc(Const(0), {"x": 9}) == 0
     # unset registers read zero at the machine level
-    from specibt.ir import BinOp, Reg
-
     assert eval_mc(Reg("nope"), {}) == 0
     assert eval_mc(BinOp("-", Const(1), Const(5)), {}) == 0
+    with pytest.raises(ValueError, match="unknown operator"):
+        eval_mc(BinOp("%", Const(1), Const(1)), {})
 
 
 def test_step_mc_call_and_fault():

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 from specibt.gen import GenConfig, gen_state, spec_of
-from specibt.interp import DBranch, DCallMc, OBranch, OCall, OLoad
+from specibt.interp import DBranch, DCallMc, OBranch, OCall, OLoad, State
 from specibt.ir import FP, PC, UV
 from specibt.machine import concretize_state, layout
 from specibt.relate import (
@@ -54,8 +54,8 @@ def test_state_rel_on_concretized_states(listing1):
 
 def test_state_rel_compares_every_register(listing1):
     lay = layout(listing1, 8)
-    s = spec_of(gen_state(random.Random(4), GenConfig(mem_len=8)))
-    s.regs["msf"] = 0
+    g = gen_state(random.Random(4), GenConfig(mem_len=8))
+    s = State(g.pc, {**g.regs, "msf": 0}, g.mem)
     m = concretize_state(s, lay)
     regs = dict(m.regs)
     regs["msf"] = 99
