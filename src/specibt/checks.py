@@ -9,6 +9,7 @@ sequence and both traces so it can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from .ir import FP, Program
@@ -86,12 +87,43 @@ def _first(
     return runs, None
 
 
+def _replay(run: Callable, s0, fuel: int, forks: int) -> Callable:
+    """`dirs -> run(s0, dirs, fuel)`, resumed at the deepest prediction point
+    `dirs` shares with the previous call's. A run carries nothing across a
+    prediction point but its trace, directives used and fuel, so it is a
+    chain of legs: one with no directive, then each from where the last
+    stopped out of directives, with the next directive and the fuel left.
+    Sequences of one exploration differ only in their first `forks`
+    directives, so the leg of the last of them takes the rest as well. Legs
+    are kept as (directives, result, trace so far, steps so far)."""
+    r = run(s0, (), fuel)
+    legs = [((), r, r.trace, r.steps)]
+
+    def replay(dirs: Sequence[Directive]) -> RunResult:
+        dirs, k, i = tuple(dirs), 1, 0
+        while k < len(legs) and legs[k][0] == dirs[i : i + len(legs[k][0])]:
+            i, k = i + len(legs[k][0]), k + 1
+        del legs[k:]
+        _, r, trace, steps = legs[-1]
+        while r.status == "out-of-directives" and i < len(dirs):
+            ds = dirs[i : i + 1] if i < forks - 1 else dirs[i:]
+            r = run(r.state, ds, fuel - steps)
+            trace, steps = trace + r.trace, steps + r.steps
+            legs.append((ds, r, trace, steps))
+            i += len(ds)
+        return RunResult(list(trace), r.status, r.reason, r.state, steps)
+
+    return replay
+
+
 def _diverge(
-    driver: Driver, s0, replay: Callable, budget: ExploreBudget
+    driver: Driver, s0, run: Callable, r0, budget: ExploreBudget
 ) -> tuple[int, Optional[Divergence]]:
-    """Explore `driver` from `s0` and replay every directive sequence with
-    `replay`. Returns the number of sequences run, and the first one whose
-    two traces do not match, with both results, if there is one."""
+    """Explore `driver` from `s0` and replay every directive sequence from
+    `r0` with `run(state, directives, fuel)`. Returns the number of
+    sequences run, and the first one whose two traces do not match, with
+    both results, if there is one."""
+    replay = _replay(run, r0, budget.fuel, budget.depth)
 
     def mismatch(dirs, r1: RunResult) -> Optional[Divergence]:
         r2 = replay(dirs)
@@ -130,7 +162,8 @@ def check_bcc_specibt(
     runs, found = _diverge(
         SpecDriver(hp, cet=True),
         _hardened_init(s0),
-        lambda dirs: run_ideal(p, ideal, dirs, budget.fuel),
+        partial(run_ideal, p),
+        ideal,
         budget,
     )
     return _verdict(
@@ -170,10 +203,7 @@ def attack_search(
     """A directive sequence whose traces distinguish the two states, if one
     exists within the budget. Operates on `p` as given (no hardening)."""
     _, found = _diverge(
-        SpecDriver(p, cet=cet),
-        sp1,
-        lambda dirs: run_spec(p, sp2, dirs, budget.fuel, cet=cet),
-        budget,
+        SpecDriver(p, cet=cet), sp1, partial(run_spec, p, cet=cet), sp2, budget
     )
     return found
 
@@ -204,20 +234,17 @@ def check_relative_security(
     h1, h2 = _hardened_init(s1), _hardened_init(s2)
     if pipeline == "hardened-only":
         runs, found = _diverge(
-            SpecDriver(hp, cet=True),
-            h1,
-            lambda dirs: run_spec(hp, h2, dirs, budget.fuel, cet=True),
-            budget,
+            SpecDriver(hp, cet=True), h1, partial(run_spec, hp, cet=True), h2, budget
         )
         return _verdict(runs, found, "speculative traces distinguish the inputs")
     data_len = len(s1.mem)
     mc = linearize(hp, data_len)
     lay = layout(hp, data_len)
-    m2 = concretize_state(h2, lay)
     runs, found = _diverge(
         McDriver(mc, lay),
         concretize_state(h1, lay),
-        lambda dirs: run_mc(mc, lay, m2, dirs, budget.fuel),
+        partial(run_mc, mc, lay),
+        concretize_state(h2, lay),
         budget,
     )
     return _verdict(runs, found, "machine-level traces distinguish the inputs")

@@ -130,7 +130,7 @@ def _emit_run(res: RunResult) -> None:
 @click.option("--sem", type=click.Choice(["seq", "spec", "ideal", "mc"]), default="seq")
 @click.option("--dir", "directives_path", type=click.Path(exists=True), default=None,
               help="JSON directive sequence for spec/ideal/mc runs.")
-@click.option("--fuel", type=int, default=10_000, show_default=True)
+@click.option("--fuel", type=COUNT, default=10_000, show_default=True)
 @click.option("--ct/--no-ct", "ct", default=None,
               help="Override the initial ctarget-armed flag (spec, mc).")
 @click.option("--ms", is_flag=True, default=False,

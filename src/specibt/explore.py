@@ -90,15 +90,15 @@ def explore(
     emitted = 0
 
     def walk(
-        s, dirs: tuple[Directive, ...], trace: tuple[Obs, ...], fuel: int, forks: int
+        s, dirs: tuple[Directive, ...], trace: tuple[Obs, ...], steps: int, forks: int
     ) -> Iterator[tuple[tuple[Directive, ...], RunResult]]:
         nonlocal emitted
         while True:
             if emitted >= budget.max_sequences:
                 return
-            if fuel <= 0:
+            if steps >= budget.fuel:
                 emitted += 1
-                yield dirs, result(list(trace), None, s)
+                yield dirs, result(list(trace), None, s, steps)
                 return
             out = driver.step(s, None)
             if isinstance(out, OutOfDirectives):
@@ -113,11 +113,11 @@ def explore(
                                 trace + (out2.obs,) if out2.obs is not None else trace
                             )
                             yield from walk(
-                                out2.state, dirs + (d,), t2, fuel - 1, forks + 1
+                                out2.state, dirs + (d,), t2, steps + 1, forks + 1
                             )
                         else:
                             emitted += 1
-                            yield dirs + (d,), result(list(trace), out2, s)
+                            yield dirs + (d,), result(list(trace), out2, s, steps)
                     return
                 d = out.correct
                 out = driver.step(s, d)
@@ -126,10 +126,10 @@ def explore(
                 if out.obs is not None:
                     trace = trace + (out.obs,)
                 s = out.state
-                fuel -= 1
+                steps += 1
                 continue
             emitted += 1
-            yield dirs, result(list(trace), out, s)
+            yield dirs, result(list(trace), out, s, steps)
             return
 
-    yield from walk(s0, (), (), budget.fuel, 0)
+    yield from walk(s0, (), (), 0, 0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence, Union
+from typing import Any, Callable, ClassVar, NamedTuple, Optional, Sequence, Union
 
 from .ir import (
     UV,
@@ -94,11 +94,10 @@ Directive = Union[DBranch, DCallMir, DCallMc]
 # States and step outcomes
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
     """A block-level state of any of the three semantics. `ct` is the armed
     ctarget check and `ms` the misspeculation flag; `_step` decides which
-    of them a semantics reads."""
+    of them a semantics reads. A tuple, the cheapest record to build."""
 
     pc: PC
     regs: dict[str, Value]
@@ -111,11 +110,10 @@ class State:
 # Each outcome names the run status it ends a run with.
 
 
-@dataclass(frozen=True, slots=True)
-class Next:
-    state: State
+class Next(NamedTuple):
+    state: Any  # a State, a machine state or a lockstep driver's state
     obs: Optional[Obs] = None
-    status: ClassVar[str] = "next"
+    status = "next"
 
 
 @dataclass(frozen=True, slots=True)
@@ -385,18 +383,19 @@ class RunResult:
     status: str
     reason: Optional[str] = None
     state: Optional[State] = None
+    steps: int = 0  # the steps taken, each of which used one unit of fuel
 
 
-def result(trace: list[Obs], out: Optional[Outcome], s) -> RunResult:
-    """The result of a run that stopped in state `s` with the terminal
-    outcome `out` or, when `out` is None, out of fuel. An outcome that
-    carries an observation (an ideal call fault, a lockstep divergence) adds
-    it to the trace."""
+def result(trace: list[Obs], out: Optional[Outcome], s, steps: int) -> RunResult:
+    """The result of a run that stopped in state `s` after `steps` steps,
+    with the terminal outcome `out` or, when `out` is None, out of fuel. An
+    outcome that carries an observation (an ideal call fault, a lockstep
+    divergence) adds it to the trace."""
     obs = getattr(out, "obs", None)
     if obs is not None:
         trace.append(obs)
     status = "fuel" if out is None else out.status
-    return RunResult(trace, status, getattr(out, "reason", None), s)
+    return RunResult(trace, status, getattr(out, "reason", None), s, steps)
 
 
 Step = Callable[[State, Optional[Directive]], Outcome]
@@ -407,11 +406,11 @@ def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
     prediction points, where `step(s, None)` reports out-of-directives."""
     trace: list[Obs] = []
     used = 0
-    for _ in range(fuel):
+    for steps in range(fuel):
         out = step(s, None)
         if isinstance(out, OutOfDirectives):
             if used >= len(directives):
-                return result(trace, out, s)
+                return result(trace, out, s, steps)
             out = step(s, directives[used])
             used += 1
         if isinstance(out, Next):
@@ -419,8 +418,8 @@ def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
                 trace.append(out.obs)
             s = out.state
             continue
-        return result(trace, out, s)
-    return result(trace, None, s)
+        return result(trace, out, s, steps)
+    return result(trace, None, s, max(fuel, 0))
 
 
 def run_seq(p: Program, s: State, fuel: int) -> RunResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .ir import (
     UV,
@@ -96,8 +96,7 @@ class McProgram:
     compiled: dict = field(default_factory=dict, compare=False, repr=False, init=False)
 
 
-@dataclass(frozen=True)
-class McState:
+class McState(NamedTuple):
     pc: int
     regs: dict[str, int]
     mem: tuple[int, ...]

@@ -202,6 +202,8 @@ def test_non_boolean_flags_exit_1(runner, tmp_path, sem):
     ["check", "bcc", LISTING1, "{state}", "--fuel", "-1"],
     ["check", "safety", LISTING1, "{state}", "--depth", "-1"],
     ["attack", LISTING1, str(CORPUS / "listing1_pair.json"), "--runs", "0"],
+    ["run", LISTING1, "{state}", "--fuel", "-3"],
+    ["run", "--sem", "spec", LISTING1, "{state}", "--fuel", "0"],
 ])
 def test_empty_budget_is_a_usage_error(runner, tmp_path, args):
     state = _write(tmp_path / "s.json", PAIR["s1"])

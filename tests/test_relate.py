@@ -1,7 +1,6 @@
 """Cross-language relation tests."""
 
 import random
-from dataclasses import replace
 
 from specibt.gen import GenConfig, gen_state, spec_of
 from specibt.interp import DBranch, DCallMc, OBranch, OCall, OLoad, State
@@ -49,7 +48,7 @@ def test_state_rel_on_concretized_states(listing1):
     s = spec_of(gen_state(rng, GenConfig(mem_len=8)), ct=True)
     m = concretize_state(s, lay)
     assert state_rel(s, m, lay)
-    assert not state_rel(s, replace(m, ms=not m.ms), lay)
+    assert not state_rel(s, m._replace(ms=not m.ms), lay)
 
 
 def test_state_rel_compares_every_register(listing1):
@@ -59,7 +58,7 @@ def test_state_rel_compares_every_register(listing1):
     m = concretize_state(s, lay)
     regs = dict(m.regs)
     regs["msf"] = 99
-    m2 = replace(m, regs=regs)
+    m2 = m._replace(regs=regs)
     assert not state_rel(s, m2, lay)
 
 
