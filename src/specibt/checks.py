@@ -4,6 +4,25 @@ correctness of linearization, all bounded by an exploration budget.
 
 Verdicts are three-valued. A counterexample carries the directive
 sequence and both traces so it can be replayed.
+
+The relational checks walk two runs down one directive tree (`_diverge`). A
+driver steps side 1; side 2 follows in legs of `run`, each resumed where the
+last stopped out of directives. At each fork the walk keys the pair on side
+1's state and steps, the forks taken, side 2's state and steps (its status
+alone once it has ended), and the observations one side has made past the
+other's, with the side that made them. A subtree walked in full, with no
+divergence and within the cap, is stored under its key with its sequence
+count; when the key comes up again the count is added instead of the walk,
+unless that would cross the cap. This is sound because the key fixes the
+subtree. Steps are deterministic, so side 1's state, fuel left and forks
+left fix its directive sequences, observations and ends; side 2 follows the
+same directives, so its state and fuel fix its own, and once it has ended
+only its status bears on a comparison. The traces agree up to the key's
+observations, so a sequence's verdict depends on the key alone, and a stored
+subtree has the same count and verdict wherever its key comes up. A subtree
+that diverged is never stored (the walk stops at its first divergence, the
+first in depth-first order), nor one the cap cut short (its count is not its
+own): `runs` still counts the sequences covered.
 """
 
 from __future__ import annotations
@@ -21,6 +40,7 @@ from .interp import (
     RunResult,
     State,
     Stuck,
+    result,
     run_ideal,
     run_seq,
     run_spec,
@@ -87,49 +107,78 @@ def _first(
     return runs, None
 
 
-def _replay(run: Callable, s0, fuel: int, forks: int) -> Callable:
-    """`dirs -> run(s0, dirs, fuel)`, resumed at the deepest prediction point
-    `dirs` shares with the previous call's. A run carries nothing across a
-    prediction point but its trace, directives used and fuel, so it is a
-    chain of legs: one with no directive, then each from where the last
-    stopped out of directives, with the next directive and the fuel left.
-    Sequences of one exploration differ only in their first `forks`
-    directives, so the leg of the last of them takes the rest as well. Legs
-    are kept as (directives, result, trace so far, steps so far)."""
-    r = run(s0, (), fuel)
-    legs = [((), r, r.trace, r.steps)]
-
-    def replay(dirs: Sequence[Directive]) -> RunResult:
-        dirs, k, i = tuple(dirs), 1, 0
-        while k < len(legs) and legs[k][0] == dirs[i : i + len(legs[k][0])]:
-            i, k = i + len(legs[k][0]), k + 1
-        del legs[k:]
-        _, r, trace, steps = legs[-1]
-        while r.status == "out-of-directives" and i < len(dirs):
-            ds = dirs[i : i + 1] if i < forks - 1 else dirs[i:]
-            r = run(r.state, ds, fuel - steps)
-            trace, steps = trace + r.trace, steps + r.steps
-            legs.append((ds, r, trace, steps))
-            i += len(ds)
-        return RunResult(list(trace), r.status, r.reason, r.state, steps)
-
-    return replay
-
-
 def _diverge(
     driver: Driver, s0, run: Callable, r0, budget: ExploreBudget
 ) -> tuple[int, Optional[Divergence]]:
-    """Explore `driver` from `s0` and replay every directive sequence from
-    `r0` with `run(state, directives, fuel)`. Returns the number of
-    sequences run, and the first one whose two traces do not match, with
-    both results, if there is one."""
-    replay = _replay(run, r0, budget.fuel, budget.depth)
+    """The paired walk above: the number of sequences covered, and the first
+    one whose two traces do not match, with both results, if there is one."""
+    step, depth, cap, fuel = driver.step, budget.depth, budget.max_sequences, budget.fuel
+    clean: dict = {}  # key of a fork node -> sequences of its clean subtree
+    runs = 0
 
-    def mismatch(dirs, r1: RunResult) -> Optional[Divergence]:
-        r2 = replay(dirs)
+    def frozen(s):  # a state with its registers as a frozen set of items
+        return s._replace(regs=frozenset(s.regs.items()))
+
+    def leg(r2: RunResult, t2: tuple, n2: int, ds: tuple) -> tuple:
+        """Side 2 (last leg, trace, steps) after following `ds` as well."""
+        if not ds or r2.status != "out-of-directives":
+            return r2, t2, n2
+        r = run(r2.state, ds, fuel - n2)
+        return r, t2 + tuple(r.trace), n2 + r.steps
+
+    def end(dirs: tuple, r1: RunResult, side2: tuple) -> Optional[Divergence]:
+        nonlocal runs
+        runs += 1
+        r, t2, n2 = side2
+        r2 = RunResult(list(t2), r.status, r.reason, r.state, n2)
         return None if _traces_match(r1, r2) else (list(dirs), r1, r2)
 
-    return _first(driver, s0, budget, mismatch)
+    def walk(s, dirs, t1, n1, forks, side2) -> Optional[Divergence]:
+        """The subtree below side 1 at `s` and side 2 at `side2`."""
+        nonlocal runs
+        if runs >= cap:
+            return None
+        tail: tuple = ()
+        while True:
+            out = None if n1 >= fuel else step(s, None)
+            if isinstance(out, OutOfDirectives):
+                if forks < depth:
+                    break
+                tail += (out.correct,)
+                out = step(s, out.correct)
+            if not isinstance(out, Next):
+                return end(dirs + tail, result(list(t1), out, s, n1), leg(*side2, tail))
+            if out.obs is not None:
+                t1 += (out.obs,)
+            s, n1 = out.state, n1 + 1
+        r2, t2, n2 = side2
+        n, key = min(len(t1), len(t2)), None
+        if t1[:n] == t2[:n]:
+            ended = r2.status != "out-of-directives"
+            key = (frozen(s), n1, forks, r2.status if ended else (frozen(r2.state), n2),
+                   len(t1) > n, t1[n:] + t2[n:])
+            if key in clean and runs + clean[key] <= cap:
+                runs += clean[key]
+                return None
+        before = runs
+        for d in driver.choices(out):
+            if runs >= cap:
+                return None
+            out2, side = step(s, d), leg(*side2, (d,))
+            if isinstance(out2, Next):
+                t = t1 if out2.obs is None else t1 + (out2.obs,)
+                found = walk(out2.state, dirs + (d,), t, n1 + 1, forks + 1, side)
+            else:
+                found = end(dirs + (d,), result(list(t1), out2, s, n1), side)
+            if found is not None:
+                return found
+        if key is not None and runs < cap:
+            clean[key] = runs - before
+        return None
+
+    r = run(r0, (), fuel)
+    found = walk(s0, (), (), 0, 0, (r, tuple(r.trace), r.steps))
+    return runs, found
 
 
 def _verdict(runs: int, found: Optional[Divergence], reason: str) -> Verdict:

@@ -50,6 +50,10 @@ class Driver:
     step: Callable[[Any, Optional[Directive]], Outcome]
     calls: tuple[Directive, ...]
 
+    def choices(self, out: OutOfDirectives) -> tuple[Directive, ...]:
+        """The directives a fork at prediction point `out` tries, in order."""
+        return _BRANCHES if isinstance(out.correct, DBranch) else self.calls
+
 
 _BRANCHES = (DBranch(True), DBranch(False))
 
@@ -103,15 +107,12 @@ def explore(
             out = driver.step(s, None)
             if isinstance(out, OutOfDirectives):
                 if forks < budget.depth:
-                    branch = isinstance(out.correct, DBranch)
-                    for d in _BRANCHES if branch else driver.calls:
+                    for d in driver.choices(out):
                         if emitted >= budget.max_sequences:
                             return
                         out2 = driver.step(s, d)
                         if isinstance(out2, Next):
-                            t2 = (
-                                trace + (out2.obs,) if out2.obs is not None else trace
-                            )
+                            t2 = trace if out2.obs is None else trace + (out2.obs,)
                             yield from walk(
                                 out2.state, dirs + (d,), t2, steps + 1, forks + 1
                             )
