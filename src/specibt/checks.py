@@ -5,31 +5,17 @@ correctness of linearization, all bounded by an exploration budget.
 Verdicts are three-valued. A counterexample carries the directive
 sequence and both traces so it can be replayed.
 
-The relational checks walk two runs down one directive tree (`_diverge`). A
-driver steps side 1; side 2 follows in legs of `run`, each resumed where the
-last stopped out of directives. At each fork the walk keys the pair on side
-1's state and steps, the forks taken, side 2's state and steps (its status
-alone once it has ended), and the observations one side has made past the
-other's, with the side that made them. A subtree walked in full, with no
-divergence and within the cap, is stored under its key with its sequence
-count; when the key comes up again the count is added instead of the walk,
-unless that would cross the cap. This is sound because the key fixes the
-subtree. Steps are deterministic, so side 1's state, fuel left and forks
-left fix its directive sequences, observations and ends; side 2 follows the
-same directives, so its state and fuel fix its own, and once it has ended
-only its status bears on a comparison. The traces agree up to the key's
-observations, so a sequence's verdict depends on the key alone, and a stored
-subtree has the same count and verdict wherever its key comes up. A subtree
-that diverged is never stored (the walk stops at its first divergence, the
-first in depth-first order), nor one the cap cut short (its count is not its
-own): `runs` still counts the sequences covered.
+The relational checks walk two runs down one directive tree, `explore.walk`,
+which counts a subtree that came out clean once per key instead of walking
+it again; they compare the two traces of each sequence (`_diverge`). The
+other checks take every sequence `explore` yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ir import FP, Program
 from .interp import (
@@ -40,13 +26,12 @@ from .interp import (
     RunResult,
     State,
     Stuck,
-    result,
     run_ideal,
     run_seq,
     run_spec,
     step_spec,
 )
-from .explore import Driver, ExploreBudget, McDriver, SpecDriver, explore
+from .explore import Driver, ExploreBudget, McDriver, SpecDriver, explore, walk
 from .gen import spec_of
 from .hardening import FULL, PassConfig, ReservedRegs, harden
 from .machine import (
@@ -92,93 +77,18 @@ def _traces_match(r1: RunResult, r2: RunResult) -> bool:
 Divergence = tuple[list[Directive], RunResult, RunResult]
 
 
-def _first(
-    driver: Driver, s0, budget: ExploreBudget, flag: Callable[..., Any]
-) -> tuple[int, Any]:
-    """Explore `driver` from `s0` until `flag`, called with each directive
-    sequence and its result, returns something other than None. Returns the
-    number of sequences run and that return value, or None."""
-    runs = 0
-    for dirs, res in explore(driver, s0, budget):
-        runs += 1
-        found = flag(dirs, res)
-        if found is not None:
-            return runs, found
-    return runs, None
-
-
 def _diverge(
     driver: Driver, s0, run: Callable, r0, budget: ExploreBudget
 ) -> tuple[int, Optional[Divergence]]:
-    """The paired walk above: the number of sequences covered, and the first
-    one whose two traces do not match, with both results, if there is one."""
-    step, depth, cap, fuel = driver.step, budget.depth, budget.max_sequences, budget.fuel
-    clean: dict = {}  # key of a fork node -> sequences of its clean subtree
+    """The paired walk of `driver` from `s0` and `run` from `r0`: the number
+    of sequences covered, and the first one whose two traces do not match,
+    with both results, if there is one."""
     runs = 0
-
-    def frozen(s):  # a state with its registers as a frozen set of items
-        return s._replace(regs=frozenset(s.regs.items()))
-
-    def leg(r2: RunResult, t2: tuple, n2: int, ds: tuple) -> tuple:
-        """Side 2 (last leg, trace, steps) after following `ds` as well."""
-        if not ds or r2.status != "out-of-directives":
-            return r2, t2, n2
-        r = run(r2.state, ds, fuel - n2)
-        return r, t2 + tuple(r.trace), n2 + r.steps
-
-    def end(dirs: tuple, r1: RunResult, side2: tuple) -> Optional[Divergence]:
-        nonlocal runs
-        runs += 1
-        r, t2, n2 = side2
-        r2 = RunResult(list(t2), r.status, r.reason, r.state, n2)
-        return None if _traces_match(r1, r2) else (list(dirs), r1, r2)
-
-    def walk(s, dirs, t1, n1, forks, side2) -> Optional[Divergence]:
-        """The subtree below side 1 at `s` and side 2 at `side2`."""
-        nonlocal runs
-        if runs >= cap:
-            return None
-        tail: tuple = ()
-        while True:
-            out = None if n1 >= fuel else step(s, None)
-            if isinstance(out, OutOfDirectives):
-                if forks < depth:
-                    break
-                tail += (out.correct,)
-                out = step(s, out.correct)
-            if not isinstance(out, Next):
-                return end(dirs + tail, result(list(t1), out, s, n1), leg(*side2, tail))
-            if out.obs is not None:
-                t1 += (out.obs,)
-            s, n1 = out.state, n1 + 1
-        r2, t2, n2 = side2
-        n, key = min(len(t1), len(t2)), None
-        if t1[:n] == t2[:n]:
-            ended = r2.status != "out-of-directives"
-            key = (frozen(s), n1, forks, r2.status if ended else (frozen(r2.state), n2),
-                   len(t1) > n, t1[n:] + t2[n:])
-            if key in clean and runs + clean[key] <= cap:
-                runs += clean[key]
-                return None
-        before = runs
-        for d in driver.choices(out):
-            if runs >= cap:
-                return None
-            out2, side = step(s, d), leg(*side2, (d,))
-            if isinstance(out2, Next):
-                t = t1 if out2.obs is None else t1 + (out2.obs,)
-                found = walk(out2.state, dirs + (d,), t, n1 + 1, forks + 1, side)
-            else:
-                found = end(dirs + (d,), result(list(t1), out2, s, n1), side)
-            if found is not None:
-                return found
-        if key is not None and runs < cap:
-            clean[key] = runs - before
-        return None
-
-    r = run(r0, (), fuel)
-    found = walk(s0, (), (), 0, 0, (r, tuple(r.trace), r.steps))
-    return runs, found
+    for n, dirs, r1, r2 in walk(driver, s0, budget, (r0, run)):
+        runs += n
+        if r1 is not None and not _traces_match(r1, r2):
+            return runs, (list(dirs), r1, r2)
+    return runs, None
 
 
 def _verdict(runs: int, found: Optional[Divergence], reason: str) -> Verdict:
@@ -232,14 +142,13 @@ def check_safety_preservation(
     if seq.status == "stuck":
         return Verdict("inconclusive", reason="sequential run is not safe")
     hp = harden(p, cfg=cfg)
-    runs, stuck = _first(
-        SpecDriver(hp, cet=True),
-        _hardened_init(s0),
-        budget,
-        lambda dirs, res: (list(dirs), res, res) if res.status == "stuck" else None,
-    )
-    reason = f"hardened speculative run is stuck: {stuck[1].reason}" if stuck else ""
-    return _verdict(runs, stuck, reason)
+    runs = 0
+    for dirs, res in explore(SpecDriver(hp, cet=True), _hardened_init(s0), budget):
+        runs += 1
+        if res.status == "stuck":
+            reason = f"hardened speculative run is stuck: {res.reason}"
+            return _verdict(runs, (list(dirs), res, res), reason)
+    return Verdict("pass", runs=runs)
 
 
 def attack_search(
@@ -357,12 +266,13 @@ def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
     return Driver(step, McDriver(mc, lay).calls)
 
 
-def _parted(dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:
+def _parted(runs: int, dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:
     """The verdict of a lockstep run that ended with `_Parted`, if it did,
-    with the directives consumed and each level's trace up to that step."""
+    after `runs` sequences, with the directives consumed and each level's
+    trace up to that step."""
     if res.status not in ("counterexample", "inconclusive"):
         return None
-    v = Verdict(res.status, reason=res.reason, directives=list(dirs))
+    v = Verdict(res.status, runs, res.reason, list(dirs))
     if res.status == "counterexample":
         v.trace1 = [o for o, _ in res.trace if o is not None]
         v.trace2 = [o for _, o in res.trace if o is not None]
@@ -381,8 +291,10 @@ def _lockstep(
     the first directive sequence on which the two levels disagree, else a
     pass. A machine directive with no block-level counterpart (a call into
     the data section) is inconclusive."""
-    runs, v = _first(_lockstep_driver(p, mc, lay), (s0, m0, 0), budget, _parted)
-    if v is None:
-        return Verdict("pass", runs=runs)
-    v.runs = runs
-    return v
+    runs = 0
+    for dirs, res in explore(_lockstep_driver(p, mc, lay), (s0, m0, 0), budget):
+        runs += 1
+        v = _parted(runs, dirs, res)
+        if v is not None:
+            return v
+    return Verdict("pass", runs=runs)

@@ -9,6 +9,10 @@ so runs still finish. Call candidates are every block head plus one
 mid-block offset per multi-instruction block: correct calls, wrong-function
 calls and mid-function injection are all covered without exponential
 blowup.
+
+`walk` is the one walk of this tree, and every check takes it: `explore`
+yields each sequence it reaches, and the relational checks walk a second
+run down the same directives beside it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .interp import (
     DCallMir,
     Directive,
     Next,
-    Obs,
     Outcome,
     OutOfDirectives,
     RunResult,
@@ -91,46 +94,115 @@ def explore(
 ) -> Iterator[tuple[tuple[Directive, ...], RunResult]]:
     """All bounded runs from `s0`, as (directive sequence, result) pairs, in
     deterministic depth-first order. Stops after max_sequences results."""
-    emitted = 0
+    for _, dirs, res, _ in walk(driver, s0, budget):
+        yield dirs, res
 
-    def walk(
-        s, dirs: tuple[Directive, ...], trace: tuple[Obs, ...], steps: int, forks: int
-    ) -> Iterator[tuple[tuple[Directive, ...], RunResult]]:
-        nonlocal emitted
-        while True:
-            if emitted >= budget.max_sequences:
-                return
-            if steps >= budget.fuel:
-                emitted += 1
-                yield dirs, result(list(trace), None, s, steps)
-                return
-            out = driver.step(s, None)
+
+# (sequences covered, directives, result, side 2's result)
+Walked = tuple[int, Optional[tuple], Optional[RunResult], Optional[RunResult]]
+
+
+def walk(
+    driver: Driver, s0, budget: ExploreBudget, pair: Optional[tuple[Any, Callable]] = None
+) -> Iterator[Walked]:
+    """The directive tree from `s0`, depth first, with an explicit stack: one
+    item per sequence, until max_sequences are covered.
+
+    With `pair`, (side 2's start state, its `run(state, directives, fuel)`),
+    side 2 follows the same directives, in a leg at each fork node and at
+    each end of side 1, resumed where the last leg ran out of directives.
+    Each fork node is keyed on side 1's state and steps, the forks taken,
+    side 2's state and steps (its status alone once it has ended), and the
+    observations one side has made past the other's, with the side that made
+    them. A subtree walked in full within the cap, with the traces agreeing
+    above it, is stored under its key with its sequence count; when the key
+    comes up again, the subtree is covered by one item (count, None, None,
+    None) instead, unless that would cross the cap.
+
+    This is sound for a consumer that decides each sequence by both results'
+    statuses and traces alone, and stops at the first one it rejects, so a
+    subtree it did not finish is never stored. Steps are deterministic, so
+    side 1's state, fuel left and forks left fix its directive sequences,
+    observations and ends; side 2 follows the same directives, so its state
+    and fuel fix its own, and once it has ended only its status bears on a
+    comparison. The traces agree up to the key's observations, so every
+    verdict below a fork node, and their count, depend on its key alone.
+    """
+    step, choices = driver.step, driver.choices
+    depth, cap, fuel = budget.depth, budget.max_sequences, budget.fuel
+    s2, run = pair or (None, None)
+    # side 2's last leg, as if out of directives at its start state
+    r2 = RunResult([], "out-of-directives", None, s2)
+    n2 = 0  # the steps of all side 2's legs
+    t1: list = []  # side 1's observations
+    t2: list = []  # side 2's observations
+    path: list = []  # the directive taken at each open fork node
+    stack: list = []  # the open fork nodes
+    clean: dict = {}  # key of a fork node -> sequences of its clean subtree
+    runs = mark = 0  # side 2 has followed path[:mark]
+    s, n1, going = s0, 0, True
+    while runs < cap:
+        # from `s`, below len(stack) forks, to the next fork node or the end
+        tail: list = []
+        while going:
+            out = None if n1 >= fuel else step(s, None)
             if isinstance(out, OutOfDirectives):
-                if forks < budget.depth:
-                    for d in driver.choices(out):
-                        if emitted >= budget.max_sequences:
-                            return
-                        out2 = driver.step(s, d)
-                        if isinstance(out2, Next):
-                            t2 = trace if out2.obs is None else trace + (out2.obs,)
-                            yield from walk(
-                                out2.state, dirs + (d,), t2, steps + 1, forks + 1
-                            )
-                        else:
-                            emitted += 1
-                            yield dirs + (d,), result(list(trace), out2, s, steps)
-                    return
-                d = out.correct
-                out = driver.step(s, d)
-                dirs = dirs + (d,)
-            if isinstance(out, Next):
-                if out.obs is not None:
-                    trace = trace + (out.obs,)
-                s = out.state
-                steps += 1
+                if len(stack) < depth:
+                    break
+                tail.append(out.correct)
+                out = step(s, out.correct)
+            if not isinstance(out, Next):
+                break
+            if out.obs is not None:
+                t1.append(out.obs)
+            s, n1 = out.state, n1 + 1
+        if run and r2.status == "out-of-directives":
+            r2 = run(r2.state, path[mark:] + tail, fuel - n2)
+            t2 += r2.trace
+            n2 += r2.steps
+        if going and isinstance(out, OutOfDirectives) and len(stack) < depth:
+            key = None
+            m = min(len(t1), len(t2))
+            if run and t1[:m] == t2[:m]:
+                ended = r2.status != "out-of-directives"
+                key = (_frozen(s), n1, len(stack),
+                       r2.status if ended else (_frozen(r2.state), n2),
+                       len(t1) > m, tuple(t1[m:] + t2[m:]))
+            count = clean.get(key)
+            if count is not None and runs + count <= cap:
+                runs += count
+                yield count, None, None, None
+            else:
+                stack.append((s, n1, len(t1), r2, n2, len(t2), iter(choices(out)),
+                              key, runs))
+        else:
+            runs += 1
+            r = RunResult(list(t2), r2.status, r2.reason, r2.state, n2) if run else None
+            yield 1, (*path, *tail), result(list(t1), out, s, n1), r
+        # the next directive at the innermost open fork node
+        while stack and runs < cap:
+            s, n1, l1, r2, n2, l2, left, key, before = stack[-1]
+            mark = len(stack) - 1
+            del path[mark:], t1[l1:], t2[l2:]
+            d = next(left, None)
+            if d is None:
+                stack.pop()
+                if key is not None:
+                    clean[key] = runs - before
                 continue
-            emitted += 1
-            yield dirs, result(list(trace), out, s, steps)
+            path.append(d)
+            out = step(s, d)
+            going = isinstance(out, Next)
+            if going:
+                if out.obs is not None:
+                    t1.append(out.obs)
+                s, n1 = out.state, n1 + 1
+            break
+        else:
             return
 
-    yield from walk(s0, (), (), 0, 0)
+
+def _frozen(s):
+    """A block-level or machine state, hashable: its registers as a frozen
+    set of items."""
+    return s._replace(regs=frozenset(s.regs.items()))

@@ -191,6 +191,36 @@ def test_attack_hardened_finds_nothing(runner, tmp_path):
     assert "no distinguishing directives" in res.output
 
 
+DEEP = ["--depth", "5000", "--fuel", "30000", "--runs", "5"]
+
+
+@pytest.fixture()
+def deep_loop(tmp_path):
+    """A loop whose branch is a fork at every iteration, with `x = 1` in
+    every state: under `DEEP`, the first sequence takes the branch at 5,000
+    forks, far more than Python's default recursion limit of 1,000."""
+    prog, pair, state = tmp_path / "loop.mir", tmp_path / "pair.json", tmp_path / "s.json"
+    prog.write_text("entry a:\n  jump b\nblock b:\n  branch x b\n  ret\n")
+    s = {"regs": {"x": 1}, "mem": [0]}
+    pair.write_text(json.dumps({"s1": s, "s2": s}))
+    state.write_text(json.dumps(s))
+    return str(prog), str(pair), str(state)
+
+
+@pytest.mark.parametrize("prop", ["rs", "bcc", "safety", "linearize"])
+def test_check_forks_deeper_than_the_recursion_limit(runner, deep_loop, prop):
+    prog, pair, state = deep_loop
+    res = runner.invoke(main, ["check", prop, prog, pair if prop == "rs" else state, *DEEP])
+    assert (res.exit_code, res.output) == (0, '{"status": "pass", "runs": 5}\n')
+
+
+def test_attack_forks_deeper_than_the_recursion_limit(runner, deep_loop):
+    prog, pair, _ = deep_loop
+    res = runner.invoke(main, ["attack", "--target", "pht", prog, pair, *DEEP])
+    assert res.exit_code == 1
+    assert "no distinguishing directives within budget" in res.output
+
+
 def test_fuzz_bcc_small(runner):
     res = runner.invoke(
         main,

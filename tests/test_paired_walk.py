@@ -1,13 +1,15 @@
 """The paired walk of the relational checks, against an oracle, and the steps
 a run reports.
 
-`checks._diverge` steps side 1 with the driver, runs side 2 in legs resumed
-at prediction points, and counts a subtree that came out clean, instead of
-walking it, when its key comes up again. Its result must equal the oracle's
-in every field: `explore`, a run from scratch of every sequence on side 2,
-and `_traces_match`, stopping at the first sequence whose traces differ. The
+`checks._diverge` takes `explore.walk` with a second side: the walk steps
+side 1 with the driver, runs side 2 in legs resumed at prediction points,
+and counts a subtree that came out clean, instead of walking it, when its
+key comes up again. Its result must equal the oracle's in every field:
+`explore`, a run from scratch of every sequence on side 2, and
+`_traces_match`, stopping at the first sequence whose traces differ. The
 same holds under a sequence cap that falls inside a counted subtree, when
-the fuel runs out within a leg, and against the weakened passes.
+the fuel runs out within a leg, against the weakened passes, and on a walk
+more forks deep than Python's recursion limit.
 """
 
 import json
@@ -44,6 +46,8 @@ LISTING1 = parse_program((ROOT / "corpus" / "listing1.mir").read_text())
 PAIR = decode_pair(json.loads((ROOT / "corpus" / "listing1_pair.json").read_text()))
 # bench/gen_corpus programs that fork at depth 6, from 12 to 120 sequences
 GEN = ("p00", "p08", "p24", "p31", "p32")
+FUELS = (3, 7, 25, 1000)
+LOOP_FORKS = parse_program("entry a:\n  jump b\nblock b:\n  branch x b\n  ret\n")
 
 
 def _oracle(driver, s0, run, r0, budget):
@@ -64,11 +68,19 @@ def _capped(oracle, cap):
 
 
 def _inputs():
-    yield "listing1", LISTING1, PAIR
+    """(name, program, state pair, depth, sequence cap, fuels) of each
+    input."""
+    yield "listing1", LISTING1, PAIR, 6, 10**9, FUELS
     for name in GEN:
         p = parse_program((ROOT / "bench" / "gen_corpus" / f"{name}.mir").read_text())
         rng = random.Random(name)
-        yield name, p, (gen_state(rng), gen_state(rng))
+        yield name, p, (gen_state(rng), gen_state(rng)), 6, 10**9, FUELS
+    # A branch that is a fork at every iteration: with x = 1, each of the
+    # first sequences forks about 1,200 times, beyond Python's recursion
+    # limit. The oracle replays every sequence from scratch, so the cap keeps
+    # it to seconds.
+    s = State(PC(0, 0), {"x": 1}, (0,))
+    yield "loop", LOOP_FORKS, (s, s), 1200, 20, (4000,)
 
 
 def _semantics(p, s1, s2):
@@ -84,20 +96,20 @@ def _semantics(p, s1, s2):
            concretize_state(h2, lay), partial(run_mc, mc, lay))
 
 
-CASES = [(name, sem) for name, _, _ in _inputs() for sem in ("spec", "ideal", "mc")]
+CASES = [(name, sem, fuel) for name, *_, fuels in _inputs()
+         for sem in ("spec", "ideal", "mc") for fuel in fuels]
 
 
-@pytest.mark.parametrize("fuel", [3, 7, 25, 1000])
-@pytest.mark.parametrize("name,sem", CASES)
+@pytest.mark.parametrize("name,sem,fuel", CASES)
 def test_paired_walk_equals_the_oracle(name, sem, fuel):
-    p, (s1, s2) = next((p, pair) for n, p, pair in _inputs() if n == name)
+    p, (s1, s2), depth, most = next(x[1:5] for x in _inputs() if x[0] == name)
     _, driver, r1, r2, run = next(x for x in _semantics(p, s1, s2) if x[0] == sem)
     # against the other state, and against itself: a walk with no
     # divergence, in which every repeated key is counted
     for other in (r2, r1):
-        oracle = _oracle(driver, r1, run, other, ExploreBudget(6, 10**9, fuel))
-        for cap in (*range(1, oracle[0] + 2, max(1, oracle[0] // 6)), 10**9):
-            budget = ExploreBudget(6, cap, fuel)
+        oracle = _oracle(driver, r1, run, other, ExploreBudget(depth, most, fuel))
+        for cap in (*range(1, min(oracle[0] + 2, most), max(1, oracle[0] // 6)), most):
+            budget = ExploreBudget(depth, cap, fuel)
             assert _diverge(driver, r1, run, other, budget) == _capped(oracle, cap)
 
 
