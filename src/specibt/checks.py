@@ -34,16 +34,7 @@ from .interp import (
 from .explore import Driver, ExploreBudget, McDriver, SpecDriver, explore, walk
 from .gen import spec_of
 from .hardening import FULL, PassConfig, ReservedRegs, harden
-from .machine import (
-    LayoutMap,
-    McProgram,
-    McState,
-    concretize_state,
-    layout,
-    linearize,
-    run_mc,
-    step_mc,
-)
+from .machine import McProgram, concretize_state, linearize, run_mc, step_mc
 from .relate import (
     map_directive_mc_to_mir,
     map_obs_mir_to_mc,
@@ -195,14 +186,12 @@ def check_relative_security(
             SpecDriver(hp, cet=True), h1, partial(run_spec, hp, cet=True), h2, budget
         )
         return _verdict(runs, found, "speculative traces distinguish the inputs")
-    data_len = len(s1.mem)
-    mc = linearize(hp, data_len)
-    lay = layout(hp, data_len)
+    mc = linearize(hp, len(s1.mem))
     runs, found = _diverge(
-        McDriver(mc, lay),
-        concretize_state(h1, lay),
-        partial(run_mc, mc, lay),
-        concretize_state(h2, lay),
+        McDriver(mc),
+        concretize_state(h1, mc.lay),
+        partial(run_mc, mc),
+        concretize_state(h2, mc.lay),
         budget,
     )
     return _verdict(runs, found, "machine-level traces distinguish the inputs")
@@ -214,8 +203,7 @@ def check_bcc_linearize(p: Program, s0: State, budget: ExploreBudget) -> Verdict
     directives. `p` runs as given; it need not be hardened. The data
     section is as long as `s0`'s memory."""
     mc = linearize(p, len(s0.mem))
-    lay = layout(p, len(s0.mem))
-    return _lockstep(p, s0, mc, lay, concretize_state(s0, lay), budget)
+    return _lockstep(p, s0, mc, concretize_state(s0, mc.lay), budget)
 
 
 @dataclass(frozen=True)
@@ -229,7 +217,7 @@ class _Parted:
     obs: Optional[tuple[Optional[Obs], Optional[Obs]]] = None
 
 
-def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
+def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
     """`p` under the speculative semantics and its linearization `mc` in
     lockstep, under machine directives mapped to the source level. A state
     is (source state, machine state, steps taken); an observation is the
@@ -238,13 +226,14 @@ def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
     `_Parted`; the state relation is checked after every fifth step. At a
     prediction point the machine's `OutOfDirectives` is returned, so the
     correct directive is the machine's."""
+    lay = mc.lay
 
     def step(s, d: Optional[Directive]):
         sp, sc, i = s
         d_mir = None if d is None else map_directive_mc_to_mir(d, lay)
         if d is not None and d_mir is None:
             return _Parted("inconclusive", "machine directive has no source counterpart")
-        out_mc = step_mc(mc, lay, sc, d)
+        out_mc = step_mc(mc, sc, d)
         out_mir = step_spec(p, sp, d_mir, cet=True)
         if isinstance(out_mir, Stuck):
             return _Parted("inconclusive", "source speculative run is stuck")
@@ -263,7 +252,7 @@ def _lockstep_driver(p: Program, mc: McProgram, lay: LayoutMap) -> Driver:
             return _Parted("counterexample", "state relation broken", obs)
         return Next((out_mir.state, out_mc.state, i + 1), obs)
 
-    return Driver(step, McDriver(mc, lay).calls)
+    return Driver(step, McDriver(mc).calls)
 
 
 def _parted(runs: int, dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:
@@ -280,19 +269,14 @@ def _parted(runs: int, dirs: Sequence[Directive], res: RunResult) -> Optional[Ve
 
 
 def _lockstep(
-    p: Program,
-    s0: State,
-    mc: McProgram,
-    lay: LayoutMap,
-    m0: McState,
-    budget: ExploreBudget,
+    p: Program, s0: State, mc: McProgram, m0: State, budget: ExploreBudget
 ) -> Verdict:
     """Explore `p` from `s0` and `mc` from `m0` in lockstep; the verdict of
     the first directive sequence on which the two levels disagree, else a
     pass. A machine directive with no block-level counterpart (a call into
     the data section) is inconclusive."""
     runs = 0
-    for dirs, res in explore(_lockstep_driver(p, mc, lay), (s0, m0, 0), budget):
+    for dirs, res in explore(_lockstep_driver(p, mc), (s0, m0, 0), budget):
         runs += 1
         v = _parted(runs, dirs, res)
         if v is not None:

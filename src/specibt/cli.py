@@ -48,9 +48,7 @@ from .hardening import (
 )
 from .ir import CTarget, FP, used_registers, wf_program
 from .interp import RunResult, State, run_ideal, run_seq, run_spec, wf_directives_mir
-from .machine import (
-    LayoutError, concretize_state, layout, linearize, run_mc, wf_directives_mc
-)
+from .machine import LayoutError, concretize_state, linearize, run_mc, wf_directives_mc
 from .textio import (
     DocError,
     ParseError,
@@ -167,14 +165,13 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
         _emit_run(run_spec(p, s, directives, fuel, cet=not no_cet))
         return
     try:
-        lay = layout(p, len(s.mem))
-        m = concretize_state(s, lay)
+        mc = linearize(p, len(s.mem))
+        m = concretize_state(s, mc.lay)
     except ValueError as exc:
         raise click.ClickException(f"{state}: {exc}") from exc
-    mc = linearize(p, len(s.mem))
-    if not wf_directives_mc(directives, lay, mc):
+    if not wf_directives_mc(directives, mc):
         raise click.ClickException(misfit)
-    _emit_run(run_mc(mc, lay, m, directives, fuel))
+    _emit_run(run_mc(mc, m, directives, fuel))
 
 
 @main.command("harden")
@@ -209,13 +206,12 @@ def cmd_linearize(program, data_len, output, layout_out):
     """Flatten PROGRAM to machine code and emit the layout sidecar."""
     p = _load(program, parse_program)
     try:
-        lay = layout(p, data_len)
+        mc = linearize(p, data_len)
     except ValueError as exc:
         click.echo(f"side condition violated: {exc}", err=True)
         sys.exit(EXIT_SIDE_CONDITION)
-    mc = linearize(p, data_len)
     text = print_mc_program(mc)
-    sidecar = json.dumps(encode_layout(lay))
+    sidecar = json.dumps(encode_layout(mc.lay))
     if output:
         pathlib.Path(output).write_text(text)
     else:
@@ -298,7 +294,7 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
     """Search for a directive sequence distinguishing the two states in
     PAIR. Target pht attacks the program as given; btb attacks its
     masking-only hardened variant on hardware without indirect-branch
-    tracking."""
+    tracking, and exits 5 if the pass rejects the program."""
     p = _load(program, parse_program)
     s1, s2 = _load(pair, decode_pair)
     budget = ExploreBudget(depth, runs, fuel)
@@ -308,8 +304,11 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
     if target in ("btb", "auto"):
         try:
             candidates.append(("btb", harden(p, cfg=MASK_ONLY)))
-        except HardenError:
-            pass  # already-instrumented input: attack it as given only
+        except HardenError as exc:
+            if target == "btb":
+                click.echo(f"side condition violated: {exc}", err=True)
+                sys.exit(EXIT_SIDE_CONDITION)
+            # auto: attack the program as given only
     r = ReservedRegs()
     for name, q in candidates:
         has_ibt = any(isinstance(i, CTarget) for b in q.blocks for i in b.insts)

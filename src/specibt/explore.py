@@ -34,7 +34,7 @@ from .interp import (
     step_ideal,
     step_spec,
 )
-from .machine import LayoutMap, McProgram, step_mc
+from .machine import McProgram, step_mc
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,11 @@ def IdealDriver(p: Program) -> Driver:
     return Driver(lambda s, d: step_ideal(p, s, d), _mir_calls(p))
 
 
-def McDriver(mc: McProgram, lay: LayoutMap) -> Driver:
+def McDriver(mc: McProgram) -> Driver:
     """Speculative flat-machine execution."""
+    lay = mc.lay
     calls = tuple(DCallMc(lay.addr(l) + o) for l, o in _call_pcs(lay.sizes))
-    return Driver(lambda s, d: step_mc(mc, lay, s, d), calls)
+    return Driver(lambda s, d: step_mc(mc, s, d), calls)
 
 
 def explore(
@@ -203,6 +204,6 @@ def walk(
 
 
 def _frozen(s):
-    """A block-level or machine state, hashable: its registers as a frozen
+    """A block-level or machine `State`, hashable: its registers as a frozen
     set of items."""
     return s._replace(regs=frozenset(s.regs.items()))

@@ -95,14 +95,16 @@ Directive = Union[DBranch, DCallMir, DCallMc]
 
 
 class State(NamedTuple):
-    """A block-level state of any of the three semantics. `ct` is the armed
-    ctarget check and `ms` the misspeculation flag; `_step` decides which
-    of them a semantics reads. A tuple, the cheapest record to build."""
+    """A state of any of the three block-level semantics, or of the machine
+    semantics, where the pc and the return stack hold code addresses and
+    values are naturals. `ct` is the armed ctarget check and `ms` the
+    misspeculation flag; `_step` decides which of them a block-level
+    semantics reads. A tuple, the cheapest record to build."""
 
-    pc: PC
+    pc: Union[PC, int]
     regs: dict[str, Value]
     mem: tuple[Value, ...]
-    stk: tuple[PC, ...] = ()
+    stk: tuple[Union[PC, int], ...] = ()
     ct: bool = False
     ms: bool = False
 
@@ -111,7 +113,7 @@ class State(NamedTuple):
 
 
 class Next(NamedTuple):
-    state: Any  # a State, a machine state or a lockstep driver's state
+    state: Any  # a State or a lockstep driver's state
     obs: Optional[Obs] = None
     status = "next"
 

@@ -3,14 +3,16 @@ and the speculative machine interpreter.
 
 The machine image is a data section of `data_len` cells followed by the
 flattened code. Labels in jumps, branches and function-pointer constants
-become absolute addresses; machine values are plain naturals.
+become absolute addresses, so machine code carries the layout that fixed
+them; machine values are plain naturals. A machine state is an
+`interp.State` whose pc and return stack are code addresses.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ir import (
     UV,
@@ -91,18 +93,14 @@ class LayoutMap:
 
 @dataclass(frozen=True)
 class McProgram:
+    """Machine code with the layout `linearize` laid it out by: the code
+    starts at address `lay.data_len`, after the data section."""
+
     code: tuple[Inst, ...]
-    # Rules compiled from the instructions, per data section size (`step_mc`)
+    lay: LayoutMap
+    # Rules compiled from the instructions, by address, and the prediction
+    # points of calls under "calls" (`step_mc`)
     compiled: dict = field(default_factory=dict, compare=False, repr=False, init=False)
-
-
-class McState(NamedTuple):
-    pc: int
-    regs: dict[str, int]
-    mem: tuple[int, ...]
-    stk: tuple[int, ...] = ()
-    ct: bool = False
-    ms: bool = False
 
 
 def layout(p: Program, data_len: int) -> LayoutMap:
@@ -155,7 +153,7 @@ def linearize(p: Program, data_len: int) -> McProgram:
                 code.append(Call(_subst_expr(i.target, lay)))
             else:
                 code.append(i)
-    return McProgram(tuple(code))
+    return McProgram(tuple(code), lay)
 
 
 # --------------------------------------------------------------------------
@@ -185,21 +183,22 @@ def _compile_mc_expr(e: Expr) -> Callable[[dict[str, int]], int]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compile_mc(mc: McProgram, data_len: int, pc: int) -> Rule:
+def _compile_mc(mc: McProgram, pc: int) -> Rule:
     """The rule of the instruction at address `pc`: that of the speculative
     block-structured semantics with cet on, over absolute addresses. Its
     entry point, `step_mc`, has checked the pc and the armed ctarget check,
     so `ct` is clear, or the instruction is the ctarget clearing it."""
+    data_len = mc.lay.data_len
     inst, nxt, end = mc.code[pc - data_len], pc + 1, data_len + len(mc.code)
     if isinstance(inst, (Skip, Jump, CTarget)):
         to = inst.target if isinstance(inst, Jump) else nxt
         def rule(s, d):
-            return Next(McState(to, s.regs, s.mem, s.stk, False, s.ms))
+            return Next(State(to, s.regs, s.mem, s.stk, False, s.ms))
     elif isinstance(inst, Asgn):
         reg, expr = inst.reg, _compile_mc_expr(inst.expr)
         def rule(s, d):
             regs = with_reg(s.regs, reg, expr(s.regs))
-            return Next(McState(nxt, regs, s.mem, s.stk, False, s.ms))
+            return Next(State(nxt, regs, s.mem, s.stk, False, s.ms))
     elif isinstance(inst, Branch):
         cond, target = _compile_mc_expr(inst.cond), inst.target
         def rule(s, d):
@@ -209,7 +208,7 @@ def _compile_mc(mc: McProgram, data_len: int, pc: int) -> Rule:
             if not isinstance(d, DBranch):
                 return DirectiveMismatch("branch instruction needs a branch directive")
             pc2, ms = target if d.taken else nxt, s.ms or b != d.taken
-            return Next(McState(pc2, s.regs, s.mem, s.stk, False, ms), OBRANCH[b])
+            return Next(State(pc2, s.regs, s.mem, s.stk, False, ms), OBRANCH[b])
     elif isinstance(inst, Load):
         reg, addr = inst.reg, _compile_mc_expr(inst.addr)
         def rule(s, d):
@@ -217,7 +216,7 @@ def _compile_mc(mc: McProgram, data_len: int, pc: int) -> Rule:
             if not a < data_len:
                 return Stuck(f"load address {a} outside data section")
             regs = with_reg(s.regs, reg, s.mem[a])
-            return Next(McState(nxt, regs, s.mem, s.stk, False, s.ms), OLoad(a))
+            return Next(State(nxt, regs, s.mem, s.stk, False, s.ms), OLoad(a))
     elif isinstance(inst, Store):
         addr, value = _compile_mc_expr(inst.addr), _compile_mc_expr(inst.value)
         def rule(s, d):
@@ -225,11 +224,11 @@ def _compile_mc(mc: McProgram, data_len: int, pc: int) -> Rule:
             if not a < data_len:
                 return Stuck(f"store address {a} outside data section")
             mem = s.mem[:a] + (value(s.regs),) + s.mem[a + 1 :]
-            return Next(McState(nxt, s.regs, mem, s.stk, False, s.ms), OStore(a))
+            return Next(State(nxt, s.regs, mem, s.stk, False, s.ms), OStore(a))
     elif isinstance(inst, Call):
-        target, key = _compile_mc_expr(inst.target), ("calls", data_len)
+        target = _compile_mc_expr(inst.target)
         # the prediction point of a call to each code address, built once
-        points = mc.compiled.get(key) or mc.compiled.setdefault(key, tuple(
+        points = mc.compiled.get("calls") or mc.compiled.setdefault("calls", tuple(
             OutOfDirectives(DCallMc(a)) for a in range(data_len, end)))
         def rule(s, d):
             t = target(s.regs)
@@ -240,54 +239,41 @@ def _compile_mc(mc: McProgram, data_len: int, pc: int) -> Rule:
             if not isinstance(d, DCallMc):
                 return DirectiveMismatch("call instruction needs a call directive")
             stk, ms = (nxt,) + s.stk, s.ms or d.addr != t
-            return Next(McState(d.addr, s.regs, s.mem, stk, True, ms), OCall(t))
+            return Next(State(d.addr, s.regs, s.mem, stk, True, ms), OCall(t))
     elif isinstance(inst, Ret):
         def rule(s, d):
             if not s.stk:
                 return TERM
-            return Next(McState(s.stk[0], s.regs, s.mem, s.stk[1:], False, s.ms))
+            return Next(State(s.stk[0], s.regs, s.mem, s.stk[1:], False, s.ms))
     else:
         raise TypeError(f"not an instruction: {inst!r}")
     return rule
 
 
-def step_mc(
-    mc: McProgram, lay: LayoutMap, s: McState, d: Optional[Directive] = None
-) -> Outcome:
+def step_mc(mc: McProgram, s: State, d: Optional[Directive] = None) -> Outcome:
     """One speculative machine step: the rule of the instruction at the pc,
     compiled the first time a run reaches it and kept on the program."""
-    base = lay.data_len
-    code = mc.compiled.get(base)
-    if code is None:
-        code = mc.compiled[base] = [None] * len(mc.code)
-    i = s.pc - base
-    if not 0 <= i < len(code):
-        return Stuck("pc outside code section")
-    if s.ct and not isinstance(mc.code[i], CTarget):
-        return Fault()
-    rule = code[i]
+    rule = mc.compiled.get(s.pc)
     if rule is None:
-        rule = code[i] = _compile_mc(mc, base, s.pc)
+        if not 0 <= s.pc - mc.lay.data_len < len(mc.code):
+            return Stuck("pc outside code section")
+        rule = mc.compiled[s.pc] = _compile_mc(mc, s.pc)
+    if s.ct and not isinstance(mc.code[s.pc - mc.lay.data_len], CTarget):
+        return Fault()
     return rule(s, d)
 
 
 def run_mc(
-    mc: McProgram,
-    lay: LayoutMap,
-    s: McState,
-    directives: Sequence[Directive],
-    fuel: int,
+    mc: McProgram, s: State, directives: Sequence[Directive], fuel: int
 ) -> RunResult:
-    return run(lambda s, d: step_mc(mc, lay, s, d), s, directives, fuel)
+    return run(lambda s, d: step_mc(mc, s, d), s, directives, fuel)
 
 
-def wf_directives_mc(
-    directives: Sequence[Directive], lay: LayoutMap, mc: McProgram
-) -> bool:
+def wf_directives_mc(directives: Sequence[Directive], mc: McProgram) -> bool:
     """Machine call directives must land in the code section; no
     block-structured call directives appear."""
-    lo = lay.data_len
-    hi = lay.data_len + len(mc.code)
+    lo = mc.lay.data_len
+    hi = lo + len(mc.code)
     for d in directives:
         if isinstance(d, DCallMir):
             return False
@@ -309,8 +295,9 @@ def concretize_value(v: Value, lay: LayoutMap) -> int:
     return v
 
 
-def concretize_state(s: State, lay: LayoutMap) -> McState:
-    return McState(
+def concretize_state(s: State, lay: LayoutMap) -> State:
+    """The machine state `s` refines to under `lay`."""
+    return State(
         pc=lay.addr(s.pc.label) + s.pc.offset,
         regs={k: concretize_value(v, lay) for k, v in s.regs.items()},
         mem=tuple(concretize_value(v, lay) for v in s.mem),

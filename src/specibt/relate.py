@@ -18,7 +18,7 @@ from .interp import (
     OCall,
     State,
 )
-from .machine import LayoutMap, McState
+from .machine import LayoutMap
 
 
 def trace_cmp(o1: Sequence[Obs], o2: Sequence[Obs]) -> bool:
@@ -42,9 +42,10 @@ def pc_rel(pc: PC, a: int, lay: LayoutMap) -> bool:
     return lay.addr(pc.label) + pc.offset == a
 
 
-def state_rel(s_mir: State, s_mc: McState, lay: LayoutMap) -> bool:
-    """Pointwise value relation over pc, registers, memory and return stack,
-    plus equality of the ct/ms flags."""
+def state_rel(s_mir: State, s_mc: State, lay: LayoutMap) -> bool:
+    """Pointwise value relation between a block-level state and a machine
+    state over pc, registers, memory and return stack, plus equality of the
+    ct/ms flags."""
     if s_mir.ct != s_mc.ct or s_mir.ms != s_mc.ms:
         return False
     if not pc_rel(s_mir.pc, s_mc.pc, lay):

@@ -35,7 +35,7 @@ from specibt.interp import (
     run_spec,
 )
 from specibt.ir import PC
-from specibt.machine import concretize_state, layout, linearize
+from specibt.machine import concretize_state, linearize
 from specibt.textio import parse_program
 
 BUDGET = ExploreBudget(depth=3, max_sequences=500, fuel=300)
@@ -181,8 +181,9 @@ def test_lockstep_unmappable_directive_is_inconclusive():
     # the only prediction point is a call; address 0 is in the data section
     p = parse_program("entry b0:\n  call &b1\n  ret\nentry b1:\n  ret\n")
     sp = spec_of(State(PC(0, 0), {}, (0,) * 4))
-    mc, lay = linearize(p, 4), layout(p, 4)
-    drv = _lockstep_driver(p, mc, lay)
+    mc = linearize(p, 4)
+    lay = mc.lay
+    drv = _lockstep_driver(p, mc)
     s = (sp, concretize_state(sp, lay), 0)
     assert isinstance(drv.step(s, None), OutOfDirectives)
     out = drv.step(s, DCallMc(0))

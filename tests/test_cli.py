@@ -177,6 +177,24 @@ def test_attack_btb(runner):
     assert json.loads(res.output)["target"] == "btb"
 
 
+@pytest.mark.parametrize("text", [
+    GOLDEN.read_text(),  # already instrumented: ctarget in a source program
+    "entry a:\n  msf <- 1\n  ret\n",  # writes a reserved register
+], ids=["instrumented", "reserved-register"])
+def test_attack_btb_on_a_program_the_pass_rejects_exits_5(runner, tmp_path, text):
+    program = tmp_path / "p.mir"
+    program.write_text(text)
+    program = str(program)
+    res = runner.invoke(main, ["attack", "--target", "btb", program, PAIR])
+    assert res.exit_code == 5
+    assert res.stdout == ""
+    assert res.stderr.startswith("side condition violated: ")
+    # auto attacks the program as given instead, and searches its budget
+    res = runner.invoke(main, ["attack", "--target", "auto", program, PAIR])
+    assert res.exit_code == 1
+    assert "no distinguishing directives" in res.stderr
+
+
 def test_attack_hardened_finds_nothing(runner, tmp_path):
     hardened = tmp_path / "h.mir"
     runner.invoke(main, ["harden", LISTING1, "-o", str(hardened)])

@@ -16,7 +16,7 @@ from specibt.gen import spec_of
 from specibt.hardening import harden
 from specibt.interp import State
 from specibt.ir import FP
-from specibt.machine import concretize_state, layout, linearize
+from specibt.machine import concretize_state, linearize
 from specibt.textio import encode_directives, encode_trace
 
 PINNED = pathlib.Path(__file__).parent / "data" / "listing1_explore_d4.json"
@@ -29,12 +29,11 @@ def explorations(listing1, s1):
     initial state, and the source program under the ideal semantics."""
     hp = harden(listing1)
     hs = State(s1.pc, {**s1.regs, "msf": 0, "callee": FP(0)}, s1.mem, s1.stk, ct=True)
-    lay = layout(hp, len(s1.mem))
+    mc = linearize(hp, len(s1.mem))
     runs = {
         "spec": explore(SpecDriver(hp, cet=True), hs, BUDGET),
         "ideal": explore(IdealDriver(listing1), spec_of(s1), BUDGET),
-        "mc": explore(McDriver(linearize(hp, len(s1.mem)), lay),
-                      concretize_state(hs, lay), BUDGET),
+        "mc": explore(McDriver(mc), concretize_state(hs, mc.lay), BUDGET),
     }
     return {
         name: [[encode_directives(d), r.status, encode_trace(r.trace)] for d, r in rs]

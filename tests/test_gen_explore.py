@@ -32,7 +32,7 @@ from specibt.interp import (
     run_spec,
 )
 from specibt.ir import FP, PC, wf_program
-from specibt.machine import concretize_state, layout, linearize
+from specibt.machine import concretize_state, linearize
 from specibt.textio import encode_directives, encode_trace, parse_program
 
 
@@ -148,10 +148,9 @@ def test_ideal_and_mc_drivers_run(listing1, listing1_pair):
     runs = list(explore(IdealDriver(listing1), spec_of(s1), ExploreBudget(depth=2)))
     assert runs
     assert {r.status for _, r in runs} <= {"term", "fault", "fuel"}
-    lay = layout(listing1, 8)
     mc = linearize(listing1, 8)
-    m = concretize_state(spec_of(s1), lay)
-    runs = list(explore(McDriver(mc, lay), m, ExploreBudget(depth=2)))
+    m = concretize_state(spec_of(s1), mc.lay)
+    runs = list(explore(McDriver(mc), m, ExploreBudget(depth=2)))
     assert runs
     # the unhardened program has no ctarget landing pads, so every call
     # faults at the machine level
@@ -183,13 +182,13 @@ def _explorations(seed: int, programs: int):
     for p, s in _safe_programs(seed, programs):
         hp = harden(p)
         hs = State(s.pc, {**s.regs, "msf": 0, "callee": FP(0)}, s.mem, s.stk, ct=True)
-        lay = layout(hp, len(s.mem))
+        mc = linearize(hp, len(s.mem))
         out += [
             ("spec-hardened", SpecDriver(hp, cet=True), hs),
             ("spec-source", SpecDriver(p, cet=False), spec_of(s)),
             ("ideal", IdealDriver(p), spec_of(s)),
             ("ideal-ms", IdealDriver(p), spec_of(s, ms=True)),
-            ("mc", McDriver(linearize(hp, len(s.mem)), lay), concretize_state(hs, lay)),
+            ("mc", McDriver(mc), concretize_state(hs, mc.lay)),
         ]
     return out
 

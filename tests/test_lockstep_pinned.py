@@ -26,7 +26,7 @@ from specibt.gen import GenConfig, gen_program, gen_safe_input, spec_of
 from specibt.hardening import harden
 from specibt.interp import State, run_spec
 from specibt.ir import FP, Asgn, BinOp, Branch, Const, CTarget, Load, Skip, Store
-from specibt.machine import McProgram, concretize_state, layout, linearize, run_mc
+from specibt.machine import McProgram, concretize_state, linearize, run_mc
 from specibt.relate import map_directive_mc_to_mir, map_obs_mir_to_mc
 from specibt.textio import (
     decode_directives,
@@ -68,12 +68,13 @@ def broken(mutant: str):
     kind, rewrite = MUTANTS[name]
 
     def lin(p, data_len):
-        code = list(linearize(p, data_len).code)
+        mc = linearize(p, data_len)
+        code = list(mc.code)
         hits = [k for k, i in enumerate(code) if isinstance(i, kind)]
         if hits:
             k = hits[0 if where == "first" else -1]
             code[k] = rewrite(code[k])
-        return McProgram(tuple(code))
+        return McProgram(tuple(code), mc.lay)
 
     return lin
 
@@ -99,9 +100,8 @@ def programs():
 
 
 def _sequences(p, s0) -> int:
-    lay = layout(p, len(s0.mem))
-    drv = McDriver(linearize(p, len(s0.mem)), lay)
-    return sum(1 for _ in explore(drv, concretize_state(s0, lay), BUDGET))
+    mc = linearize(p, len(s0.mem))
+    return sum(1 for _ in explore(McDriver(mc), concretize_state(s0, mc.lay), BUDGET))
 
 
 CASES = [(name, mutant) for name in
@@ -162,8 +162,8 @@ def test_broken_linearizer_verdict_is_pinned(cases, pinned, monkeypatch, name, m
     # Replaying the consumed directives reaches the same divergence.
     dirs = decode_directives(got["directives"])
     mc = broken(mutant)(p, len(s0.mem))
-    lay = layout(p, len(s0.mem))
-    r_mc = run_mc(mc, lay, concretize_state(s0, lay), dirs, BUDGET.fuel)
+    lay = mc.lay
+    r_mc = run_mc(mc, concretize_state(s0, lay), dirs, BUDGET.fuel)
     r_mir = run_spec(p, s0, [map_directive_mc_to_mir(d, lay) for d in dirs], BUDGET.fuel)
     if got["status"] == "counterexample":
         t1 = encode_trace([map_obs_mir_to_mc(o, lay) for o in r_mir.trace])

@@ -13,6 +13,7 @@ from specibt.interp import (
     Next,
     OCall,
     OLoad,
+    State,
     Stuck,
 )
 from specibt.ir import (
@@ -31,7 +32,6 @@ from specibt.ir import (
     UV,
 )
 from specibt.machine import (
-    McState,
     concretize_state,
     McProgram,
     concretize_value,
@@ -84,8 +84,8 @@ def test_eval_mc_is_plain_natural_arithmetic():
     from specibt.ir import Asgn, BinOp, Reg
 
     def eval_mc(e, regs):
-        mc = McProgram((Asgn("out", e), RET))
-        return step_mc(mc, layout(TINY, 2), McState(2, regs, (0, 0))).state.regs["out"]
+        mc = linearize(Program((Block((Asgn("out", e), RET), is_entry=True),)), 2)
+        return step_mc(mc, State(2, regs, (0, 0))).state.regs["out"]
 
     assert eval_mc(Const(3), {}) == 3
     assert eval_mc(Const(0), {"x": 9}) == 0
@@ -97,61 +97,74 @@ def test_eval_mc_is_plain_natural_arithmetic():
 
 
 def test_step_mc_call_and_fault():
-    lay = layout(TINY, 2)
     mc = linearize(TINY, 2)
-    s = McState(2, {}, (0, 0))
-    out = step_mc(mc, lay, s, DCallMc(4))
+    s = State(2, {}, (0, 0))
+    out = step_mc(mc, s, DCallMc(4))
     assert isinstance(out, Next)
     assert out.state.pc == 4 and out.state.ct and not out.state.ms
     assert out.state.stk == (3,)
     assert out.obs == OCall(4)
     # injected mid-block target: misprediction recorded, then Fault at the
     # non-ctarget fetch
-    out = step_mc(mc, lay, s, DCallMc(5))
+    out = step_mc(mc, s, DCallMc(5))
     assert out.state.ms
-    out2 = step_mc(mc, lay, out.state)
+    out2 = step_mc(mc, out.state)
     assert isinstance(out2, Fault)
 
 
 def test_step_mc_stuck_conditions():
-    lay = layout(TINY, 2)
     mc = linearize(TINY, 2)
-    assert isinstance(step_mc(mc, lay, McState(0, {}, (0, 0))), Stuck)
-    assert isinstance(step_mc(mc, lay, McState(9, {}, (0, 0))), Stuck)
+    assert isinstance(step_mc(mc, State(0, {}, (0, 0))), Stuck)
+    assert isinstance(step_mc(mc, State(9, {}, (0, 0))), Stuck)
     # call target resolving outside the code section
     p = Program((Block((Call(Const(1)), RET), is_entry=True),))
-    lay2 = layout(p, 2)
     mc2 = linearize(p, 2)
-    out = step_mc(mc2, lay2, McState(2, {}, (0, 0)), DCallMc(2))
+    out = step_mc(mc2, State(2, {}, (0, 0)), DCallMc(2))
     assert isinstance(out, Stuck)
     # data access out of range
     p = Program((Block((Load("x", Const(7)), RET), is_entry=True),))
-    out = step_mc(linearize(p, 2), layout(p, 2), McState(2, {}, (0, 0)))
+    out = step_mc(linearize(p, 2), State(2, {}, (0, 0)))
     assert isinstance(out, Stuck)
 
 
 def test_mc_load_reads_data_section():
     p = Program((Block((Load("x", Const(1)), RET), is_entry=True),))
-    lay = layout(p, 2)
-    out = step_mc(linearize(p, 2), lay, McState(2, {}, (4, 9)))
+    out = step_mc(linearize(p, 2), State(2, {}, (4, 9)))
     assert out.state.regs["x"] == 9 and out.obs == OLoad(1)
 
 
 def test_run_mc_full_program():
-    lay = layout(TINY, 2)
     mc = linearize(TINY, 2)
-    r = run_mc(mc, lay, McState(2, {}, (0, 0)), [DCallMc(4)], 100)
+    r = run_mc(mc, State(2, {}, (0, 0)), [DCallMc(4)], 100)
     assert r.status == "term"
     assert r.trace == [OCall(4)]
 
 
 def test_wf_directives_mc():
-    lay = layout(TINY, 2)
     mc = linearize(TINY, 2)
-    assert wf_directives_mc([DBranch(True), DCallMc(4)], lay, mc)
-    assert not wf_directives_mc([DCallMc(1)], lay, mc)
-    assert not wf_directives_mc([DCallMc(6)], lay, mc)
-    assert not wf_directives_mc([DCallMir(PC(0, 0))], lay, mc)
+    assert wf_directives_mc([DBranch(True), DCallMc(4)], mc)
+    assert not wf_directives_mc([DCallMc(1)], mc)
+    assert not wf_directives_mc([DCallMc(6)], mc)
+    assert not wf_directives_mc([DCallMir(PC(0, 0))], mc)
+
+
+def test_linearized_code_carries_its_layout():
+    assert linearize(TINY, 2).lay == layout(TINY, 2)
+    assert linearize(TINY, 3).lay == layout(TINY, 3)
+
+
+def test_rules_are_compiled_once_and_kept_on_the_program():
+    mc = linearize(TINY, 2)
+    s = State(2, {}, (0, 0))
+    step_mc(mc, s, DCallMc(4))
+    rule = mc.compiled[2]
+    assert 3 not in mc.compiled and 4 not in mc.compiled  # not reached yet
+    step_mc(mc, s, DCallMc(4))
+    assert mc.compiled[2] is rule
+    # the compiled rules are no part of the program's value
+    fresh = McProgram(mc.code, mc.lay)
+    assert mc == fresh and hash(mc) == hash(fresh)
+    assert repr(mc) == repr(fresh)
 
 
 def test_concretize_values():

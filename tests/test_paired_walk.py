@@ -38,7 +38,7 @@ from specibt.interp import (
     run_spec,
 )
 from specibt.ir import PC
-from specibt.machine import concretize_state, layout, linearize, run_mc
+from specibt.machine import concretize_state, linearize, run_mc
 from specibt.textio import decode_pair, parse_program
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -90,10 +90,9 @@ def _semantics(p, s1, s2):
     h1, h2 = _hardened_init(s1), _hardened_init(s2)
     yield "spec", SpecDriver(hp, cet=True), h1, h2, partial(run_spec, hp, cet=True)
     yield "ideal", IdealDriver(p), spec_of(s1), spec_of(s2), partial(run_ideal, p)
-    lay = layout(hp, len(s1.mem))
     mc = linearize(hp, len(s1.mem))
-    yield ("mc", McDriver(mc, lay), concretize_state(h1, lay),
-           concretize_state(h2, lay), partial(run_mc, mc, lay))
+    yield ("mc", McDriver(mc), concretize_state(h1, mc.lay),
+           concretize_state(h2, mc.lay), partial(run_mc, mc))
 
 
 CASES = [(name, sem, fuel) for name, *_, fuels in _inputs()
@@ -122,10 +121,9 @@ def test_weakened_passes_give_the_first_counterexample(cfg, runs, pipeline):
     if pipeline == "hardened-only":
         args = (SpecDriver(hp, cet=True), h1, partial(run_spec, hp, cet=True), h2)
     else:
-        lay = layout(hp, len(s1.mem))
         mc = linearize(hp, len(s1.mem))
-        args = (McDriver(mc, lay), concretize_state(h1, lay), partial(run_mc, mc, lay),
-                concretize_state(h2, lay))
+        args = (McDriver(mc), concretize_state(h1, mc.lay), partial(run_mc, mc),
+                concretize_state(h2, mc.lay))
     budget = ExploreBudget(12, 10**9, 1000)
     found = _diverge(*args, budget)
     assert found == _oracle(*args, budget)

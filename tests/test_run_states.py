@@ -45,7 +45,7 @@ from specibt.ir import (
     SKIP,
     Store,
 )
-from specibt.machine import McState, concretize_state, layout, linearize, run_mc
+from specibt.machine import concretize_state, linearize, run_mc
 from specibt.textio import encode_directives, encode_state, encode_trace
 
 from test_gen_explore import _explorations, _safe_programs
@@ -54,7 +54,7 @@ PINNED = pathlib.Path(__file__).parent / "data" / "run_states.json"
 
 
 def _state_doc(s):
-    if isinstance(s, McState):
+    if isinstance(s.pc, int):  # a machine state
         return {"pc": s.pc, "regs": sorted(s.regs.items()), "mem": list(s.mem),
                 "stk": list(s.stk), "ct": s.ct, "ms": s.ms}
     return encode_state(s)
@@ -128,10 +128,10 @@ MC_DATA = Program((Block((
 
 
 def _mc_run(p, s, dirs, **regs):
-    lay = layout(p, len(s.mem))
-    m = concretize_state(s, lay)
-    m = McState(m.pc, {**m.regs, **regs}, m.mem, m.stk, m.ct, m.ms)
-    return run_mc(linearize(p, len(s.mem)), lay, m, dirs, 50)
+    mc = linearize(p, len(s.mem))
+    m = concretize_state(s, mc.lay)
+    m = State(m.pc, {**m.regs, **regs}, m.mem, m.stk, m.ct, m.ms)
+    return run_mc(mc, m, dirs, 50)
 
 
 def edge_runs():
@@ -167,8 +167,7 @@ def edge_runs():
         ("mc-call-mismatch", _mc_run(MC_DATA, _st({"a": 1, "b": 0}), [DBranch(True)], c=2)),
         ("mc-call-fault", _mc_run(MC_DATA, _st({"a": 1, "b": 0}), [DCallMc(3)], c=2)),
         ("mc-out-of-directives", _mc_run(MC_DATA, _st({"a": 1, "b": 0}), [], c=2)),
-        ("mc-pc-in-data", run_mc(linearize(MC_DATA, 2), layout(MC_DATA, 2),
-                                 McState(0, {}, (3, 4)), [], 50)),
+        ("mc-pc-in-data", run_mc(linearize(MC_DATA, 2), State(0, {}, (3, 4)), [], 50)),
     ]
 
 
