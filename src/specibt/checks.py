@@ -13,11 +13,10 @@ other checks take every sequence `explore` yields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .ir import FP, Program
+from .ir import FP, Program, Record
 from .interp import (
     Directive,
     Next,
@@ -43,8 +42,7 @@ from .relate import (
 )
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     status: str  # "pass" | "counterexample" | "inconclusive"
     runs: int = 0
     reason: Optional[str] = None
@@ -93,9 +91,7 @@ def _hardened_init(s: State) -> State:
     """The theorems' initial target state: misspeculation flag clear, callee
     register pointing at the entry, ctarget check armed."""
     r = ReservedRegs()
-    regs = dict(s.regs)
-    regs[r.msf] = 0
-    regs[r.callee] = FP(0)
+    regs = {**s.regs, r.msf: 0, r.callee: FP(0)}
     return State(s.pc, regs, s.mem, s.stk, ct=True, ms=False)
 
 
@@ -206,8 +202,7 @@ def check_bcc_linearize(p: Program, s0: State, budget: ExploreBudget) -> Verdict
     return _lockstep(p, s0, mc, concretize_state(s0, mc.lay), budget)
 
 
-@dataclass(frozen=True)
-class _Parted:
+class _Parted(Record):
     """The outcome of a lockstep step on which the two levels disagree. It
     ends the run with a verdict of `status`; `obs` is the step's pair of
     observations, if it made one."""
@@ -263,8 +258,8 @@ def _parted(runs: int, dirs: Sequence[Directive], res: RunResult) -> Optional[Ve
         return None
     v = Verdict(res.status, runs, res.reason, list(dirs))
     if res.status == "counterexample":
-        v.trace1 = [o for o, _ in res.trace if o is not None]
-        v.trace2 = [o for _, o in res.trace if o is not None]
+        v = v._replace(trace1=[o for o, _ in res.trace if o is not None],
+                       trace2=[o for _, o in res.trace if o is not None])
     return v
 
 

@@ -8,12 +8,11 @@ conditions.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import random
 import sys
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 import click
 
@@ -113,6 +112,11 @@ def _load(path: str, decode: Callable, *args) -> Any:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
+def _violated(exc: Exception) -> NoReturn:
+    click.echo(f"side condition violated: {exc}", err=True)
+    sys.exit(EXIT_SIDE_CONDITION)
+
+
 def _emit_run(res: RunResult) -> None:
     outcome = res.status if res.reason is None else f"{res.status}:{res.reason}"
     click.echo(json.dumps({"trace": encode_trace(res.trace), "outcome": outcome}))
@@ -166,6 +170,9 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
         return
     try:
         mc = linearize(p, len(s.mem))
+    except ValueError as exc:
+        _violated(exc)
+    try:
         m = concretize_state(s, mc.lay)
     except ValueError as exc:
         raise click.ClickException(f"{state}: {exc}") from exc
@@ -187,8 +194,7 @@ def cmd_harden(program, output, msf_reg, callee_reg, variant):
     try:
         hp = harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant])
     except HardenError as exc:
-        click.echo(f"side condition violated: {exc}", err=True)
-        sys.exit(EXIT_SIDE_CONDITION)
+        _violated(exc)
     text = print_program(hp)
     if output:
         pathlib.Path(output).write_text(text)
@@ -208,8 +214,7 @@ def cmd_linearize(program, data_len, output, layout_out):
     try:
         mc = linearize(p, data_len)
     except ValueError as exc:
-        click.echo(f"side condition violated: {exc}", err=True)
-        sys.exit(EXIT_SIDE_CONDITION)
+        _violated(exc)
     text = print_mc_program(mc)
     sidecar = json.dumps(encode_layout(mc.lay))
     if output:
@@ -222,17 +227,14 @@ def cmd_linearize(program, data_len, output, layout_out):
         click.echo(sidecar, err=True)
 
 
+_ENCODE = {"directives": encode_directives, "trace1": encode_trace, "trace2": encode_trace}
+
+
 def _verdict_doc(v: Verdict) -> dict[str, Any]:
-    doc: dict[str, Any] = {"status": v.status, "runs": v.runs}
-    if v.reason is not None:
-        doc["reason"] = v.reason
-    if v.directives is not None:
-        doc["directives"] = encode_directives(v.directives)
-    if v.trace1 is not None:
-        doc["trace1"] = encode_trace(v.trace1)
-    if v.trace2 is not None:
-        doc["trace2"] = encode_trace(v.trace2)
-    return doc
+    """The fields of `v` that are set, in order, with directives and traces
+    encoded."""
+    return {k: _ENCODE[k](x) if k in _ENCODE else x
+            for k, x in zip(v._fields, v) if x is not None}
 
 
 def _finish_verdict(v: Verdict) -> None:
@@ -274,8 +276,7 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     except LayoutError as exc:
         raise click.ClickException(f"{state}: {exc}") from exc
     except (HardenError, ValueError) as exc:
-        click.echo(f"side condition violated: {exc}", err=True)
-        sys.exit(EXIT_SIDE_CONDITION)
+        _violated(exc)
     _finish_verdict(v)
 
 
@@ -306,8 +307,7 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
             candidates.append(("btb", harden(p, cfg=MASK_ONLY)))
         except HardenError as exc:
             if target == "btb":
-                click.echo(f"side condition violated: {exc}", err=True)
-                sys.exit(EXIT_SIDE_CONDITION)
+                _violated(exc)
             # auto: attack the program as given only
     r = ReservedRegs()
     for name, q in candidates:
@@ -349,12 +349,8 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
         if not programs:
             raise click.ClickException(f"no source programs in {corpus}")
         # sample register values for the registers each program actually uses
-        cfgs = [
-            dataclasses.replace(
-                cfg, reg_pool=tuple(sorted(used_registers(p))) or cfg.reg_pool
-            )
-            for p in programs
-        ]
+        cfgs = [cfg._replace(reg_pool=tuple(sorted(used_registers(p))) or cfg.reg_pool)
+                for p in programs]
         # the all-UV check's verdict depends on the program only
         hopeless = [no_input_terminates(p, c, fuel) for p, c in zip(programs, cfgs)]
         count = 0
@@ -410,8 +406,7 @@ def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
     for case in cases:
         v = one(*case, budget)
         if v.status == "counterexample":
-            v.runs = total + v.runs
-            _finish_verdict(v)
+            _finish_verdict(v._replace(runs=total + v.runs))
             return
         total += v.runs
         passed = passed or v.ok

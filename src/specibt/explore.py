@@ -17,10 +17,9 @@ run down the same directives beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .ir import PC, Program
+from .ir import PC, Program, Record
 from .interp import (
     DBranch,
     DCallMc,
@@ -37,15 +36,13 @@ from .interp import (
 from .machine import McProgram, step_mc
 
 
-@dataclass(frozen=True)
-class ExploreBudget:
+class ExploreBudget(Record):
     depth: int = 3
     max_sequences: int = 200
     fuel: int = 1000
 
 
-@dataclass(frozen=True)
-class Driver:
+class Driver(Record):
     """Execution of a program under one semantics, as exploration needs
     it: `step` takes a step with an optional directive, and `calls` are the
     directives the attacker may pick at a call."""

@@ -6,7 +6,6 @@ checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .ir import (
@@ -24,6 +23,7 @@ from .ir import (
     Load,
     PC,
     Program,
+    Record,
     Reg,
     RET,
     SKIP,
@@ -34,8 +34,7 @@ from .ir import (
 from .interp import Next, State, Term, run_seq, step_seq
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
     min_blocks: int = 2
     max_blocks: int = 5
     min_insts: int = 1
@@ -123,7 +122,7 @@ def gen_program(rng: random.Random, cfg: GenConfig = GenConfig()) -> Program:
             body.append(Jump(rng.choice(non_entries)))
         else:
             body.append(RET)
-        blocks.append(Block(tuple(body), is_entry=flags[l]))
+        blocks.append(Block(tuple(body), flags[l]))
     p = Program(tuple(blocks))
     errors = wf_program(p, mode="source")
     if errors:
@@ -280,8 +279,7 @@ def gen_safe_input(
     return None
 
 
-@dataclass(frozen=True)
-class EquivPair:
+class EquivPair(Record):
     program: Program
     s1: State
     s2: State

@@ -10,8 +10,6 @@ sensitivity tests) share one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ir import (
     Asgn,
     BinOp,
@@ -26,6 +24,7 @@ from .ir import (
     Jump,
     Load,
     Program,
+    Record,
     Reg,
     Store,
     used_registers,
@@ -33,14 +32,12 @@ from .ir import (
 )
 
 
-@dataclass(frozen=True)
-class ReservedRegs:
+class ReservedRegs(Record):
     msf: str = "msf"
     callee: str = "callee"
 
 
-@dataclass(frozen=True)
-class PassConfig:
+class PassConfig(Record):
     edge_split: bool = True  # taken-edge flag update via a fresh block
     insert_ctarget: bool = True  # mark entry blocks as valid call targets
     entry_check: bool = True  # compare callee register in entry preludes
@@ -99,7 +96,7 @@ def harden(
                 if cfg.edge_split:
                     taken = Asgn(r.msf, Cond(BinOp("=", cond, Const(0)), Const(1), msf))
                     body.append(Branch(cond, len(p.blocks) + len(added)))
-                    added.append(Block((taken, Jump(i.target)), is_entry=False))
+                    added.append(Block((taken, Jump(i.target)), False))
                 else:
                     body.append(Branch(cond, i.target))
                 body.append(Asgn(r.msf, Cond(cond, Const(1), msf)))
@@ -111,5 +108,5 @@ def harden(
                 body.append(Call(target))
             else:
                 body.append(i)
-        out.append(Block(tuple(body), is_entry=b.is_entry))
+        out.append(Block(tuple(body), b.is_entry))
     return Program(tuple(out) + tuple(added))

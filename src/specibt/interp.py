@@ -18,8 +18,7 @@ All step functions are pure; states are immutable snapshots.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from .ir import (
     UV,
@@ -37,6 +36,7 @@ from .ir import (
     Load,
     PC,
     Program,
+    Record,
     Reg,
     Ret,
     Skip,
@@ -48,23 +48,19 @@ from .ir import (
 # Observations and directives
 
 
-@dataclass(frozen=True, slots=True)
-class OLoad:
+class OLoad(Record):
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
-class OStore:
+class OStore(Record):
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
-class OBranch:
+class OBranch(Record):
     taken: bool
 
 
-@dataclass(frozen=True, slots=True)
-class OCall:
+class OCall(Record):
     # Block label in MiniMIR observations, absolute address in machine ones.
     target: int
 
@@ -72,18 +68,15 @@ class OCall:
 Obs = Union[OLoad, OStore, OBranch, OCall]
 
 
-@dataclass(frozen=True, slots=True)
-class DBranch:
+class DBranch(Record):
     taken: bool
 
 
-@dataclass(frozen=True, slots=True)
-class DCallMir:
+class DCallMir(Record):
     target: PC
 
 
-@dataclass(frozen=True, slots=True)
-class DCallMc:
+class DCallMc(Record):
     addr: int
 
 
@@ -118,44 +111,39 @@ class Next(NamedTuple):
     status = "next"
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    status: ClassVar[str] = "term"
+class Term(Record):
+    status = "term"
 
 
-@dataclass(frozen=True, slots=True)
-class Fault:
+class Fault(Record):
     # Ideal call faults carry the call observation of the faulting step.
     obs: Optional[Obs] = None
-    status: ClassVar[str] = "fault"
+    status = "fault"
 
 
-@dataclass(frozen=True, slots=True)
-class Stuck:
+class Stuck(Record):
     reason: str
-    status: ClassVar[str] = "stuck"
+    status = "stuck"
 
 
-@dataclass(frozen=True, slots=True)
-class OutOfDirectives:
+class OutOfDirectives(Record):
     # A prediction point reached without a directive. `correct` is the
     # directive that follows the program there: the branch outcome or call
     # target the step computed, masked as the semantics masks it.
     correct: Directive
-    status: ClassVar[str] = "out-of-directives"
+    status = "out-of-directives"
 
 
-@dataclass(frozen=True, slots=True)
-class DirectiveMismatch:
+class DirectiveMismatch(Record):
     # Harness-level error: the supplied directive kind has no rule for the
     # fetched instruction. Distinct from undefined behavior (Stuck).
     reason: str
-    status: ClassVar[str] = "directive-mismatch"
+    status = "directive-mismatch"
 
 
 Outcome = Union[Next, Term, Fault, Stuck, OutOfDirectives, DirectiveMismatch]
 
-TERM = Term()
+TERM, FAULT = Term(), Fault()
 # The prediction point and the observation of a branch, indexed by the
 # outcome the program computes; built once, since every run reaches them.
 BRANCH_POINTS = (OutOfDirectives(DBranch(False)), OutOfDirectives(DBranch(True)))
@@ -349,7 +337,7 @@ def _step(p: Program, s: State, d: Optional[Directive], sem: Sem) -> Outcome:
     if not (0 <= l < len(code) and 0 <= o < len(code[l])):
         return Stuck("pc out of range")
     if s.ct and sem == SPEC_CET and not isinstance(p.blocks[l].insts[o], CTarget):
-        return Fault()
+        return FAULT
     rule = code[l][o]
     if rule is None:
         rule = code[l][o] = _compile(p, sem, l, o)
@@ -378,8 +366,7 @@ def step_ideal(p: Program, s: State, d: Optional[Directive] = None) -> Outcome:
 # Bounded multi-step execution
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     trace: list[Obs]
     # One of: term, fault, stuck, out-of-directives, directive-mismatch, fuel
     status: str

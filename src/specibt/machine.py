@@ -11,7 +11,6 @@ them; machine values are plain naturals. A machine state is an
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .ir import (
@@ -22,6 +21,7 @@ from .ir import (
     Call,
     Cond,
     Const,
+    Code,
     CTarget,
     Expr,
     FP,
@@ -31,6 +31,7 @@ from .ir import (
     Load,
     PC,
     Program,
+    Record,
     Reg,
     Ret,
     Skip,
@@ -44,7 +45,7 @@ from .interp import (
     DCallMir,
     Directive,
     DirectiveMismatch,
-    Fault,
+    FAULT,
     Next,
     OBRANCH,
     OCall,
@@ -67,8 +68,7 @@ class LayoutError(ValueError):
     """A code pointer whose label names no block of the laid-out program."""
 
 
-@dataclass(frozen=True)
-class LayoutMap:
+class LayoutMap(Record):
     data_len: int
     starts: tuple[int, ...]  # cumulative instruction counts, per label
     sizes: tuple[int, ...]
@@ -91,16 +91,14 @@ class LayoutMap:
         return PC(i, off - self.starts[i])
 
 
-@dataclass(frozen=True)
-class McProgram:
-    """Machine code with the layout `linearize` laid it out by: the code
-    starts at address `lay.data_len`, after the data section."""
+class McProgram(Code):
+    """Machine `code` (a tuple of instructions) with the layout `lay` that
+    `linearize` laid it out by: the code starts at address `lay.data_len`,
+    after the data section. The rules compiled from the instructions are
+    kept by address, and the prediction points of calls under "calls"
+    (`step_mc`)."""
 
-    code: tuple[Inst, ...]
-    lay: LayoutMap
-    # Rules compiled from the instructions, by address, and the prediction
-    # points of calls under "calls" (`step_mc`)
-    compiled: dict = field(default_factory=dict, compare=False, repr=False, init=False)
+    __slots__ = _fields = ("code", "lay")
 
 
 def layout(p: Program, data_len: int) -> LayoutMap:
@@ -259,7 +257,7 @@ def step_mc(mc: McProgram, s: State, d: Optional[Directive] = None) -> Outcome:
             return Stuck("pc outside code section")
         rule = mc.compiled[s.pc] = _compile_mc(mc, s.pc)
     if s.ct and not isinstance(mc.code[s.pc - mc.lay.data_len], CTarget):
-        return Fault()
+        return FAULT
     return rule(s, d)
 
 

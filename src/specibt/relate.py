@@ -46,22 +46,14 @@ def state_rel(s_mir: State, s_mc: State, lay: LayoutMap) -> bool:
     """Pointwise value relation between a block-level state and a machine
     state over pc, registers, memory and return stack, plus equality of the
     ct/ms flags."""
-    if s_mir.ct != s_mc.ct or s_mir.ms != s_mc.ms:
-        return False
-    if not pc_rel(s_mir.pc, s_mc.pc, lay):
-        return False
-    if len(s_mir.stk) != len(s_mc.stk):
-        return False
-    if not all(pc_rel(pc, a, lay) for pc, a in zip(s_mir.stk, s_mc.stk)):
-        return False
-    if len(s_mir.mem) != len(s_mc.mem):
-        return False
-    if not all(value_rel(v, n, lay) for v, n in zip(s_mir.mem, s_mc.mem)):
-        return False
-    names = set(s_mir.regs) | set(s_mc.regs)
-    return all(
-        value_rel(s_mir.regs.get(n, UV), s_mc.regs.get(n, 0), lay) for n in names
-    )
+    return (s_mir.ct == s_mc.ct and s_mir.ms == s_mc.ms
+            and pc_rel(s_mir.pc, s_mc.pc, lay)
+            and len(s_mir.stk) == len(s_mc.stk)
+            and all(pc_rel(pc, a, lay) for pc, a in zip(s_mir.stk, s_mc.stk))
+            and len(s_mir.mem) == len(s_mc.mem)
+            and all(value_rel(v, n, lay) for v, n in zip(s_mir.mem, s_mc.mem))
+            and all(value_rel(s_mir.regs.get(n, UV), s_mc.regs.get(n, 0), lay)
+                    for n in set(s_mir.regs) | set(s_mc.regs)))
 
 
 def map_directive_mc_to_mir(d: Directive, lay: LayoutMap) -> Optional[Directive]:

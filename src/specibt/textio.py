@@ -21,7 +21,6 @@ branch and jump targets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .ir import (
@@ -35,7 +34,6 @@ from .ir import (
     Cond,
     Const,
     CTARGET,
-    CTarget,
     Expr,
     FP,
     FpConst,
@@ -44,11 +42,10 @@ from .ir import (
     Load,
     PC,
     Program,
+    Record,
     Reg,
     RET,
-    Ret,
     SKIP,
-    Skip,
     Store,
     Value,
 )
@@ -66,22 +63,13 @@ from .interp import (
 )
 from .machine import LayoutMap, McProgram
 
-KEYWORDS = {
-    "entry",
-    "block",
-    "skip",
-    "branch",
-    "jump",
-    "load",
-    "store",
-    "call",
-    "ctarget",
-    "ret",
-}
+# The instructions without operands, by keyword, and their keywords by class
+_NULLARY = {"skip": SKIP, "ctarget": CTARGET, "ret": RET}
+_KEYWORD = {type(i): k for k, i in _NULLARY.items()}
+KEYWORDS = {"entry", "block", "branch", "jump", "load", "store", "call", *_NULLARY}
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(Record):
     line: int
     col: int
     message: str
@@ -96,8 +84,7 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(Record):
     kind: str  # nat | ident | sym | eof
     text: str
     line: int
@@ -231,12 +218,8 @@ class _Parser:
         t = self.cur
         if t.kind == "ident" and t.text in KEYWORDS:
             self._advance()
-            if t.text == "skip":
-                return SKIP
-            if t.text == "ctarget":
-                return CTARGET
-            if t.text == "ret":
-                return RET
+            if t.text in _NULLARY:
+                return _NULLARY[t.text]
             if t.text == "branch":
                 cond = self.expr()
                 return Branch(cond, self._target())
@@ -278,7 +261,7 @@ class _Parser:
                 insts.append(self.inst())
             if not insts:
                 raise self._fail("block has no instructions", kw)
-            blocks.append(Block(tuple(insts), is_entry=kw.text == "entry"))
+            blocks.append(Block(tuple(insts), kw.text == "entry"))
             if self.cur.kind == "eof":
                 return Program(tuple(blocks))
 
@@ -327,12 +310,8 @@ def print_expr(e: Expr) -> str:
 
 def _print_inst(i: Inst, label: str) -> str:
     """One instruction; jump and branch targets are printed after `label`."""
-    if isinstance(i, Skip):
-        return "skip"
-    if isinstance(i, CTarget):
-        return "ctarget"
-    if isinstance(i, Ret):
-        return "ret"
+    if type(i) in _KEYWORD:
+        return _KEYWORD[type(i)]
     if isinstance(i, Asgn):
         return f"{i.reg} <- {print_expr(i.expr)}"
     if isinstance(i, Branch):
@@ -404,29 +383,23 @@ def decode_value(doc: Any, path: str = "") -> Value:
     raise DocError(path, f"not a value: {doc!r}")
 
 
+# An observation is a one-key document: its kind and its one field.
+_OBS = {"load": OLoad, "store": OStore, "branch": OBranch, "call": OCall}
+_OBS_KEY = {kind: key for key, kind in _OBS.items()}
+
+
 def encode_obs(o: Obs) -> Any:
-    if isinstance(o, OLoad):
-        return {"load": o.addr}
-    if isinstance(o, OStore):
-        return {"store": o.addr}
-    if isinstance(o, OBranch):
-        return {"branch": o.taken}
-    if isinstance(o, OCall):
-        return {"call": o.target}
-    raise TypeError(f"not an observation: {o!r}")
+    if type(o) not in _OBS_KEY:
+        raise TypeError(f"not an observation: {o!r}")
+    return {_OBS_KEY[type(o)]: o[0]}
 
 
 def decode_obs(doc: Any, path: str = "") -> Obs:
     if isinstance(doc, dict) and len(doc) == 1:
-        key, v = next(iter(doc.items()))
-        if key == "load" and isinstance(v, int):
-            return OLoad(v)
-        if key == "store" and isinstance(v, int):
-            return OStore(v)
-        if key == "branch" and isinstance(v, bool):
-            return OBranch(v)
-        if key == "call" and isinstance(v, int):
-            return OCall(v)
+        (key, v), = doc.items()
+        kind = _OBS.get(key)
+        if kind is not None and isinstance(v, bool if kind is OBranch else int):
+            return kind(v)
     raise DocError(path, f"not an observation: {doc!r}")
 
 

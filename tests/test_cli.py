@@ -1,11 +1,15 @@
 """End-to-end CLI tests via click's runner."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import specibt
 from specibt.cli import main
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -31,6 +35,19 @@ def test_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
     assert res.output == "specibt 0.1.0 (semantics 1)\n"
+
+
+def test_importing_the_cli_loads_every_layer():
+    # the benchmark's tracer patches each layer module it finds in sys.modules
+    layers = ("gen", "interp", "machine", "hardening", "explore", "checks",
+              "relate", "textio")
+    src = str(pathlib.Path(specibt.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, specibt.cli; print(' '.join(m for m in sys.argv[1:] "
+            "if 'specibt.' + m not in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, *layers], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout == "\n"
 
 
 def test_run_seq(runner, state1):

@@ -166,20 +166,14 @@ def test_code_pointer_to_no_block_exits_1(runner, tmp_path, args):
     assert "&99 names no block" in res.output
 
 
-def test_empty_data_section_run_mc_exits_1(runner, tmp_path):
-    # under --sem mc the data section is as long as the state's memory
-    state = _write(tmp_path / "s.json", dict(PAIR["s1"], mem=[]))
-    res = runner.invoke(main, ["run", "--sem", "mc", LISTING1, state])
-    assert res.exit_code == 1
-    assert res.stdout == ""
-    assert res.stderr == f"Error: {state}: data_len must be positive\n"
-
-
-@pytest.mark.parametrize("command", ["check", "linearize"])
+@pytest.mark.parametrize("command", ["run", "check", "linearize"])
 def test_empty_data_section_is_a_side_condition(runner, tmp_path, command):
+    # under run --sem mc and check linearize the data section is as long as
+    # the state's memory
     state = _write(tmp_path / "s.json", dict(PAIR["s1"], mem=[]))
-    args = (["check", "linearize", LISTING1, state] if command == "check"
-            else ["linearize", LISTING1, "--data-len", "0"])
+    args = {"run": ["run", "--sem", "mc", LISTING1, state],
+            "check": ["check", "linearize", LISTING1, state],
+            "linearize": ["linearize", LISTING1, "--data-len", "0"]}[command]
     res = runner.invoke(main, args)
     assert res.exit_code == 5
     assert res.stdout == ""
