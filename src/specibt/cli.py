@@ -2,19 +2,19 @@
 harden, linearize, search for attacks, and drive the fuzzing checkers.
 
 Exit codes: 0 success/pass, 1 IO or parse error or directives that do not
-fit the run, 2 counterexample, 3 inconclusive, 4 stuck run, 5 violated side
-conditions.
+fit the run, 2 counterexample or usage error, 3 inconclusive, 4 stuck run,
+5 violated side conditions. A usage error prints nothing on standard output,
+so a verdict's JSON line tells a counterexample from it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import random
 import sys
 from typing import Any, Callable, NoReturn, Optional
-
-import click
 
 from . import SEMANTICS_REVISION, __version__
 from .checks import (
@@ -48,19 +48,9 @@ from .hardening import (
 from .ir import CTarget, FP, used_registers, wf_program
 from .interp import RunResult, State, run_ideal, run_seq, run_spec, wf_directives_mir
 from .machine import LayoutError, concretize_state, linearize, run_mc, wf_directives_mc
-from .textio import (
-    DocError,
-    ParseError,
-    decode_directives,
-    decode_pair,
-    decode_state,
-    encode_directives,
-    encode_layout,
-    encode_trace,
-    parse_program,
-    print_mc_program,
-    print_program,
-)
+from .textio import (DocError, ParseError, decode_directives, decode_pair, decode_state,
+                     encode_directives, encode_layout, encode_trace, parse_program,
+                     print_mc_program, print_program)
 
 VARIANTS: dict[str, PassConfig] = {
     "full": FULL,
@@ -75,70 +65,64 @@ EXIT_INCONCLUSIVE = 3
 EXIT_STUCK = 4
 EXIT_SIDE_CONDITION = 5
 
+
+def _checked(test: Callable[[str], bool], fault: str, convert: Callable = str) -> Callable:
+    """A `type=` function: its text converted, or a usage error unless TEST."""
+    def check(text: str) -> Any:
+        if not test(text):
+            raise argparse.ArgumentTypeError(f"Invalid value: {text!r} {fault}")
+        return convert(text)
+    return check
+
+
 # Budgets of check, attack and fuzz-*: a zero count would check nothing.
-COUNT = click.IntRange(min=1)
-DEPTH = click.IntRange(min=0)
+COUNT = _checked(lambda t: t.isdecimal() and int(t) > 0, "is not a positive integer", int)
+DEPTH = _checked(str.isdecimal, "is not a natural number", int)
+_existing = _checked(lambda t: pathlib.Path(t).exists(), "does not exist")
+_directory = _checked(lambda t: pathlib.Path(t).is_dir(), "is not a directory")
 
 
-def _print_version(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    if not value or ctx.resilient_parsing:
-        return
-    click.echo(f"specibt {__version__} (semantics {SEMANTICS_REVISION})")
-    ctx.exit()
-
-
-@click.group()
-@click.option(
-    "--version",
-    is_flag=True,
-    callback=_print_version,
-    expose_value=False,
-    is_eager=True,
-    help="Print version and semantics revision.",
-)
-def main() -> None:
-    """Speculative control-flow integrity laboratory."""
+def _fail(msg: str) -> NoReturn:
+    print(f"Error: {msg}", file=sys.stderr)
+    sys.exit(1)
 
 
 def _load(path: str, decode: Callable, *args) -> Any:
     """Read PATH and decode it: `parse_program` takes the text, every other
     decoder the JSON document. Unreadable or malformed input exits 1."""
     try:
-        text = pathlib.Path(path).read_text()
+        text = pathlib.Path(path).read_text(encoding="utf-8")
         return decode(text if decode is parse_program else json.loads(text), *args)
     except OSError as exc:
-        raise click.ClickException(str(exc)) from exc
-    except (ParseError, json.JSONDecodeError, DocError) as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
+        _fail(str(exc))
+    except (ParseError, json.JSONDecodeError, DocError, UnicodeDecodeError) as exc:
+        _fail(f"{path}: {exc}")
+    except RecursionError:
+        _fail(f"{path}: nested too deeply")
+
+
+def _write(path: Optional[str], text: str, stream: Any = None) -> None:
+    """Write TEXT to the file PATH if given, else to STREAM (stdout)."""
+    if path:
+        pathlib.Path(path).write_text(text)
+    else:
+        print(text, end="", file=stream)
 
 
 def _violated(exc: Exception) -> NoReturn:
-    click.echo(f"side condition violated: {exc}", err=True)
+    print(f"side condition violated: {exc}", file=sys.stderr)
     sys.exit(EXIT_SIDE_CONDITION)
 
 
 def _emit_run(res: RunResult) -> None:
     outcome = res.status if res.reason is None else f"{res.status}:{res.reason}"
-    click.echo(json.dumps({"trace": encode_trace(res.trace), "outcome": outcome}))
+    print(json.dumps({"trace": encode_trace(res.trace), "outcome": outcome}))
     if res.status == "stuck":
         sys.exit(EXIT_STUCK)
     if res.status == "directive-mismatch":
         sys.exit(1)
 
 
-@main.command("run")
-@click.argument("program", type=click.Path(exists=True))
-@click.argument("state", type=click.Path(exists=True))
-@click.option("--sem", type=click.Choice(["seq", "spec", "ideal", "mc"]), default="seq")
-@click.option("--dir", "directives_path", type=click.Path(exists=True), default=None,
-              help="JSON directive sequence for spec/ideal/mc runs.")
-@click.option("--fuel", type=COUNT, default=10_000, show_default=True)
-@click.option("--ct/--no-ct", "ct", default=None,
-              help="Override the initial ctarget-armed flag (spec, mc).")
-@click.option("--ms", is_flag=True, default=False,
-              help="Start with the misspeculation flag set (spec, ideal, mc).")
-@click.option("--no-cet", is_flag=True, default=False,
-              help="Model hardware without indirect-branch tracking (spec).")
 def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     """Execute PROGRAM from STATE and print the observation trace. Under
     --sem mc the data section is as long as the state's memory. Call
@@ -149,17 +133,18 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     given = {"--ct": ct is True, "--no-ct": ct is False, "--ms": ms, "--no-cet": no_cet}
     unread = [f for f in ignored if given[f]]
     if unread:
-        raise click.UsageError(f"{', '.join(unread)}: no effect under --sem {sem}")
+        msg = f"{', '.join(unread)}: no effect under --sem {sem}"
+        raise argparse.ArgumentError(None, msg)  # a usage error: exit 2
     p = _load(program, parse_program)
     directives = _load(directives_path, decode_directives) if directives_path else []
     misfit = f"{directives_path}: directives do not fit --sem {sem}"
     if sem == "seq":
         if directives:
-            raise click.ClickException(misfit)
+            _fail(misfit)
         _emit_run(run_seq(p, _load(state, decode_state), fuel))
         return
     if sem != "mc" and not wf_directives_mir(p, directives):
-        raise click.ClickException(misfit)
+        _fail(misfit)
     s = _load(state, decode_state)
     s = spec_of(s, s.ct if ct is None else ct, s.ms or ms)
     if sem == "ideal":
@@ -175,19 +160,12 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     try:
         m = concretize_state(s, mc.lay)
     except ValueError as exc:
-        raise click.ClickException(f"{state}: {exc}") from exc
+        _fail(f"{state}: {exc}")
     if not wf_directives_mc(directives, mc):
-        raise click.ClickException(misfit)
+        _fail(misfit)
     _emit_run(run_mc(mc, m, directives, fuel))
 
 
-@main.command("harden")
-@click.argument("program", type=click.Path(exists=True))
-@click.option("-o", "--output", type=click.Path(), default=None)
-@click.option("--msf-reg", default="msf", show_default=True)
-@click.option("--callee-reg", default="callee", show_default=True)
-@click.option("--variant", type=click.Choice(sorted(VARIANTS)), default="full",
-              show_default=True)
 def cmd_harden(program, output, msf_reg, callee_reg, variant):
     """Apply the hardening pass and print the transformed program."""
     p = _load(program, parse_program)
@@ -195,19 +173,9 @@ def cmd_harden(program, output, msf_reg, callee_reg, variant):
         hp = harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant])
     except HardenError as exc:
         _violated(exc)
-    text = print_program(hp)
-    if output:
-        pathlib.Path(output).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _write(output, print_program(hp))
 
 
-@main.command("linearize")
-@click.argument("program", type=click.Path(exists=True))
-@click.option("--data-len", type=int, required=True)
-@click.option("-o", "--output", type=click.Path(), default=None)
-@click.option("--layout-out", type=click.Path(), default=None,
-              help="Layout sidecar path (default: layout JSON on stderr).")
 def cmd_linearize(program, data_len, output, layout_out):
     """Flatten PROGRAM to machine code and emit the layout sidecar."""
     p = _load(program, parse_program)
@@ -215,16 +183,8 @@ def cmd_linearize(program, data_len, output, layout_out):
         mc = linearize(p, data_len)
     except ValueError as exc:
         _violated(exc)
-    text = print_mc_program(mc)
-    sidecar = json.dumps(encode_layout(mc.lay))
-    if output:
-        pathlib.Path(output).write_text(text)
-    else:
-        click.echo(text, nl=False)
-    if layout_out:
-        pathlib.Path(layout_out).write_text(sidecar + "\n")
-    else:
-        click.echo(sidecar, err=True)
+    _write(output, print_mc_program(mc))
+    _write(layout_out, json.dumps(encode_layout(mc.lay)) + "\n", sys.stderr)
 
 
 _ENCODE = {"directives": encode_directives, "trace1": encode_trace, "trace2": encode_trace}
@@ -238,25 +198,13 @@ def _verdict_doc(v: Verdict) -> dict[str, Any]:
 
 
 def _finish_verdict(v: Verdict) -> None:
-    click.echo(json.dumps(_verdict_doc(v)))
+    print(json.dumps(_verdict_doc(v)))
     if v.status == "counterexample":
         sys.exit(EXIT_COUNTEREXAMPLE)
     if v.status == "inconclusive":
         sys.exit(EXIT_INCONCLUSIVE)
 
 
-@main.command("check")
-@click.argument("property", type=click.Choice(["bcc", "safety", "rs", "linearize"]))
-@click.argument("program", type=click.Path(exists=True))
-@click.argument("state", type=click.Path(exists=True))
-@click.option("--depth", type=DEPTH, default=3, show_default=True)
-@click.option("--runs", type=COUNT, default=200, show_default=True,
-              help="Maximum explored directive sequences.")
-@click.option("--fuel", type=COUNT, default=1000, show_default=True)
-@click.option("--pipeline", type=click.Choice(["hardened-only", "end-to-end"]),
-              default="hardened-only", show_default=True, help="For rs only.")
-@click.option("--variant", type=click.Choice(sorted(VARIANTS)), default="full",
-              show_default=True)
 def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
     linearize) or a two-state pair JSON (rs)."""
@@ -274,23 +222,12 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
         else:
             v = check_bcc_linearize(p, _load(state, decode_state), budget)
     except LayoutError as exc:
-        raise click.ClickException(f"{state}: {exc}") from exc
+        _fail(f"{state}: {exc}")
     except (HardenError, ValueError) as exc:
         _violated(exc)
     _finish_verdict(v)
 
 
-@main.command("attack")
-@click.argument("program", type=click.Path(exists=True))
-@click.argument("pair", type=click.Path(exists=True))
-@click.option("--target", type=click.Choice(["pht", "btb", "auto"]), default="auto",
-              show_default=True)
-@click.option("--depth", type=DEPTH, default=3, show_default=True)
-@click.option("--runs", type=COUNT, default=500, show_default=True)
-@click.option("--fuel", type=COUNT, default=1000, show_default=True)
-@click.option("--cet/--no-cet", "cet", default=None,
-              help="Force the indirect-branch-tracking model on or off "
-                   "(default: on iff the attacked program contains ctarget).")
 def cmd_attack(program, pair, target, depth, runs, fuel, cet):
     """Search for a directive sequence distinguishing the two states in
     PAIR. Target pht attacks the program as given; btb attacks its
@@ -321,14 +258,14 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
         found = attack_search(q, sp1, sp2, budget, cet=use_cet)
         if found:
             dirs, r1, r2 = found
-            click.echo(json.dumps({
+            print(json.dumps({
                 "target": name,
                 "directives": encode_directives(dirs),
                 "trace1": encode_trace(r1.trace),
                 "trace2": encode_trace(r2.trace),
             }))
             return
-    click.echo("no distinguishing directives within budget", err=True)
+    print("no distinguishing directives within budget", file=sys.stderr)
     sys.exit(1)
 
 
@@ -340,14 +277,14 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
     if corpus:
         files = sorted(pathlib.Path(corpus).glob("*.mir"))
         if not files:
-            raise click.ClickException(f"no .mir files in {corpus}")
+            _fail(f"no .mir files in {corpus}")
         # Instrumented or ill-formed entries cannot be re-hardened; skip them.
         programs = [
             p for p in (_load(str(f), parse_program) for f in files)
             if not wf_program(p, mode="source")
         ]
         if not programs:
-            raise click.ClickException(f"no source programs in {corpus}")
+            _fail(f"no source programs in {corpus}")
         # sample register values for the registers each program actually uses
         cfgs = [cfg._replace(reg_pool=tuple(sorted(used_registers(p))) or cfg.reg_pool)
                 for p in programs]
@@ -365,9 +302,7 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
                     progress = True
                     yield p, s
             if not progress:
-                raise click.ClickException(
-                    f"could not sample safe inputs for {corpus}"
-                )
+                _fail(f"could not sample safe inputs for {corpus}")
         return
     produced = 0
     for _ in range(50 * runs):
@@ -379,20 +314,7 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
             continue
         produced += 1
         yield p, s
-    raise click.ClickException("could not sample enough safe inputs")
-
-
-def _fuzz_options(f):
-    f = click.option("--seed", type=int, default=0, show_default=True)(f)
-    f = click.option("--depth", type=DEPTH, default=3, show_default=True)(f)
-    f = click.option("--runs", type=COUNT, default=100, show_default=True,
-                     help="Number of fuzzed programs.")(f)
-    f = click.option("--fuel", type=COUNT, default=1000, show_default=True)(f)
-    f = click.option("--sequences", type=COUNT, default=100, show_default=True,
-                     help="Directive sequences explored per program.")(f)
-    f = click.option("--corpus", type=click.Path(exists=True, file_okay=False),
-                     default=None)(f)
-    return f
+    _fail("could not sample enough safe inputs")
 
 
 def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
@@ -413,44 +335,122 @@ def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
     _finish_verdict(Verdict("pass" if passed else "inconclusive", runs=total))
 
 
-@main.command("fuzz-bcc")
-@_fuzz_options
 def cmd_fuzz_bcc(corpus, seed, depth, runs, fuel, sequences):
     """Fuzz hardened-speculative vs source-ideal trace equality."""
     _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
                check_bcc_specibt)
 
 
-@main.command("fuzz-safety")
-@_fuzz_options
 def cmd_fuzz_safety(corpus, seed, depth, runs, fuel, sequences):
     """Fuzz for speculative undefined behavior in hardened programs."""
     _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
                check_safety_preservation)
 
 
-@main.command("fuzz-rs")
-@_fuzz_options
-@click.option("--pipeline", type=click.Choice(["hardened-only", "end-to-end"]),
-              default="hardened-only", show_default=True)
 def cmd_fuzz_rs(corpus, seed, depth, runs, fuel, sequences, pipeline):
     """Fuzz relative security on sequentially equivalent state pairs."""
     if corpus:
-        raise click.ClickException(
-            "fuzz-rs needs generated state pairs; --corpus is unsupported here"
-        )
+        _fail("fuzz-rs needs generated state pairs; --corpus is unsupported here")
     rng = random.Random(seed)
     pairs = (gen_seq_equiv_pair(rng, GenConfig(), fuel) for _ in range(runs))
     _fuzz_loop(((q.program, q.s1, q.s2) for q in pairs), depth, sequences, fuel,
                lambda p, s1, s2, b: check_relative_security(p, s1, s2, b, pipeline))
 
 
-@main.command("fuzz-linearize")
-@_fuzz_options
 def cmd_fuzz_linearize(corpus, seed, depth, runs, fuel, sequences):
     """Fuzz machine-level vs block-level lockstep correspondence."""
     _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
                check_bcc_linearize)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="specibt", description=main.__doc__,
+                                     allow_abbrev=False)
+    version = f"specibt {__version__} (semantics {SEMANTICS_REVISION})"
+    parser.add_argument("--version", action="version", version=version,
+                        help="Print version and semantics revision.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, cmd: Callable, *args) -> argparse.ArgumentParser:
+        """Subcommand NAME runs CMD; each of ARGS names a positional path that
+        must exist, or is a `(name, add_argument keywords)` pair."""
+        p = commands.add_parser(name, help=cmd.__doc__.split(".")[0] + ".",
+                                description=cmd.__doc__, allow_abbrev=False)
+        p.set_defaults(cmd=cmd, parser=p)
+        for a in args:
+            a, kw = a if isinstance(a, tuple) else (a, {"type": _existing})
+            p.add_argument(a, metavar=a.upper(), **kw)
+        return p
+
+    def opt(p, flag: str, default: Any = None, help: str = "", **kw) -> None:
+        """Option FLAG, whose help shows its DEFAULT if it has one."""
+        shown = "" if default is None else f" (default: {default})"
+        p.add_argument(flag, default=default, help=(help + shown).lstrip() or None, **kw)
+
+    def budget(p, runs: int, runs_help: str = "") -> None:
+        opt(p, "--depth", 3, type=DEPTH)
+        opt(p, "--runs", runs, type=COUNT, help=runs_help)
+        opt(p, "--fuel", 1000, type=COUNT)
+
+    pipelines, variants = ["hardened-only", "end-to-end"], sorted(VARIANTS)
+    p = command("run", cmd_run, "program", "state")
+    opt(p, "--sem", "seq", choices=["seq", "spec", "ideal", "mc"])
+    opt(p, "--dir", dest="directives_path", metavar="PATH", type=_existing,
+        help="JSON directive sequence for spec/ideal/mc runs.")
+    opt(p, "--fuel", 10_000, type=COUNT)
+    opt(p, "--ct", action=argparse.BooleanOptionalAction,
+        help="Override the initial ctarget-armed flag (spec, mc).")
+    p.add_argument("--ms", action="store_true",
+                   help="Start with the misspeculation flag set (spec, ideal, mc).")
+    p.add_argument("--no-cet", action="store_true",
+                   help="Model hardware without indirect-branch tracking (spec).")
+    p = command("harden", cmd_harden, "program")
+    p.add_argument("-o", "--output", metavar="PATH")
+    opt(p, "--msf-reg", "msf")
+    opt(p, "--callee-reg", "callee")
+    opt(p, "--variant", "full", choices=variants)
+    p = command("linearize", cmd_linearize, "program")
+    p.add_argument("--data-len", type=int, required=True)
+    p.add_argument("-o", "--output", metavar="PATH")
+    p.add_argument("--layout-out", metavar="PATH",
+                   help="Layout sidecar path (default: layout JSON on stderr).")
+    properties = {"choices": ["bcc", "safety", "rs", "linearize"]}
+    p = command("check", cmd_check, ("property", properties), "program", "state")
+    budget(p, 200, "Maximum explored directive sequences.")
+    opt(p, "--pipeline", pipelines[0], choices=pipelines, help="For rs only.")
+    opt(p, "--variant", "full", choices=variants)
+    p = command("attack", cmd_attack, "program", "pair")
+    opt(p, "--target", "auto", choices=["pht", "btb", "auto"])
+    budget(p, 500)
+    opt(p, "--cet", action=argparse.BooleanOptionalAction, help="Force the indirect-branch-"
+        "tracking model on or off (default: on iff the attacked program contains ctarget).")
+    for name, cmd in (("fuzz-bcc", cmd_fuzz_bcc), ("fuzz-safety", cmd_fuzz_safety),
+                      ("fuzz-rs", cmd_fuzz_rs), ("fuzz-linearize", cmd_fuzz_linearize)):
+        p = command(name, cmd)
+        opt(p, "--seed", 0, type=int)
+        budget(p, 100, "Number of fuzzed programs.")
+        opt(p, "--sequences", 100, type=COUNT,
+            help="Directive sequences explored per program.")
+        opt(p, "--corpus", metavar="PATH", type=_directory)
+        if cmd is cmd_fuzz_rs:
+            opt(p, "--pipeline", pipelines[0], choices=pipelines)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None:
+    """Speculative control-flow integrity laboratory."""
+    # Every failure ends in SystemExit with its exit code. `standalone_mode`
+    # is ignored: only the in-process runner of `bench/run.py` passes it.
+    args, extra = _parser().parse_known_args(argv)
+    kw = vars(args)
+    cmd, parser = kw.pop("cmd"), kw.pop("parser")
+    if extra:  # name the first unknown option, if there is one
+        parser.error(next((f"No such option: {a}" for a in extra if a.startswith("-")),
+                          f"unrecognized arguments: {' '.join(extra)}"))
+    try:
+        cmd(**kw)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -7,20 +7,14 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import specibt
-from specibt.cli import main
+from conftest import invoke
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 LISTING1 = str(CORPUS / "listing1.mir")
 PAIR = str(CORPUS / "listing1_pair.json")
 GOLDEN = CORPUS / "listing1.hardened.mir"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture()
@@ -31,8 +25,8 @@ def state1(tmp_path):
     return str(f)
 
 
-def test_version(runner):
-    res = runner.invoke(main, ["--version"])
+def test_version():
+    res = invoke(["--version"])
     assert res.exit_code == 0
     assert res.output == "specibt 0.1.0 (semantics 1)\n"
 
@@ -50,90 +44,91 @@ def test_importing_the_cli_loads_every_layer():
     assert out.stdout == "\n"
 
 
-def test_run_seq(runner, state1):
-    res = runner.invoke(main, ["run", "--sem", "seq", LISTING1, state1])
+def test_importing_the_cli_leaves_click_out():
+    # argparse parses the command line: importing click would cost each process
+    src = str(pathlib.Path(specibt.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, specibt.cli; print('click' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout == "False\n"
+
+
+def test_run_seq(state1):
+    res = invoke(["run", "--sem", "seq", LISTING1, state1])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["outcome"] == "term"
     assert doc["trace"] == [{"branch": False}, {"call": 3}]
 
 
-def test_run_spec_with_directives(runner, state1, tmp_path):
+def test_run_spec_with_directives(state1, tmp_path):
     d = tmp_path / "d.json"
     d.write_text(json.dumps([{"branch": True}, {"call": {"label": 4, "offset": 0}}]))
-    res = runner.invoke(
-        main,
-        ["run", "--sem", "spec", "--no-cet", "--dir", str(d), LISTING1, state1],
-    )
+    res = invoke(["run", "--sem", "spec", "--no-cet", "--dir", str(d), LISTING1, state1])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert {"load": 6} in doc["trace"]
 
 
-def test_run_spec_out_of_directives(runner, state1):
-    res = runner.invoke(main, ["run", "--sem", "spec", LISTING1, state1])
+def test_run_spec_out_of_directives(state1):
+    res = invoke(["run", "--sem", "spec", LISTING1, state1])
     assert res.exit_code == 0
     assert json.loads(res.output)["outcome"] == "out-of-directives"
 
 
-def test_run_stuck_exits_4(runner, tmp_path):
+def test_run_stuck_exits_4(tmp_path):
     prog = tmp_path / "p.mir"
     prog.write_text("entry a:\n  load x, 99\n  ret\n")
     st = tmp_path / "s.json"
     st.write_text(json.dumps({"mem": [0, 0]}))
-    res = runner.invoke(main, ["run", str(prog), str(st)])
+    res = invoke(["run", str(prog), str(st)])
     assert res.exit_code == 4
     assert json.loads(res.output)["outcome"].startswith("stuck")
 
 
-def test_run_mc(runner, state1, tmp_path):
+def test_run_mc(state1, tmp_path):
     d = tmp_path / "d.json"
     d.write_text(json.dumps([{"branch": False}, {"call": {"addr": 15}}]))
-    res = runner.invoke(main, ["run", "--sem", "mc", LISTING1, state1,
-                               "--dir", str(d)])
+    res = invoke(["run", "--sem", "mc", LISTING1, state1, "--dir", str(d)])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     # fun_1 sits at address 8 + 7 = 15; the machine call observes addresses
     assert {"call": 15} in doc["trace"]
 
 
-def test_parse_error_exits_1(runner, tmp_path, state1):
+def test_parse_error_exits_1(tmp_path, state1):
     bad = tmp_path / "bad.mir"
     bad.write_text("entry a:\n  branch 1 nowhere\n  ret\n")
-    res = runner.invoke(main, ["run", str(bad), state1])
+    res = invoke(["run", str(bad), state1])
     assert res.exit_code == 1
     assert "unknown label" in res.output
 
 
-def test_harden_matches_golden(runner):
-    res = runner.invoke(main, ["harden", LISTING1])
+def test_harden_matches_golden():
+    res = invoke(["harden", LISTING1])
     assert res.exit_code == 0
     assert res.output == GOLDEN.read_text()
 
 
-def test_harden_side_condition_exit_5(runner, tmp_path):
+def test_harden_side_condition_exit_5(tmp_path):
     prog = tmp_path / "p.mir"
     prog.write_text("entry a:\n  msf <- 1\n  ret\n")
-    res = runner.invoke(main, ["harden", str(prog)])
+    res = invoke(["harden", str(prog)])
     assert res.exit_code == 5
 
 
-def test_harden_custom_reserved_names(runner, tmp_path):
+def test_harden_custom_reserved_names(tmp_path):
     prog = tmp_path / "p.mir"
     prog.write_text("entry a:\n  msf <- 1\n  ret\n")
-    res = runner.invoke(
-        main, ["harden", str(prog), "--msf-reg", "flag", "--callee-reg", "tgt"]
-    )
+    res = invoke(["harden", str(prog), "--msf-reg", "flag", "--callee-reg", "tgt"])
     assert res.exit_code == 0
     assert "flag <-" in res.output
 
 
-def test_linearize_outputs_listing_and_layout(runner, tmp_path):
+def test_linearize_outputs_listing_and_layout(tmp_path):
     lay_file = tmp_path / "layout.json"
-    res = runner.invoke(
-        main,
-        ["linearize", LISTING1, "--data-len", "8", "--layout-out", str(lay_file)],
-    )
+    res = invoke(["linearize", LISTING1, "--data-len", "8", "--layout-out", str(lay_file)])
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert len(lines) == 12  # total instruction count of listing1
@@ -143,32 +138,29 @@ def test_linearize_outputs_listing_and_layout(runner, tmp_path):
     assert lay["starts"]["0"] == 0
 
 
-def test_check_bcc_pass(runner, state1):
-    res = runner.invoke(main, ["check", "bcc", LISTING1, state1, "--depth", "2"])
+def test_check_bcc_pass(state1):
+    res = invoke(["check", "bcc", LISTING1, state1, "--depth", "2"])
     assert res.exit_code == 0
     assert json.loads(res.output)["status"] == "pass"
 
 
-def test_check_bcc_mutant_counterexample(runner, state1):
-    res = runner.invoke(
-        main,
-        ["check", "bcc", LISTING1, state1, "--variant", "no-call-mask",
-         "--depth", "3"],
-    )
+def test_check_bcc_mutant_counterexample(state1):
+    res = invoke(["check", "bcc", LISTING1, state1, "--variant", "no-call-mask",
+                  "--depth", "3"])
     assert res.exit_code == 2
     doc = json.loads(res.output)
     assert doc["status"] == "counterexample"
     assert doc["trace1"] != doc["trace2"]
 
 
-def test_check_rs_pass(runner):
-    res = runner.invoke(main, ["check", "rs", LISTING1, PAIR, "--depth", "4"])
+def test_check_rs_pass():
+    res = invoke(["check", "rs", LISTING1, PAIR, "--depth", "4"])
     assert res.exit_code == 0
 
 
-def test_check_linearize_pass(runner, tmp_path, state1):
+def test_check_linearize_pass(tmp_path, state1):
     hardened = tmp_path / "h.mir"
-    res = runner.invoke(main, ["harden", LISTING1, "-o", str(hardened)])
+    res = invoke(["harden", LISTING1, "-o", str(hardened)])
     assert res.exit_code == 0
     st = tmp_path / "s.json"
     doc = json.loads(pathlib.Path(state1).read_text())
@@ -176,20 +168,20 @@ def test_check_linearize_pass(runner, tmp_path, state1):
     doc["regs"]["callee"] = {"fp": 0}
     doc["ct"] = True
     st.write_text(json.dumps(doc))
-    res = runner.invoke(main, ["check", "linearize", str(hardened), str(st)])
+    res = invoke(["check", "linearize", str(hardened), str(st)])
     assert res.exit_code == 0
 
 
-def test_attack_pht(runner):
-    res = runner.invoke(main, ["attack", "--target", "pht", LISTING1, PAIR])
+def test_attack_pht():
+    res = invoke(["attack", "--target", "pht", LISTING1, PAIR])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["target"] == "pht"
     assert doc["trace1"] != doc["trace2"]
 
 
-def test_attack_btb(runner):
-    res = runner.invoke(main, ["attack", "--target", "btb", LISTING1, PAIR])
+def test_attack_btb():
+    res = invoke(["attack", "--target", "btb", LISTING1, PAIR])
     assert res.exit_code == 0
     assert json.loads(res.output)["target"] == "btb"
 
@@ -198,30 +190,27 @@ def test_attack_btb(runner):
     GOLDEN.read_text(),  # already instrumented: ctarget in a source program
     "entry a:\n  msf <- 1\n  ret\n",  # writes a reserved register
 ], ids=["instrumented", "reserved-register"])
-def test_attack_btb_on_a_program_the_pass_rejects_exits_5(runner, tmp_path, text):
+def test_attack_btb_on_a_program_the_pass_rejects_exits_5(tmp_path, text):
     program = tmp_path / "p.mir"
     program.write_text(text)
     program = str(program)
-    res = runner.invoke(main, ["attack", "--target", "btb", program, PAIR])
+    res = invoke(["attack", "--target", "btb", program, PAIR])
     assert res.exit_code == 5
     assert res.stdout == ""
     assert res.stderr.startswith("side condition violated: ")
     # auto attacks the program as given instead, and searches its budget
-    res = runner.invoke(main, ["attack", "--target", "auto", program, PAIR])
+    res = invoke(["attack", "--target", "auto", program, PAIR])
     assert res.exit_code == 1
     assert "no distinguishing directives" in res.stderr
 
 
-def test_attack_hardened_finds_nothing(runner, tmp_path):
+def test_attack_hardened_finds_nothing(tmp_path):
     hardened = tmp_path / "h.mir"
-    runner.invoke(main, ["harden", LISTING1, "-o", str(hardened)])
+    invoke(["harden", LISTING1, "-o", str(hardened)])
     # attack the already fully hardened program: pht mode, which runs the
     # program as given, finds no distinguishing directives
-    res = runner.invoke(
-        main,
-        ["attack", "--target", "pht", str(hardened), PAIR, "--depth", "4",
-         "--runs", "3000"],
-    )
+    res = invoke(["attack", "--target", "pht", str(hardened), PAIR, "--depth", "4",
+                  "--runs", "3000"])
     assert res.exit_code == 1
     assert "no distinguishing directives" in res.output
 
@@ -243,59 +232,47 @@ def deep_loop(tmp_path):
 
 
 @pytest.mark.parametrize("prop", ["rs", "bcc", "safety", "linearize"])
-def test_check_forks_deeper_than_the_recursion_limit(runner, deep_loop, prop):
+def test_check_forks_deeper_than_the_recursion_limit(deep_loop, prop):
     prog, pair, state = deep_loop
-    res = runner.invoke(main, ["check", prop, prog, pair if prop == "rs" else state, *DEEP])
+    res = invoke(["check", prop, prog, pair if prop == "rs" else state, *DEEP])
     assert (res.exit_code, res.output) == (0, '{"status": "pass", "runs": 5}\n')
 
 
-def test_attack_forks_deeper_than_the_recursion_limit(runner, deep_loop):
+def test_attack_forks_deeper_than_the_recursion_limit(deep_loop):
     prog, pair, _ = deep_loop
-    res = runner.invoke(main, ["attack", "--target", "pht", prog, pair, *DEEP])
+    res = invoke(["attack", "--target", "pht", prog, pair, *DEEP])
     assert res.exit_code == 1
     assert "no distinguishing directives within budget" in res.output
 
 
-def test_fuzz_bcc_small(runner):
-    res = runner.invoke(
-        main,
-        ["fuzz-bcc", "--seed", "1", "--runs", "5", "--depth", "2",
-         "--sequences", "30", "--fuel", "300"],
-    )
+def test_fuzz_bcc_small():
+    res = invoke(["fuzz-bcc", "--seed", "1", "--runs", "5", "--depth", "2",
+                  "--sequences", "30", "--fuel", "300"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["status"] == "pass"
 
 
-def test_fuzz_safety_corpus(runner):
-    res = runner.invoke(
-        main,
-        ["fuzz-safety", "--corpus", str(CORPUS), "--runs", "2", "--depth", "2",
-         "--sequences", "30"],
-    )
+def test_fuzz_safety_corpus():
+    res = invoke(["fuzz-safety", "--corpus", str(CORPUS), "--runs", "2", "--depth", "2",
+                  "--sequences", "30"])
     assert res.exit_code == 0, res.output
 
 
-def test_fuzz_rs_small(runner):
-    res = runner.invoke(
-        main,
-        ["fuzz-rs", "--seed", "2", "--runs", "3", "--depth", "2",
-         "--sequences", "30", "--fuel", "500"],
-    )
+def test_fuzz_rs_small():
+    res = invoke(["fuzz-rs", "--seed", "2", "--runs", "3", "--depth", "2",
+                  "--sequences", "30", "--fuel", "500"])
     assert res.exit_code == 0, res.output
 
 
-def test_fuzz_linearize_small(runner):
-    res = runner.invoke(
-        main,
-        ["fuzz-linearize", "--seed", "3", "--runs", "5", "--depth", "2",
-         "--sequences", "30"],
-    )
+def test_fuzz_linearize_small():
+    res = invoke(["fuzz-linearize", "--seed", "3", "--runs", "5", "--depth", "2",
+                  "--sequences", "30"])
     assert res.exit_code in (0, 3), res.output
 
 
-def test_determinism(runner):
+def test_determinism():
     args = ["fuzz-bcc", "--seed", "9", "--runs", "3", "--depth", "2",
             "--sequences", "20"]
-    a = runner.invoke(main, args).output
-    b = runner.invoke(main, args).output
+    a = invoke(args).output
+    b = invoke(args).output
     assert a == b

@@ -11,9 +11,8 @@ import pathlib
 import sys
 
 import pytest
-from click.testing import CliRunner
 
-from specibt.cli import main
+from conftest import invoke
 
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
@@ -62,7 +61,7 @@ def _invoke(args, tmp: pathlib.Path) -> dict:
         f = tmp / f"{name}.json"
         f.write_text(json.dumps(doc))
         paths[name] = str(f)
-    res = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    res = invoke([a.format(**paths) for a in args])
     return {"args": args, "exit_code": res.exit_code, "stdout": res.stdout}
 
 

@@ -4,10 +4,9 @@ import json
 import pathlib
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import invoke
 from specibt.checks import check_relative_security
-from specibt.cli import main
 from specibt.explore import ExploreBudget
 from specibt.interp import State
 from specibt.machine import layout
@@ -16,11 +15,6 @@ from specibt.textio import DocError, decode_directive, decode_layout, decode_sta
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 LISTING1 = str(CORPUS / "listing1.mir")
 PAIR = json.loads((CORPUS / "listing1_pair.json").read_text())
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def _write(path, doc) -> str:
@@ -34,10 +28,10 @@ def _write(path, doc) -> str:
     {"label": True, "offset": 0},
     {"label": -1, "offset": 0},
 ])
-def test_bad_state_pc_exits_1(runner, tmp_path, pc):
+def test_bad_state_pc_exits_1(tmp_path, pc):
     doc = dict(PAIR, s1=dict(PAIR["s1"], pc=pc))
     pair = _write(tmp_path / "pair.json", doc)
-    res = runner.invoke(main, ["check", "rs", LISTING1, pair])
+    res = invoke(["check", "rs", LISTING1, pair])
     assert res.exit_code == 1
     assert "/s1/pc: not a program counter" in res.output
 
@@ -48,10 +42,10 @@ def test_bad_state_pc_exits_1(runner, tmp_path, pc):
     ("mc", {"addr": "x"}),
     ("mc", {"addr": -3}),
 ])
-def test_bad_call_directive_exits_1(runner, tmp_path, sem, call):
+def test_bad_call_directive_exits_1(tmp_path, sem, call):
     state = _write(tmp_path / "s.json", PAIR["s1"])
     dirs = _write(tmp_path / "d.json", [{"branch": True}, {"call": call}])
-    res = runner.invoke(main, ["run", "--sem", sem, "--dir", dirs, LISTING1, state])
+    res = invoke(["run", "--sem", sem, "--dir", dirs, LISTING1, state])
     assert res.exit_code == 1
     assert "/1: not a directive" in res.output
 
@@ -61,23 +55,23 @@ def test_bad_call_directive_exits_1(runner, tmp_path, sem, call):
     ("mc", {"label": 4, "offset": 0}),  # a block-level call at machine level
     ("spec", {"label": 99, "offset": 0}),  # a label Listing 1 does not have
 ])
-def test_directive_of_the_wrong_level_exits_1(runner, tmp_path, sem, call):
+def test_directive_of_the_wrong_level_exits_1(tmp_path, sem, call):
     state = _write(tmp_path / "s.json", PAIR["s1"])
     dirs = _write(tmp_path / "d.json", [{"branch": True}, {"call": call}])
-    res = runner.invoke(main, ["run", "--sem", sem, "--dir", dirs, LISTING1, state])
+    res = invoke(["run", "--sem", sem, "--dir", dirs, LISTING1, state])
     assert res.exit_code == 1
     assert f"Error: {dirs}: directives do not fit --sem {sem}" in res.output
 
 
-def test_directives_under_seq_exit_1(runner, tmp_path):
+def test_directives_under_seq_exit_1(tmp_path):
     state = _write(tmp_path / "s.json", PAIR["s1"])
     dirs = _write(tmp_path / "d.json", [{"call": {"label": 4, "offset": 0}}])
-    res = runner.invoke(main, ["run", "--sem", "seq", "--dir", dirs, LISTING1, state])
+    res = invoke(["run", "--sem", "seq", "--dir", dirs, LISTING1, state])
     assert res.exit_code == 1
     assert f"Error: {dirs}: directives do not fit --sem seq" in res.output
     # an empty sequence fits every semantics
     empty = _write(tmp_path / "e.json", [])
-    res = runner.invoke(main, ["run", "--sem", "seq", "--dir", empty, LISTING1, state])
+    res = invoke(["run", "--sem", "seq", "--dir", empty, LISTING1, state])
     assert res.exit_code == 0
     assert json.loads(res.output)["outcome"] == "term"
 
@@ -86,12 +80,12 @@ def test_directives_under_seq_exit_1(runner, tmp_path):
     ("spec", {"label": 4, "offset": 0}),
     ("mc", {"addr": 15}),
 ])
-def test_directive_mismatch_run_exits_1(runner, tmp_path, sem, call):
+def test_directive_mismatch_run_exits_1(tmp_path, sem, call):
     # well-formed for the level, but a call directive where the run
     # reaches a branch
     state = _write(tmp_path / "s.json", PAIR["s1"])
     dirs = _write(tmp_path / "d.json", [{"call": call}])
-    res = runner.invoke(main, ["run", "--sem", sem, "--dir", dirs, LISTING1, state])
+    res = invoke(["run", "--sem", sem, "--dir", dirs, LISTING1, state])
     assert res.exit_code == 1
     assert json.loads(res.output) == {
         "trace": [],
@@ -108,20 +102,20 @@ def test_decoders_accept_only_naturals():
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
-def test_data_section_length_is_not_an_option(runner, tmp_path, command):
+def test_data_section_length_is_not_an_option(tmp_path, command):
     # run --sem mc and check linearize take it from the state's memory
     state = _write(tmp_path / "s.json", PAIR["s1"])
     args = (["run", "--sem", "mc"] if command == "run" else ["check", "linearize"])
-    res = runner.invoke(main, args + [LISTING1, state, "--data-len", "20"])
+    res = invoke(args + [LISTING1, state, "--data-len", "20"])
     assert res.exit_code == 2
     assert "No such option" in res.output
 
 
-def test_rs_rejects_memories_of_different_length(runner, tmp_path):
+def test_rs_rejects_memories_of_different_length(tmp_path):
     doc = dict(PAIR, s2=dict(PAIR["s2"], mem=PAIR["s2"]["mem"][:2]))
     pair = _write(tmp_path / "pair.json", doc)
-    res = runner.invoke(main, ["check", "rs", LISTING1, pair, "--pipeline",
-                               "end-to-end", "--variant", "no-edge-split"])
+    res = invoke(["check", "rs", LISTING1, pair, "--pipeline",
+                  "end-to-end", "--variant", "no-edge-split"])
     assert res.exit_code == 5
     assert "differ in length" in res.output
 
@@ -135,9 +129,9 @@ def test_rs_memory_length_check(listing1, listing1_pair):
 
 
 @pytest.mark.parametrize("sem", ["seq", "mc"])
-def test_non_list_stack_exits_1(runner, tmp_path, sem):
+def test_non_list_stack_exits_1(tmp_path, sem):
     state = _write(tmp_path / "s.json", dict(PAIR["s1"], stk=5))
-    res = runner.invoke(main, ["run", "--sem", sem, LISTING1, state])
+    res = invoke(["run", "--sem", sem, LISTING1, state])
     assert res.exit_code == 1
     assert "/stk: stack must be a list" in res.output
 
@@ -145,10 +139,10 @@ def test_non_list_stack_exits_1(runner, tmp_path, sem):
 @pytest.mark.parametrize("value", [
     -5, {"nat": -5}, {"nat": True}, {"fp": True}, {"fp": -1},
 ])
-def test_bad_value_exits_1(runner, tmp_path, value):
+def test_bad_value_exits_1(tmp_path, value):
     state = _write(tmp_path / "s.json",
                    dict(PAIR["s1"], regs=dict(PAIR["s1"]["regs"], arg1=value)))
-    res = runner.invoke(main, ["run", "--sem", "seq", LISTING1, state])
+    res = invoke(["run", "--sem", "seq", LISTING1, state])
     assert res.exit_code == 1
     assert "/regs/arg1: not a value" in res.output
 
@@ -157,52 +151,52 @@ def test_bad_value_exits_1(runner, tmp_path, value):
     ["run", "--sem", "mc"],
     ["check", "linearize"],
 ])
-def test_code_pointer_to_no_block_exits_1(runner, tmp_path, args):
+def test_code_pointer_to_no_block_exits_1(tmp_path, args):
     # concretizing the state needs the address of block 99
     state = _write(tmp_path / "s.json",
                    dict(PAIR["s1"], regs=dict(PAIR["s1"]["regs"], arg1={"fp": 99})))
-    res = runner.invoke(main, args + [LISTING1, state])
+    res = invoke(args + [LISTING1, state])
     assert res.exit_code == 1
     assert "&99 names no block" in res.output
 
 
 @pytest.mark.parametrize("command", ["run", "check", "linearize"])
-def test_empty_data_section_is_a_side_condition(runner, tmp_path, command):
+def test_empty_data_section_is_a_side_condition(tmp_path, command):
     # under run --sem mc and check linearize the data section is as long as
     # the state's memory
     state = _write(tmp_path / "s.json", dict(PAIR["s1"], mem=[]))
     args = {"run": ["run", "--sem", "mc", LISTING1, state],
             "check": ["check", "linearize", LISTING1, state],
             "linearize": ["linearize", LISTING1, "--data-len", "0"]}[command]
-    res = runner.invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 5
     assert res.stdout == ""
     assert res.stderr == "side condition violated: data_len must be positive\n"
 
 
-def test_rs_end_to_end_code_pointer_to_no_block_exits_1(runner, tmp_path):
+def test_rs_end_to_end_code_pointer_to_no_block_exits_1(tmp_path):
     mem = [{"fp": 99}] + PAIR["s1"]["mem"][1:]
     pair = _write(tmp_path / "pair.json", dict(PAIR, s1=dict(PAIR["s1"], mem=mem)))
-    res = runner.invoke(main, ["check", "rs", LISTING1, pair, "--pipeline", "end-to-end"])
+    res = invoke(["check", "rs", LISTING1, pair, "--pipeline", "end-to-end"])
     assert res.exit_code == 1
     assert "&99 names no block" in res.output
 
 
 @pytest.mark.parametrize("doc", [[1, 2], {"s1": PAIR["s1"]}, "pair"])
 @pytest.mark.parametrize("command", ["check", "attack"])
-def test_malformed_pair_exits_1(runner, tmp_path, doc, command):
+def test_malformed_pair_exits_1(tmp_path, doc, command):
     pair = _write(tmp_path / "pair.json", doc)
     args = ["check", "rs"] if command == "check" else ["attack"]
-    res = runner.invoke(main, args + [LISTING1, pair])
+    res = invoke(args + [LISTING1, pair])
     assert res.exit_code == 1
     assert res.output.startswith(f"Error: {pair}: ")
     assert "pair must be an object with states s1 and s2" in res.output
 
 
 @pytest.mark.parametrize("sem", ["spec", "ideal", "mc"])
-def test_non_boolean_flags_exit_1(runner, tmp_path, sem):
+def test_non_boolean_flags_exit_1(tmp_path, sem):
     state = _write(tmp_path / "s.json", dict(PAIR["s1"], ct="no", ms="false"))
-    res = runner.invoke(main, ["run", "--sem", sem, LISTING1, state])
+    res = invoke(["run", "--sem", sem, LISTING1, state])
     assert res.exit_code == 1
     assert "/ct: flag must be true or false" in res.output
 
@@ -219,9 +213,9 @@ def test_non_boolean_flags_exit_1(runner, tmp_path, sem):
     ["run", LISTING1, "{state}", "--fuel", "-3"],
     ["run", "--sem", "spec", LISTING1, "{state}", "--fuel", "0"],
 ])
-def test_empty_budget_is_a_usage_error(runner, tmp_path, args):
+def test_empty_budget_is_a_usage_error(tmp_path, args):
     state = _write(tmp_path / "s.json", PAIR["s1"])
-    res = runner.invoke(main, [a.format(state=state) for a in args])
+    res = invoke([a.format(state=state) for a in args])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "Invalid value" in res.stderr
@@ -232,23 +226,23 @@ def test_empty_budget_is_a_usage_error(runner, tmp_path, args):
     ("ideal", "--ct"), ("ideal", "--no-ct"), ("ideal", "--no-cet"),
     ("mc", "--no-cet"),
 ])
-def test_run_flag_the_semantics_never_reads_is_a_usage_error(runner, tmp_path, sem, flag):
+def test_run_flag_the_semantics_never_reads_is_a_usage_error(tmp_path, sem, flag):
     state = _write(tmp_path / "s.json", PAIR["s1"])
-    res = runner.invoke(main, ["run", "--sem", sem, flag, LISTING1, state])
+    res = invoke(["run", "--sem", sem, flag, LISTING1, state])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"{flag}: no effect under --sem {sem}" in res.stderr
 
 
 @pytest.mark.parametrize("data_len", [1, 8])
-def test_layout_sidecar_round_trip(runner, tmp_path, listing1, data_len):
+def test_layout_sidecar_round_trip(tmp_path, listing1, data_len):
     out = tmp_path / "layout.json"
-    res = runner.invoke(main, ["linearize", LISTING1, "--data-len", str(data_len),
-                               "--layout-out", str(out)])
+    res = invoke(["linearize", LISTING1, "--data-len", str(data_len),
+                  "--layout-out", str(out)])
     assert res.exit_code == 0
     assert decode_layout(json.loads(out.read_text())) == layout(listing1, data_len)
     # without --layout-out the same sidecar goes to stderr
-    res = runner.invoke(main, ["linearize", LISTING1, "--data-len", str(data_len)])
+    res = invoke(["linearize", LISTING1, "--data-len", str(data_len)])
     assert json.loads(res.stderr) == json.loads(out.read_text())
 
 
@@ -258,21 +252,85 @@ def test_layout_sidecar_round_trip(runner, tmp_path, listing1, data_len):
     (["run", "--sem", "seq", LISTING1], [1, 2], "state must be an object"),
     (["run", "--sem", "mc", LISTING1], "state", "state must be an object"),
 ])
-def test_document_root_error_has_one_separator(runner, tmp_path, args, doc, message):
+def test_document_root_error_has_one_separator(tmp_path, args, doc, message):
     path = _write(tmp_path / "doc.json", doc)
-    res = runner.invoke(main, args + [path])
+    res = invoke(args + [path])
     assert res.exit_code == 1
     assert res.output == f"Error: {path}: {message}\n"
 
 
-def test_fuzz_campaign_with_no_passing_case_is_not_a_pass(runner, tmp_path):
+def test_fuzz_campaign_with_no_passing_case_is_not_a_pass(tmp_path):
     # every source speculative run loads out of bounds after the branch, so
     # each lockstep check is inconclusive
     (tmp_path / "p.mir").write_text(
         "entry b0:\n  branch (r0 <= 7) b1\n  ret\nblock b1:\n  load r1, 100\n  ret\n"
     )
-    res = runner.invoke(
-        main, ["fuzz-linearize", "--corpus", str(tmp_path), "--seed", "1", "--runs", "5"]
-    )
+    res = invoke(["fuzz-linearize", "--corpus", str(tmp_path), "--seed", "1", "--runs", "5"])
     assert res.exit_code == 3
     assert json.loads(res.output) == {"status": "inconclusive", "runs": 5}
+
+
+COMMANDS = ["run", "harden", "linearize", "check", "attack",
+            "fuzz-bcc", "fuzz-safety", "fuzz-rs", "fuzz-linearize"]
+
+
+@pytest.mark.parametrize("args", [[], *([c] for c in COMMANDS)], ids=["specibt", *COMMANDS])
+def test_help_exits_0(args):
+    res = invoke(args + ["--help"])
+    assert res.exit_code == 0
+    assert res.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "{missing}", "{state}"],
+    ["run", LISTING1, "{missing}"],
+    ["run", "--sem", "spec", "--dir", "{missing}", LISTING1, "{state}"],
+    ["check", "bcc", "{missing}", "{state}"],
+    ["attack", LISTING1, "{missing}"],
+    ["harden", "{missing}"],
+    ["fuzz-bcc", "--corpus", LISTING1],  # a file, not a directory
+    ["fuzz-safety", "--corpus", "{missing}"],
+    ["bogus"],
+    [],
+], ids=["program", "state", "dir", "check", "pair", "harden", "corpus-file",
+        "corpus-missing", "unknown-command", "no-command"])
+def test_implicit_usage_errors_exit_2(tmp_path, args):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    missing = str(tmp_path / "missing.json")
+    res = invoke([a.format(state=state, missing=missing) for a in args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr
+
+
+def _undecodable(tmp_path, kind):
+    """A file that cannot be decoded: not UTF-8, nested too deep for JSON, or
+    a program whose expression nests deeper than the recursion limit."""
+    f = tmp_path / f"{kind}.in"
+    if kind == "bytes":
+        f.write_bytes(b"\xff\xfe\x00")
+    elif kind == "json":
+        f.write_text("[" * 100_000)
+    else:
+        f.write_text("entry a:\n  x <- " + "(1 + " * 1500 + "1" + ")" * 1500 + "\n  ret\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("kind,args", [
+    ("bytes", ["run", "{bad}", "{state}"]),
+    ("bytes", ["run", LISTING1, "{bad}"]),
+    ("bytes", ["check", "bcc", LISTING1, "{bad}"]),
+    ("json", ["run", LISTING1, "{bad}"]),
+    ("json", ["run", "--sem", "spec", "--dir", "{bad}", LISTING1, "{state}"]),
+    ("json", ["check", "rs", LISTING1, "{bad}"]),
+    ("expr", ["run", "{bad}", "{state}"]),
+    ("expr", ["harden", "{bad}"]),
+])
+def test_undecodable_input_exits_1(tmp_path, kind, args):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    bad = _undecodable(tmp_path, kind)
+    res = invoke([a.format(state=state, bad=bad) for a in args])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"Error: {bad}: ")
+    assert "Traceback" not in res.stderr

@@ -12,10 +12,9 @@ not a loop whose exit waits for a growing counter.
 import random
 
 import pytest
-from click.testing import CliRunner
 
 import specibt.gen as gen
-from specibt.cli import main
+from conftest import invoke
 from specibt.gen import GenConfig, _terminates, gen_program, gen_state
 from specibt.interp import Next, State, run_seq, step_seq
 from specibt.ir import PC, UV
@@ -270,9 +269,7 @@ def test_corpus_all_uv_check_runs_once_per_program(tmp_path, monkeypatch):
         return real(p, s, fuel)
 
     monkeypatch.setattr(gen, "run_seq", counted)
-    res = CliRunner().invoke(
-        main, ["fuzz-bcc", "--corpus", str(tmp_path), "--seed", "1", "--runs", "8"]
-    )
+    res = invoke(["fuzz-bcc", "--corpus", str(tmp_path), "--seed", "1", "--runs", "8"])
     assert res.exit_code == 0, res.output
     assert len(all_uv) == len(ALL_UV_CORPUS)
     assert len(set(map(id, all_uv))) == len(ALL_UV_CORPUS)
