@@ -208,9 +208,15 @@ def _finish_verdict(v: Verdict) -> None:
 def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
     linearize) or a two-state pair JSON (rs)."""
+    unread = [f for f, v, reads in (("--pipeline", pipeline, property == "rs"),
+                                    ("--variant", variant, property != "linearize"))
+              if v is not None and not reads]
+    if unread:
+        msg = f"{', '.join(unread)}: no effect under check {property}"
+        raise argparse.ArgumentError(None, msg)  # a usage error: exit 2
     p = _load(program, parse_program)
     budget = ExploreBudget(depth, runs, fuel)
-    cfg = VARIANTS[variant]
+    pipeline, cfg = pipeline or "hardened-only", VARIANTS[variant or "full"]
     try:
         if property == "bcc":
             v = check_bcc_specibt(p, _load(state, decode_state), budget, cfg=cfg)
@@ -417,8 +423,10 @@ def _parser() -> argparse.ArgumentParser:
     properties = {"choices": ["bcc", "safety", "rs", "linearize"]}
     p = command("check", cmd_check, ("property", properties), "program", "state")
     budget(p, 200, "Maximum explored directive sequences.")
-    opt(p, "--pipeline", pipelines[0], choices=pipelines, help="For rs only.")
-    opt(p, "--variant", "full", choices=variants)
+    opt(p, "--pipeline", choices=pipelines,
+        help=f"For rs only (default: {pipelines[0]}).")
+    opt(p, "--variant", choices=variants,
+        help="For bcc, safety and rs (default: full).")
     p = command("attack", cmd_attack, "program", "pair")
     opt(p, "--target", "auto", choices=["pht", "btb", "auto"])
     budget(p, 500)

@@ -9,6 +9,7 @@ import random
 from typing import Optional
 
 from .ir import (
+    BINOPS,
     Asgn,
     BinOp,
     Block,
@@ -47,30 +48,30 @@ class GenConfig(Record):
     max_expr_depth: int = 2
 
 
-def _gen_expr(rng: random.Random, cfg: GenConfig, entries: list[int], depth: int) -> Expr:
+def _gen_expr(rng: random.Random, cfg: GenConfig, depth: int) -> Expr:
     if depth <= 0 or rng.random() < 0.5:
         roll = rng.random()
         if roll < 0.5:
             return Const(rng.randrange(cfg.max_const + 1))
         return Reg(rng.choice(cfg.reg_pool))
     if rng.random() < 0.8:
-        op = rng.choice(("+", "-", "*", "=", "<=", "&&", "->"))
+        op = rng.choice(BINOPS)
         # keep one factor constant: a loop squaring a register every
         # iteration produces numbers too large to compute with
         rhs = (
             Const(rng.randrange(cfg.max_const + 1))
             if op == "*"
-            else _gen_expr(rng, cfg, entries, depth - 1)
+            else _gen_expr(rng, cfg, depth - 1)
         )
-        return BinOp(op, _gen_expr(rng, cfg, entries, depth - 1), rhs)
+        return BinOp(op, _gen_expr(rng, cfg, depth - 1), rhs)
     return Cond(
-        _gen_expr(rng, cfg, entries, depth - 1),
-        _gen_expr(rng, cfg, entries, depth - 1),
-        _gen_expr(rng, cfg, entries, depth - 1),
+        _gen_expr(rng, cfg, depth - 1),
+        _gen_expr(rng, cfg, depth - 1),
+        _gen_expr(rng, cfg, depth - 1),
     )
 
 
-def _gen_addr(rng: random.Random, cfg: GenConfig, entries: list[int]) -> Expr:
+def _gen_addr(rng: random.Random, cfg: GenConfig) -> Expr:
     """Address expressions are bounds-checked against the memory length so
     generated runs mostly stay in range."""
     if rng.random() < 0.5:
@@ -91,17 +92,17 @@ def _gen_inst(
         if entries and rng.random() < cfg.fp_fraction:
             src = FpConst(rng.choice(entries))
         else:
-            src = _gen_expr(rng, cfg, entries, cfg.max_expr_depth)
+            src = _gen_expr(rng, cfg, cfg.max_expr_depth)
         return Asgn(rng.choice(cfg.reg_pool), src)
     if roll < 0.50:
-        return Load(rng.choice(cfg.reg_pool), _gen_addr(rng, cfg, entries))
+        return Load(rng.choice(cfg.reg_pool), _gen_addr(rng, cfg))
     if roll < 0.65:
         return Store(
-            _gen_addr(rng, cfg, entries), _gen_expr(rng, cfg, entries, cfg.max_expr_depth)
+            _gen_addr(rng, cfg), _gen_expr(rng, cfg, cfg.max_expr_depth)
         )
     if roll < 0.80 and non_entries:
         return Branch(
-            _gen_expr(rng, cfg, entries, cfg.max_expr_depth), rng.choice(non_entries)
+            _gen_expr(rng, cfg, cfg.max_expr_depth), rng.choice(non_entries)
         )
     if roll < 0.90 and entries:
         return Call(FpConst(rng.choice(entries)))

@@ -5,12 +5,15 @@ sequential, speculative with a CET-style ctarget model, and ideal
 The semantics are layered as in the paper: the speculative semantics is
 the sequential one plus attacker directives at branches and calls, and the
 ideal semantics is the speculative one plus masking and call-target
-validation. One closure factory, `_compile`, implements every rule once
-and takes the layers as policy flags; `step_seq`, `step_spec` and
-`step_ideal` select them. A run compiles each instruction it reaches to a
-closure once per program (Feeley and Lapalme, "Using closures for code
-generation", 1987). One run loop, `run`, drives any step function, the
-machine semantics' included.
+validation. Every rule is implemented once and takes the layers as policy
+flags; `step_seq`, `step_spec` and `step_ideal` select them. The machine
+semantics is the speculative one with cet on, over code addresses, where
+an unset register reads 0: `compile_rule` compiles skip, jump, ctarget,
+assignment, branch and ret, and `_compile_expr` every expression, for both
+levels, while `_compile` adds the block-level load, store and call. A run
+compiles each instruction it reaches to a closure once per program (Feeley
+and Lapalme, "Using closures for code generation", 1987). One run loop,
+`run`, drives any step function, the machine semantics' included.
 
 All step functions are pure; states are immutable snapshots.
 """
@@ -32,6 +35,7 @@ from .ir import (
     Expr,
     FP,
     FpConst,
+    Inst,
     Jump,
     Load,
     PC,
@@ -174,17 +178,18 @@ def nat_op(op: str) -> Callable[[int, int], int]:
     return NAT_OPS.get(op, unknown)
 
 
-def _compile_expr(e: Expr) -> Callable[[dict[str, Value]], Value]:
-    """`e` as a closure from registers to its value. Evaluation is total:
-    unresolvable results are UV."""
+def _compile_expr(e: Expr, unset: Value) -> Callable[[dict[str, Value]], Value]:
+    """`e` as a closure from registers to its value, where an unset register
+    reads `unset`: UV at block level, 0 in machine code. Evaluation is
+    total: unresolvable results are UV."""
     if isinstance(e, (Const, FpConst)):
         v = e.value if isinstance(e, Const) else FP(e.label)
         return lambda regs: v
     if isinstance(e, Reg):
         name = e.name
-        return lambda regs: regs.get(name, UV)
+        return lambda regs: regs.get(name, unset)
     if isinstance(e, BinOp):
-        f, lhs, rhs = nat_op(e.op), _compile_expr(e.lhs), _compile_expr(e.rhs)
+        f, lhs, rhs = nat_op(e.op), _compile_expr(e.lhs, unset), _compile_expr(e.rhs, unset)
         eq = e.op == "="
         def binop(regs):
             v1, v2 = lhs(regs), rhs(regs)
@@ -195,7 +200,7 @@ def _compile_expr(e: Expr) -> Callable[[dict[str, Value]], Value]:
             return UV
         return binop
     if isinstance(e, Cond):
-        c, then, els = _compile_expr(e.cond), _compile_expr(e.then), _compile_expr(e.els)
+        c, then, els = (_compile_expr(x, unset) for x in (e.cond, e.then, e.els))
         def cond(regs):
             v = c(regs)
             if not isinstance(v, int):
@@ -236,24 +241,26 @@ SPEC_CET, IDEAL = (True, False, True), (True, True, False)
 Rule = Callable[[State, Optional[Directive]], Outcome]
 
 
-def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
-    """The rule of instruction `o` of block `l` under `sem`. Its entry point,
-    `_step`, has checked the pc and the armed ctarget check."""
+def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
+                 sem: Sem, unset: Value) -> Rule:
+    """The rule of `inst` under `sem`, if it is a skip, jump, ctarget,
+    assignment, branch or ret, at either level: `nxt` is its fall-through
+    pc, `to` its jump or branch target pc, and an unset register reads
+    `unset`. Only load, store and call differ between the levels."""
     spec, ideal, cet = sem
     rct = spec and not ideal  # the semantics reads `ct`
-    inst, nxt = p.blocks[l].insts[o], PC(l, o + 1)
     if isinstance(inst, (Skip, Jump, CTarget)):
-        to = PC(inst.target, 0) if isinstance(inst, Jump) else nxt
+        to = to if isinstance(inst, Jump) else nxt
         keep = rct and not isinstance(inst, CTarget)  # a ctarget clears `ct`
         def rule(s, d):
             return Next(State(to, s.regs, s.mem, s.stk, keep and s.ct, spec and s.ms))
     elif isinstance(inst, Asgn):
-        reg, expr = inst.reg, _compile_expr(inst.expr)
+        reg, expr = inst.reg, _compile_expr(inst.expr, unset)
         def rule(s, d):
             regs = with_reg(s.regs, reg, expr(s.regs))
             return Next(State(nxt, regs, s.mem, s.stk, rct and s.ct, spec and s.ms))
     elif isinstance(inst, Branch):
-        cond, target = _compile_expr(inst.cond), PC(inst.target, 0)
+        cond = _compile_expr(inst.cond, unset)
         def rule(s, d):
             ms = spec and s.ms
             v = 0 if ideal and ms else cond(s.regs)
@@ -267,10 +274,27 @@ def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
                     return DirectiveMismatch("branch instruction needs a branch directive")
                 taken = d.taken
                 ms = ms or b != taken
-            pc2 = target if taken else nxt
+            pc2 = to if taken else nxt
             return Next(State(pc2, s.regs, s.mem, s.stk, rct and s.ct, ms), OBRANCH[b])
-    elif isinstance(inst, Load):
-        reg, addr = inst.reg, _compile_expr(inst.addr)
+    elif isinstance(inst, Ret):
+        def rule(s, d):
+            if not s.stk:
+                return TERM
+            ct, ms = rct and s.ct, spec and s.ms
+            return Next(State(s.stk[0], s.regs, s.mem, s.stk[1:], ct, ms))
+    else:
+        raise TypeError(f"not an instruction: {inst!r}")
+    return rule
+
+
+def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
+    """The rule of instruction `o` of block `l` under `sem`. Its entry point,
+    `_step`, has checked the pc and the armed ctarget check."""
+    spec, ideal, cet = sem
+    rct = spec and not ideal  # the semantics reads `ct`
+    inst, nxt = p.blocks[l].insts[o], PC(l, o + 1)
+    if isinstance(inst, Load):
+        reg, addr = inst.reg, _compile_expr(inst.addr, UV)
         def rule(s, d):
             ms, mem = spec and s.ms, s.mem
             a = 0 if ideal and ms else addr(s.regs)
@@ -279,7 +303,7 @@ def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
             regs = with_reg(s.regs, reg, mem[a])
             return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OLoad(a))
     elif isinstance(inst, Store):
-        addr, value = _compile_expr(inst.addr), _compile_expr(inst.value)
+        addr, value = _compile_expr(inst.addr, UV), _compile_expr(inst.value, UV)
         def rule(s, d):
             ms, regs, mem = spec and s.ms, s.regs, s.mem
             a = 0 if ideal and ms else addr(regs)
@@ -288,7 +312,7 @@ def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
             mem = mem[:a] + (value(regs),) + mem[a + 1 :]
             return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OStore(a))
     elif isinstance(inst, Call):
-        target, blocks, fp0 = _compile_expr(inst.target), p.blocks, FP(0)
+        target, blocks, fp0 = _compile_expr(inst.target, UV), p.blocks, FP(0)
         entries = {PC(t, 0) for t, b in enumerate(blocks) if b.insts and b.is_entry}
         # the prediction point of a call to each block label, built once
         points = p.compiled.get("calls") or p.compiled.setdefault("calls", tuple(
@@ -316,14 +340,9 @@ def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
                     return Stuck(f"call target &{t} is not a function entry")
                 pc2 = PC(t, 0)
             return Next(State(pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms), OCall(t))
-    elif isinstance(inst, Ret):
-        def rule(s, d):
-            if not s.stk:
-                return TERM
-            ct, ms = rct and s.ct, spec and s.ms
-            return Next(State(s.stk[0], s.regs, s.mem, s.stk[1:], ct, ms))
     else:
-        raise TypeError(f"not an instruction: {inst!r}")
+        to = PC(inst.target, 0) if isinstance(inst, (Jump, Branch)) else None
+        return compile_rule(inst, nxt, to, sem, UV)
     return rule
 
 

@@ -5,13 +5,15 @@ The machine image is a data section of `data_len` cells followed by the
 flattened code. Labels in jumps, branches and function-pointer constants
 become absolute addresses, so machine code carries the layout that fixed
 them; machine values are plain naturals. A machine state is an
-`interp.State` whose pc and return stack are code addresses.
+`interp.State` whose pc and return stack are code addresses. The machine
+rules are interp's speculative rules with cet on, except for load, store
+and call, which check the data and the code section themselves.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ir import (
     UV,
@@ -32,22 +34,17 @@ from .ir import (
     PC,
     Program,
     Record,
-    Reg,
-    Ret,
-    Skip,
     Store,
     Value,
 )
 from .interp import (
-    BRANCH_POINTS,
-    DBranch,
+    SPEC_CET,
     DCallMc,
     DCallMir,
     Directive,
     DirectiveMismatch,
     FAULT,
     Next,
-    OBRANCH,
     OCall,
     OLoad,
     OStore,
@@ -57,8 +54,8 @@ from .interp import (
     RunResult,
     State,
     Stuck,
-    TERM,
-    nat_op,
+    _compile_expr,
+    compile_rule,
     run,
     with_reg,
 )
@@ -159,56 +156,18 @@ def linearize(p: Program, data_len: int) -> McProgram:
 # naturals
 
 
-def _compile_mc_expr(e: Expr) -> Callable[[dict[str, int]], int]:
-    """`e` as a closure from machine registers to its value; an unset
-    register reads 0."""
-    if isinstance(e, Const):
-        n = e.value
-        return lambda regs: n
-    if isinstance(e, Reg):
-        name = e.name
-        return lambda regs: regs.get(name, 0)
-    if isinstance(e, BinOp):
-        f, lhs, rhs = nat_op(e.op), _compile_mc_expr(e.lhs), _compile_mc_expr(e.rhs)
-        return lambda regs: f(lhs(regs), rhs(regs))
-    if isinstance(e, Cond):
-        c, then, els = map(_compile_mc_expr, (e.cond, e.then, e.els))
-        return lambda regs: then(regs) if c(regs) != 0 else els(regs)
-    if isinstance(e, FpConst):
-        def fp(regs: dict[str, int]) -> int:
-            raise ValueError("function pointer constant in machine code")
-        return fp
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def _compile_mc(mc: McProgram, pc: int) -> Rule:
     """The rule of the instruction at address `pc`: that of the speculative
-    block-structured semantics with cet on, over absolute addresses. Its
-    entry point, `step_mc`, has checked the pc and the armed ctarget check,
-    so `ct` is clear, or the instruction is the ctarget clearing it."""
+    block-structured semantics with cet on, over absolute addresses, where
+    an unset register reads 0. Only load, store and call have rules of
+    their own here, which check the data and the code section; interp's
+    `compile_rule` compiles every other instruction. The entry point,
+    `step_mc`, has checked the pc and the armed ctarget check, so `ct` is
+    clear, or the instruction is the ctarget clearing it."""
     data_len = mc.lay.data_len
     inst, nxt, end = mc.code[pc - data_len], pc + 1, data_len + len(mc.code)
-    if isinstance(inst, (Skip, Jump, CTarget)):
-        to = inst.target if isinstance(inst, Jump) else nxt
-        def rule(s, d):
-            return Next(State(to, s.regs, s.mem, s.stk, False, s.ms))
-    elif isinstance(inst, Asgn):
-        reg, expr = inst.reg, _compile_mc_expr(inst.expr)
-        def rule(s, d):
-            regs = with_reg(s.regs, reg, expr(s.regs))
-            return Next(State(nxt, regs, s.mem, s.stk, False, s.ms))
-    elif isinstance(inst, Branch):
-        cond, target = _compile_mc_expr(inst.cond), inst.target
-        def rule(s, d):
-            b = cond(s.regs) != 0
-            if d is None:
-                return BRANCH_POINTS[b]
-            if not isinstance(d, DBranch):
-                return DirectiveMismatch("branch instruction needs a branch directive")
-            pc2, ms = target if d.taken else nxt, s.ms or b != d.taken
-            return Next(State(pc2, s.regs, s.mem, s.stk, False, ms), OBRANCH[b])
-    elif isinstance(inst, Load):
-        reg, addr = inst.reg, _compile_mc_expr(inst.addr)
+    if isinstance(inst, Load):
+        reg, addr = inst.reg, _compile_expr(inst.addr, 0)
         def rule(s, d):
             a = addr(s.regs)
             if not a < data_len:
@@ -216,7 +175,7 @@ def _compile_mc(mc: McProgram, pc: int) -> Rule:
             regs = with_reg(s.regs, reg, s.mem[a])
             return Next(State(nxt, regs, s.mem, s.stk, False, s.ms), OLoad(a))
     elif isinstance(inst, Store):
-        addr, value = _compile_mc_expr(inst.addr), _compile_mc_expr(inst.value)
+        addr, value = _compile_expr(inst.addr, 0), _compile_expr(inst.value, 0)
         def rule(s, d):
             a = addr(s.regs)
             if not a < data_len:
@@ -224,7 +183,7 @@ def _compile_mc(mc: McProgram, pc: int) -> Rule:
             mem = s.mem[:a] + (value(s.regs),) + s.mem[a + 1 :]
             return Next(State(nxt, s.regs, mem, s.stk, False, s.ms), OStore(a))
     elif isinstance(inst, Call):
-        target = _compile_mc_expr(inst.target)
+        target = _compile_expr(inst.target, 0)
         # the prediction point of a call to each code address, built once
         points = mc.compiled.get("calls") or mc.compiled.setdefault("calls", tuple(
             OutOfDirectives(DCallMc(a)) for a in range(data_len, end)))
@@ -238,13 +197,9 @@ def _compile_mc(mc: McProgram, pc: int) -> Rule:
                 return DirectiveMismatch("call instruction needs a call directive")
             stk, ms = (nxt,) + s.stk, s.ms or d.addr != t
             return Next(State(d.addr, s.regs, s.mem, stk, True, ms), OCall(t))
-    elif isinstance(inst, Ret):
-        def rule(s, d):
-            if not s.stk:
-                return TERM
-            return Next(State(s.stk[0], s.regs, s.mem, s.stk[1:], False, s.ms))
     else:
-        raise TypeError(f"not an instruction: {inst!r}")
+        to = inst.target if isinstance(inst, (Jump, Branch)) else None
+        return compile_rule(inst, nxt, to, SPEC_CET, 0)
     return rule
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .ir import UV, FP, PC, Value
+from .ir import UV, PC, Value
 from .interp import (
     DBranch,
     DCallMc,
@@ -18,7 +18,7 @@ from .interp import (
     OCall,
     State,
 )
-from .machine import LayoutMap
+from .machine import LayoutMap, concretize_value
 
 
 def trace_cmp(o1: Sequence[Obs], o2: Sequence[Obs]) -> bool:
@@ -31,11 +31,7 @@ def trace_cmp(o1: Sequence[Obs], o2: Sequence[Obs]) -> bool:
 def value_rel(v: Value, n: int, lay: LayoutMap) -> bool:
     """Naturals relate to themselves, function pointers to their code
     addresses, UV to every natural."""
-    if v is UV:
-        return True
-    if isinstance(v, FP):
-        return lay.addr(v.label) == n
-    return v == n
+    return v is UV or concretize_value(v, lay) == n
 
 
 def pc_rel(pc: PC, a: int, lay: LayoutMap) -> bool:

@@ -20,6 +20,7 @@ branch and jump targets.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Any, Optional, Sequence
 
@@ -134,6 +135,12 @@ def _header_at(toks: list[_Tok], j: int) -> bool:
     )
 
 
+# The deepest nesting of parentheses an expression may have. Every layer
+# walks expressions recursively, so a fixed bound keeps each of them well
+# below Python's recursion limit.
+MAX_NESTING = 256
+
+
 class _Parser:
     """Recursive-descent parser over the token stream. `labels` maps block
     names to indices. Unknown labels are collected in `issues` and parsing
@@ -168,7 +175,8 @@ class _Parser:
 
     # -- expressions
 
-    def expr(self) -> Expr:
+    def expr(self, depth: int = 0) -> Expr:
+        """An expression inside `depth` parentheses."""
         t = self.cur
         if t.kind == "nat":
             self._advance()
@@ -183,19 +191,22 @@ class _Parser:
             self._advance()
             return Reg(t.text)
         if t.kind == "sym" and t.text == "(":
+            if depth == MAX_NESTING:
+                raise self._fail(f"expression nested deeper than {MAX_NESTING} levels")
             self._advance()
-            lhs = self.expr()
+            depth += 1
+            lhs = self.expr(depth)
             op = self.cur
             if op.kind == "sym" and op.text == "?":
                 self._advance()
-                then = self.expr()
+                then = self.expr(depth)
                 self._expect("sym", ":")
-                els = self.expr()
+                els = self.expr(depth)
                 self._expect("sym", ")")
                 return Cond(lhs, then, els)
             if op.kind == "sym" and op.text in BINOPS:
                 self._advance()
-                rhs = self.expr()
+                rhs = self.expr(depth)
                 self._expect("sym", ")")
                 return BinOp(op.text, lhs, rhs)
             raise self._fail(f"expected operator or '?', found {op.text!r}")
@@ -536,4 +547,8 @@ def decode_layout(doc: Any, path: str = "") -> LayoutMap:
         for l, x in enumerate(xs):
             if not _is_nat(x):
                 raise DocError(f"{path}/{key}/{l}", f"not a natural number: {x!r}")
+    # each block starts where the one before it ends
+    for l, (x, at) in enumerate(zip(starts, itertools.accumulate(sizes, initial=0))):
+        if x != at:
+            raise DocError(f"{path}/starts/{l}", f"block {l} must start at {at}")
     return LayoutMap(doc["data_len"], starts, tuple(sizes))

@@ -10,7 +10,8 @@ from specibt.checks import check_relative_security
 from specibt.explore import ExploreBudget
 from specibt.interp import State
 from specibt.machine import layout
-from specibt.textio import DocError, decode_directive, decode_layout, decode_state
+from specibt.textio import (MAX_NESTING, DocError, decode_directive, decode_layout,
+                            decode_state)
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 LISTING1 = str(CORPUS / "listing1.mir")
@@ -232,6 +233,67 @@ def test_run_flag_the_semantics_never_reads_is_a_usage_error(tmp_path, sem, flag
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"{flag}: no effect under --sem {sem}" in res.stderr
+
+
+@pytest.mark.parametrize("prop,flags,unread", [
+    ("linearize", ["--variant", "no-edge-split"], "--variant"),
+    ("linearize", ["--pipeline", "end-to-end"], "--pipeline"),
+    ("linearize", ["--variant", "no-edge-split", "--pipeline", "end-to-end"],
+     "--pipeline, --variant"),
+    ("bcc", ["--pipeline", "end-to-end"], "--pipeline"),
+    ("safety", ["--pipeline", "hardened-only"], "--pipeline"),
+])
+def test_check_flag_the_property_never_reads_is_a_usage_error(tmp_path, prop, flags, unread):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    res = invoke(["check", prop, LISTING1, state, "--depth", "3", *flags])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"{unread}: no effect under check {prop}" in res.stderr
+
+
+def _nested_listing1(tmp_path, n: int) -> str:
+    """Listing 1 with its branch condition and its first load address
+    rewritten to equal expressions whose parentheses nest `n` deep."""
+    def deep(e: str, k: int) -> str:  # `e` inside k more levels of "(0 + ...)"
+        return "(0 + " * k + e + ")" * k
+    text = pathlib.Path(LISTING1).read_text()
+    text = text.replace("((arg1 + 1) <= len)", f"({deep('(arg1 + 1)', n - 2)} <= len)")
+    text = text.replace("(base + arg1)", deep("(base + arg1)", n - 1))
+    f = tmp_path / f"nested{n}.mir"
+    f.write_text(text)
+    return str(f)
+
+
+NESTED_COMMANDS = [
+    *(["run", "--sem", sem, "{p}", "{state}"] for sem in ("seq", "spec", "ideal", "mc")),
+    ["harden", "{p}"],
+    ["linearize", "{p}", "--data-len", "8"],
+    *(["check", prop, "{p}", "{state}"] for prop in ("bcc", "safety", "linearize")),
+    ["check", "rs", "{p}", "{pair}"],
+    ["check", "rs", "{p}", "{pair}", "--pipeline", "end-to-end"],
+    ["attack", "{p}", "{pair}"],
+]
+
+
+@pytest.mark.parametrize("args", NESTED_COMMANDS, ids=" ".join)
+def test_expression_at_the_nesting_bound_runs_everywhere(tmp_path, args):
+    p = _nested_listing1(tmp_path, MAX_NESTING)
+    state, pair = _write(tmp_path / "s.json", PAIR["s1"]), str(CORPUS / "listing1_pair.json")
+    res = invoke([a.format(p=p, state=state, pair=pair) for a in args])
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout
+
+
+@pytest.mark.parametrize("args", NESTED_COMMANDS, ids=" ".join)
+def test_expression_past_the_nesting_bound_is_a_parse_error(tmp_path, args):
+    p = _nested_listing1(tmp_path, MAX_NESTING + 1)
+    state, pair = _write(tmp_path / "s.json", PAIR["s1"]), str(CORPUS / "listing1_pair.json")
+    res = invoke([a.format(p=p, state=state, pair=pair) for a in args])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"Error: {p}: ")
+    assert f"nested deeper than {MAX_NESTING} levels" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("data_len", [1, 8])

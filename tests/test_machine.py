@@ -13,6 +13,7 @@ from specibt.interp import (
     Next,
     OCall,
     OLoad,
+    OStore,
     State,
     Stuck,
 )
@@ -94,6 +95,22 @@ def test_eval_mc_is_plain_natural_arithmetic():
     assert eval_mc(BinOp("-", Const(1), Const(5)), {}) == 0
     with pytest.raises(ValueError, match="unknown operator"):
         eval_mc(BinOp("%", Const(1), Const(1)), {})
+
+
+def test_machine_branch_and_store_read_unset_registers_as_zero():
+    from specibt.ir import Reg, Store
+
+    # a branch on an unset register goes on as if it read 0: not taken
+    p = Program((Block((Branch(Reg("c"), 0), RET), is_entry=True),))
+    mc, s = linearize(p, 2), State(2, {}, (4, 9))
+    out = step_mc(mc, s)
+    assert out.correct == DBranch(False)
+    out = step_mc(mc, s, DBranch(False))
+    assert out.state.pc == 3 and not out.state.ms
+    # a store of an unset register to an unset one writes 0 to cell 0
+    p = Program((Block((Store(Reg("a"), Reg("v")), RET), is_entry=True),))
+    out = step_mc(linearize(p, 2), s)
+    assert out.state.mem == (0, 9) and out.obs == OStore(0)
 
 
 def test_step_mc_call_and_fault():

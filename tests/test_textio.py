@@ -246,6 +246,10 @@ def test_state_flags_must_be_booleans(flags):
     ("sizes", [2], "/sizes"),
     ("sizes", [2, None], "/sizes/1"),
     ("sizes", [2, False], "/sizes/1"),
+    # starts that are not the running sums of the sizes from 0
+    ("starts", {"0": 0, "1": 5}, "/starts/1"),
+    ("starts", {"0": 0, "1": 1}, "/starts/1"),
+    ("starts", {"0": 1, "1": 3}, "/starts/0"),
 ])
 def test_decode_layout_checks_field_types(field, value, path):
     doc = {"data_len": 8, "starts": {"0": 0, "1": 2}, "sizes": [2, 3], field: value}
