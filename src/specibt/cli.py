@@ -167,13 +167,17 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
 
 
 def cmd_harden(program, output, msf_reg, callee_reg, variant):
-    """Apply the hardening pass and print the transformed program."""
+    """Apply the hardening pass and print the transformed program. Exits 5,
+    writing nothing, if the printed program would not parse again."""
     p = _load(program, parse_program)
     try:
-        hp = harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant])
+        text = print_program(harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant]))
+        parse_program(text)
     except HardenError as exc:
         _violated(exc)
-    _write(output, print_program(hp))
+    except ParseError as exc:
+        _violated(f"the hardened program does not parse: {exc}")
+    _write(output, text)
 
 
 def cmd_linearize(program, data_len, output, layout_out):
@@ -297,7 +301,7 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
         # the all-UV check's verdict depends on the program only
         hopeless = [no_input_terminates(p, c, fuel) for p, c in zip(programs, cfgs)]
         count = 0
-        for round_ in range(10 * runs):
+        while True:
             progress = False
             for p, pcfg, skip in zip(programs, cfgs, hopeless):
                 if count >= runs:
@@ -309,7 +313,6 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
                     yield p, s
             if not progress:
                 _fail(f"could not sample safe inputs for {corpus}")
-        return
     produced = 0
     for _ in range(50 * runs):
         if produced >= runs:
@@ -353,10 +356,8 @@ def cmd_fuzz_safety(corpus, seed, depth, runs, fuel, sequences):
                check_safety_preservation)
 
 
-def cmd_fuzz_rs(corpus, seed, depth, runs, fuel, sequences, pipeline):
+def cmd_fuzz_rs(seed, depth, runs, fuel, sequences, pipeline):
     """Fuzz relative security on sequentially equivalent state pairs."""
-    if corpus:
-        _fail("fuzz-rs needs generated state pairs; --corpus is unsupported here")
     rng = random.Random(seed)
     pairs = (gen_seq_equiv_pair(rng, GenConfig(), fuel) for _ in range(runs))
     _fuzz_loop(((q.program, q.s1, q.s2) for q in pairs), depth, sequences, fuel,
@@ -439,9 +440,10 @@ def _parser() -> argparse.ArgumentParser:
         budget(p, 100, "Number of fuzzed programs.")
         opt(p, "--sequences", 100, type=COUNT,
             help="Directive sequences explored per program.")
-        opt(p, "--corpus", metavar="PATH", type=_directory)
-        if cmd is cmd_fuzz_rs:
+        if cmd is cmd_fuzz_rs:  # generated state pairs only
             opt(p, "--pipeline", pipelines[0], choices=pipelines)
+        else:
+            opt(p, "--corpus", metavar="PATH", type=_directory)
     return parser
 
 

@@ -58,16 +58,15 @@ class Driver(Record):
 _BRANCHES = (DBranch(True), DBranch(False))
 
 
-def _call_pcs(sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """(label, offset) of every block head, then of offset 1 of every
-    block with more than one instruction."""
-    heads = [(l, 0) for l in range(len(sizes))]
-    return heads + [(l, 1) for l, n in enumerate(sizes) if n > 1]
+def _call_pcs(sizes: Sequence[int]) -> list[PC]:
+    """The pc of every block head, then of offset 1 of every block with
+    more than one instruction."""
+    heads = [PC(l, 0) for l in range(len(sizes))]
+    return heads + [PC(l, 1) for l, n in enumerate(sizes) if n > 1]
 
 
 def _mir_calls(p: Program) -> tuple[Directive, ...]:
-    pcs = _call_pcs([len(b.insts) for b in p.blocks])
-    return tuple(DCallMir(PC(l, o)) for l, o in pcs)
+    return tuple(map(DCallMir, _call_pcs([len(b.insts) for b in p.blocks])))
 
 
 def SpecDriver(p: Program, cet: bool = True) -> Driver:
@@ -83,7 +82,7 @@ def IdealDriver(p: Program) -> Driver:
 def McDriver(mc: McProgram) -> Driver:
     """Speculative flat-machine execution."""
     lay = mc.lay
-    calls = tuple(DCallMc(lay.addr(l) + o) for l, o in _call_pcs(lay.sizes))
+    calls = tuple(DCallMc(lay.pc_addr(pc)) for pc in _call_pcs(lay.sizes))
     return Driver(lambda s, d: step_mc(mc, s, d), calls)
 
 

@@ -8,12 +8,13 @@ ideal semantics is the speculative one plus masking and call-target
 validation. Every rule is implemented once and takes the layers as policy
 flags; `step_seq`, `step_spec` and `step_ideal` select them. The machine
 semantics is the speculative one with cet on, over code addresses, where
-an unset register reads 0: `compile_rule` compiles skip, jump, ctarget,
-assignment, branch and ret, and `_compile_expr` every expression, for both
-levels, while `_compile` adds the block-level load, store and call. A run
-compiles each instruction it reaches to a closure once per program (Feeley
-and Lapalme, "Using closures for code generation", 1987). One run loop,
-`run`, drives any step function, the machine semantics' included.
+an unset register reads 0: `compile_rule` compiles every instruction but
+call, and `_compile_expr` every expression, for both levels, while
+`_compile` adds the block-level call. A load or store past the end of
+memory is stuck at both levels, with a reason that differs in one phrase.
+A run compiles each instruction it reaches to a closure once per program
+(Feeley and Lapalme, "Using closures for code generation", 1987). One run
+loop, `run`, drives any step function, the machine semantics' included.
 
 All step functions are pure; states are immutable snapshots.
 """
@@ -216,10 +217,12 @@ def with_reg(regs: dict[str, Value], name: str, v: Value) -> dict[str, Value]:
     return out
 
 
-def _bad_addr(v: Value, what: str) -> Stuck:
+def _bad_addr(v: Value, what: str, outside: str) -> Stuck:
+    """The stuck outcome of a `what` access at `v`, where `outside` names an
+    address past the end of memory."""
     if not isinstance(v, int):
         return Stuck(f"{what} address is not a number")
-    return Stuck(f"{what} address {v} out of bounds")
+    return Stuck(f"{what} address {v} {outside}")
 
 
 # --------------------------------------------------------------------------
@@ -242,11 +245,12 @@ Rule = Callable[[State, Optional[Directive]], Outcome]
 
 
 def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
-                 sem: Sem, unset: Value) -> Rule:
-    """The rule of `inst` under `sem`, if it is a skip, jump, ctarget,
-    assignment, branch or ret, at either level: `nxt` is its fall-through
-    pc, `to` its jump or branch target pc, and an unset register reads
-    `unset`. Only load, store and call differ between the levels."""
+                 sem: Sem, unset: Value, outside: str) -> Rule:
+    """The rule of `inst` under `sem`, if it is not a call, at either level:
+    `nxt` is its fall-through pc, `to` its jump or branch target pc, an
+    unset register reads `unset`, and `outside` names, in a stuck reason, a
+    load or store address past the end of memory. Only call differs between
+    the levels."""
     spec, ideal, cet = sem
     rct = spec and not ideal  # the semantics reads `ct`
     if isinstance(inst, (Skip, Jump, CTarget)):
@@ -276,6 +280,24 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
                 ms = ms or b != taken
             pc2 = to if taken else nxt
             return Next(State(pc2, s.regs, s.mem, s.stk, rct and s.ct, ms), OBRANCH[b])
+    elif isinstance(inst, Load):
+        reg, addr = inst.reg, _compile_expr(inst.addr, unset)
+        def rule(s, d):
+            ms, mem = spec and s.ms, s.mem
+            a = 0 if ideal and ms else addr(s.regs)
+            if not (isinstance(a, int) and 0 <= a < len(mem)):
+                return _bad_addr(a, "load", outside)
+            regs = with_reg(s.regs, reg, mem[a])
+            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OLoad(a))
+    elif isinstance(inst, Store):
+        addr, value = _compile_expr(inst.addr, unset), _compile_expr(inst.value, unset)
+        def rule(s, d):
+            ms, regs, mem = spec and s.ms, s.regs, s.mem
+            a = 0 if ideal and ms else addr(regs)
+            if not (isinstance(a, int) and 0 <= a < len(mem)):
+                return _bad_addr(a, "store", outside)
+            mem = mem[:a] + (value(regs),) + mem[a + 1 :]
+            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OStore(a))
     elif isinstance(inst, Ret):
         def rule(s, d):
             if not s.stk:
@@ -290,59 +312,40 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
 def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
     """The rule of instruction `o` of block `l` under `sem`. Its entry point,
     `_step`, has checked the pc and the armed ctarget check."""
+    inst, nxt = p.blocks[l].insts[o], PC(l, o + 1)
+    if not isinstance(inst, Call):
+        to = PC(inst.target, 0) if isinstance(inst, (Jump, Branch)) else None
+        return compile_rule(inst, nxt, to, sem, UV, "out of bounds")
     spec, ideal, cet = sem
     rct = spec and not ideal  # the semantics reads `ct`
-    inst, nxt = p.blocks[l].insts[o], PC(l, o + 1)
-    if isinstance(inst, Load):
-        reg, addr = inst.reg, _compile_expr(inst.addr, UV)
-        def rule(s, d):
-            ms, mem = spec and s.ms, s.mem
-            a = 0 if ideal and ms else addr(s.regs)
-            if not (isinstance(a, int) and 0 <= a < len(mem)):
-                return _bad_addr(a, "load")
-            regs = with_reg(s.regs, reg, mem[a])
-            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OLoad(a))
-    elif isinstance(inst, Store):
-        addr, value = _compile_expr(inst.addr, UV), _compile_expr(inst.value, UV)
-        def rule(s, d):
-            ms, regs, mem = spec and s.ms, s.regs, s.mem
-            a = 0 if ideal and ms else addr(regs)
-            if not (isinstance(a, int) and 0 <= a < len(mem)):
-                return _bad_addr(a, "store")
-            mem = mem[:a] + (value(regs),) + mem[a + 1 :]
-            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OStore(a))
-    elif isinstance(inst, Call):
-        target, blocks, fp0 = _compile_expr(inst.target, UV), p.blocks, FP(0)
-        entries = {PC(t, 0) for t, b in enumerate(blocks) if b.insts and b.is_entry}
-        # the prediction point of a call to each block label, built once
-        points = p.compiled.get("calls") or p.compiled.setdefault("calls", tuple(
-            OutOfDirectives(DCallMir(PC(t, 0))) for t in range(len(blocks))))
-        def rule(s, d):
-            ms = spec and s.ms
-            v = fp0 if ideal and ms else target(s.regs)
-            if not isinstance(v, FP):
-                return Stuck("call target is not a function pointer")
-            t, ct = v.label, rct and s.ct
-            if spec:
-                if d is None:
-                    if 0 <= t < len(points):
-                        return points[t]
-                    return OutOfDirectives(DCallMir(PC(t, 0)))
-                if not isinstance(d, DCallMir):
-                    return DirectiveMismatch("call instruction needs a call directive")
-                pc2 = d.target
-                if ideal and pc2 not in entries:
-                    return Fault(OCall(t))
-                ms = ms or pc2 != PC(t, 0)
-                ct = cet
-            else:
-                if not (0 <= t < len(blocks) and blocks[t].is_entry):
-                    return Stuck(f"call target &{t} is not a function entry")
-                pc2 = PC(t, 0)
-            return Next(State(pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms), OCall(t))
-    else:
-        to = PC(inst.target, 0) if isinstance(inst, (Jump, Branch)) else None
-        return compile_rule(inst, nxt, to, sem, UV)
+    target, blocks, fp0 = _compile_expr(inst.target, UV), p.blocks, FP(0)
+    entries = {PC(t, 0) for t, b in enumerate(blocks) if b.insts and b.is_entry}
+    # the prediction point of a call to each block label, built once
+    points = p.compiled.get("calls") or p.compiled.setdefault("calls", tuple(
+        OutOfDirectives(DCallMir(PC(t, 0))) for t in range(len(blocks))))
+    def rule(s, d):
+        ms = spec and s.ms
+        v = fp0 if ideal and ms else target(s.regs)
+        if not isinstance(v, FP):
+            return Stuck("call target is not a function pointer")
+        t, ct = v.label, rct and s.ct
+        if spec:
+            if d is None:
+                if 0 <= t < len(points):
+                    return points[t]
+                return OutOfDirectives(DCallMir(PC(t, 0)))
+            if not isinstance(d, DCallMir):
+                return DirectiveMismatch("call instruction needs a call directive")
+            pc2 = d.target
+            if ideal and pc2 not in entries:
+                return Fault(OCall(t))
+            ms = ms or pc2 != PC(t, 0)
+            ct = cet
+        else:
+            if not (0 <= t < len(blocks) and blocks[t].is_entry):
+                return Stuck(f"call target &{t} is not a function entry")
+            pc2 = PC(t, 0)
+        return Next(State(pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms), OCall(t))
     return rule
 
 

@@ -6,8 +6,15 @@ flattened code. Labels in jumps, branches and function-pointer constants
 become absolute addresses, so machine code carries the layout that fixed
 them; machine values are plain naturals. A machine state is an
 `interp.State` whose pc and return stack are code addresses. The machine
-rules are interp's speculative rules with cet on, except for load, store
-and call, which check the data and the code section themselves.
+rules are interp's speculative rules with cet on, except for call, which
+checks the code section itself.
+
+A machine state's memory is its data section: `concretize_state` keeps the
+`len(s.mem)` cells of the block-level state `s`, and every caller
+linearizes with `data_len = len(s.mem)` (`run --sem mc`, `check rs
+--pipeline end-to-end`, `check linearize`). So interp's bound on a load or
+store address, `0 <= a < len(mem)`, is the data-section check
+`a < data_len`, since machine values are naturals.
 """
 
 from __future__ import annotations
@@ -46,8 +53,6 @@ from .interp import (
     FAULT,
     Next,
     OCall,
-    OLoad,
-    OStore,
     Outcome,
     OutOfDirectives,
     Rule,
@@ -57,7 +62,6 @@ from .interp import (
     _compile_expr,
     compile_rule,
     run,
-    with_reg,
 )
 
 
@@ -78,6 +82,10 @@ class LayoutMap(Record):
     @property
     def code_len(self) -> int:
         return self.starts[-1] + self.sizes[-1] if self.sizes else 0
+
+    def pc_addr(self, pc: PC) -> int:
+        """The absolute code address of block pc `pc`; `addr_to_pc` inverts it."""
+        return self.addr(pc.label) + pc.offset
 
     def addr_to_pc(self, a: int) -> Optional[PC]:
         """Block label and offset for an absolute code address, if any."""
@@ -159,47 +167,30 @@ def linearize(p: Program, data_len: int) -> McProgram:
 def _compile_mc(mc: McProgram, pc: int) -> Rule:
     """The rule of the instruction at address `pc`: that of the speculative
     block-structured semantics with cet on, over absolute addresses, where
-    an unset register reads 0. Only load, store and call have rules of
-    their own here, which check the data and the code section; interp's
-    `compile_rule` compiles every other instruction. The entry point,
-    `step_mc`, has checked the pc and the armed ctarget check, so `ct` is
-    clear, or the instruction is the ctarget clearing it."""
+    an unset register reads 0. Only call has a rule of its own here, which
+    checks the code section; interp's `compile_rule` compiles every other
+    instruction. The entry point, `step_mc`, has checked the pc and the
+    armed ctarget check, so `ct` is clear, or the instruction is the
+    ctarget clearing it."""
     data_len = mc.lay.data_len
     inst, nxt, end = mc.code[pc - data_len], pc + 1, data_len + len(mc.code)
-    if isinstance(inst, Load):
-        reg, addr = inst.reg, _compile_expr(inst.addr, 0)
-        def rule(s, d):
-            a = addr(s.regs)
-            if not a < data_len:
-                return Stuck(f"load address {a} outside data section")
-            regs = with_reg(s.regs, reg, s.mem[a])
-            return Next(State(nxt, regs, s.mem, s.stk, False, s.ms), OLoad(a))
-    elif isinstance(inst, Store):
-        addr, value = _compile_expr(inst.addr, 0), _compile_expr(inst.value, 0)
-        def rule(s, d):
-            a = addr(s.regs)
-            if not a < data_len:
-                return Stuck(f"store address {a} outside data section")
-            mem = s.mem[:a] + (value(s.regs),) + s.mem[a + 1 :]
-            return Next(State(nxt, s.regs, mem, s.stk, False, s.ms), OStore(a))
-    elif isinstance(inst, Call):
-        target = _compile_expr(inst.target, 0)
-        # the prediction point of a call to each code address, built once
-        points = mc.compiled.get("calls") or mc.compiled.setdefault("calls", tuple(
-            OutOfDirectives(DCallMc(a)) for a in range(data_len, end)))
-        def rule(s, d):
-            t = target(s.regs)
-            if not data_len <= t < end:
-                return Stuck(f"call target {t} outside code section")
-            if d is None:
-                return points[t - data_len]
-            if not isinstance(d, DCallMc):
-                return DirectiveMismatch("call instruction needs a call directive")
-            stk, ms = (nxt,) + s.stk, s.ms or d.addr != t
-            return Next(State(d.addr, s.regs, s.mem, stk, True, ms), OCall(t))
-    else:
+    if not isinstance(inst, Call):
         to = inst.target if isinstance(inst, (Jump, Branch)) else None
-        return compile_rule(inst, nxt, to, SPEC_CET, 0)
+        return compile_rule(inst, nxt, to, SPEC_CET, 0, "outside data section")
+    target = _compile_expr(inst.target, 0)
+    # the prediction point of a call to each code address, built once
+    points = mc.compiled.get("calls") or mc.compiled.setdefault("calls", tuple(
+        OutOfDirectives(DCallMc(a)) for a in range(data_len, end)))
+    def rule(s, d):
+        t = target(s.regs)
+        if not data_len <= t < end:
+            return Stuck(f"call target {t} outside code section")
+        if d is None:
+            return points[t - data_len]
+        if not isinstance(d, DCallMc):
+            return DirectiveMismatch("call instruction needs a call directive")
+        stk, ms = (nxt,) + s.stk, s.ms or d.addr != t
+        return Next(State(d.addr, s.regs, s.mem, stk, True, ms), OCall(t))
     return rule
 
 
@@ -251,10 +242,10 @@ def concretize_value(v: Value, lay: LayoutMap) -> int:
 def concretize_state(s: State, lay: LayoutMap) -> State:
     """The machine state `s` refines to under `lay`."""
     return State(
-        pc=lay.addr(s.pc.label) + s.pc.offset,
+        pc=lay.pc_addr(s.pc),
         regs={k: concretize_value(v, lay) for k, v in s.regs.items()},
         mem=tuple(concretize_value(v, lay) for v in s.mem),
-        stk=tuple(lay.addr(pc.label) + pc.offset for pc in s.stk),
+        stk=tuple(map(lay.pc_addr, s.stk)),
         ct=s.ct,
         ms=s.ms,
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .ir import UV, PC, Value
+from .ir import UV, Value
 from .interp import (
     DBranch,
     DCallMc,
@@ -34,18 +34,14 @@ def value_rel(v: Value, n: int, lay: LayoutMap) -> bool:
     return v is UV or concretize_value(v, lay) == n
 
 
-def pc_rel(pc: PC, a: int, lay: LayoutMap) -> bool:
-    return lay.addr(pc.label) + pc.offset == a
-
-
 def state_rel(s_mir: State, s_mc: State, lay: LayoutMap) -> bool:
     """Pointwise value relation between a block-level state and a machine
     state over pc, registers, memory and return stack, plus equality of the
     ct/ms flags."""
     return (s_mir.ct == s_mc.ct and s_mir.ms == s_mc.ms
-            and pc_rel(s_mir.pc, s_mc.pc, lay)
+            and lay.pc_addr(s_mir.pc) == s_mc.pc
             and len(s_mir.stk) == len(s_mc.stk)
-            and all(pc_rel(pc, a, lay) for pc, a in zip(s_mir.stk, s_mc.stk))
+            and all(lay.pc_addr(pc) == a for pc, a in zip(s_mir.stk, s_mc.stk))
             and len(s_mir.mem) == len(s_mc.mem)
             and all(value_rel(v, n, lay) for v, n in zip(s_mir.mem, s_mc.mem))
             and all(value_rel(s_mir.regs.get(n, UV), s_mc.regs.get(n, 0), lay)

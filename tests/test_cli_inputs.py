@@ -266,7 +266,6 @@ def _nested_listing1(tmp_path, n: int) -> str:
 
 NESTED_COMMANDS = [
     *(["run", "--sem", sem, "{p}", "{state}"] for sem in ("seq", "spec", "ideal", "mc")),
-    ["harden", "{p}"],
     ["linearize", "{p}", "--data-len", "8"],
     *(["check", prop, "{p}", "{state}"] for prop in ("bcc", "safety", "linearize")),
     ["check", "rs", "{p}", "{pair}"],
@@ -284,7 +283,19 @@ def test_expression_at_the_nesting_bound_runs_everywhere(tmp_path, args):
     assert res.stdout
 
 
-@pytest.mark.parametrize("args", NESTED_COMMANDS, ids=" ".join)
+def test_harden_output_past_the_nesting_bound_exits_5(tmp_path):
+    # hardening adds levels to the branch condition and the load address, so
+    # the program at the bound hardens to text its parser would reject
+    p, out = _nested_listing1(tmp_path, MAX_NESTING), tmp_path / "h.mir"
+    res = invoke(["harden", p, "-o", str(out)])
+    assert res.exit_code == 5
+    assert res.stdout == ""
+    assert res.stderr.startswith("side condition violated: the hardened program does not parse: ")
+    assert f"nested deeper than {MAX_NESTING} levels" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [*NESTED_COMMANDS, ["harden", "{p}"]], ids=" ".join)
 def test_expression_past_the_nesting_bound_is_a_parse_error(tmp_path, args):
     p = _nested_listing1(tmp_path, MAX_NESTING + 1)
     state, pair = _write(tmp_path / "s.json", PAIR["s1"]), str(CORPUS / "listing1_pair.json")
@@ -352,10 +363,11 @@ def test_help_exits_0(args):
     ["harden", "{missing}"],
     ["fuzz-bcc", "--corpus", LISTING1],  # a file, not a directory
     ["fuzz-safety", "--corpus", "{missing}"],
+    ["fuzz-rs", "--corpus", str(CORPUS)],  # fuzz-rs draws its state pairs
     ["bogus"],
     [],
 ], ids=["program", "state", "dir", "check", "pair", "harden", "corpus-file",
-        "corpus-missing", "unknown-command", "no-command"])
+        "corpus-missing", "fuzz-rs-corpus", "unknown-command", "no-command"])
 def test_implicit_usage_errors_exit_2(tmp_path, args):
     state = _write(tmp_path / "s.json", PAIR["s1"])
     missing = str(tmp_path / "missing.json")

@@ -16,6 +16,9 @@ from specibt.interp import (
     OStore,
     State,
     Stuck,
+    step_ideal,
+    step_seq,
+    step_spec,
 )
 from specibt.ir import (
     Block,
@@ -29,7 +32,9 @@ from specibt.ir import (
     Load,
     PC,
     Program,
+    Reg,
     RET,
+    Store,
     UV,
 )
 from specibt.machine import (
@@ -148,6 +153,48 @@ def test_mc_load_reads_data_section():
     p = Program((Block((Load("x", Const(1)), RET), is_entry=True),))
     out = step_mc(linearize(p, 2), State(2, {}, (4, 9)))
     assert out.state.regs["x"] == 9 and out.obs == OLoad(1)
+
+
+# Load and store run one rule at both levels. The memory a step sees is
+# MEM: a block-level state's memory, or the data section of machine code.
+MEM = (4, 9, 7)
+BLOCK_STEPS = {"seq": step_seq, "spec": step_spec, "ideal": step_ideal}
+
+
+def _access(level: str, kind: str, a):
+    """One step at `level` of a load or store at address `a`, the first
+    instruction of a one-block program, from memory MEM."""
+    inst = Load("x", Reg("a")) if kind == "load" else Store(Reg("a"), Const(5))
+    p = Program((Block((inst, RET), is_entry=True),))
+    s = State(PC(0, 0), {"a": a}, MEM)
+    if level == "mc":  # the code starts right after the data section
+        return step_mc(linearize(p, len(MEM)), s._replace(pc=len(MEM)))
+    return BLOCK_STEPS[level](p, s)
+
+
+@pytest.mark.parametrize("kind", ["load", "store"])
+@pytest.mark.parametrize("level", [*BLOCK_STEPS, "mc"])
+def test_access_to_the_last_cell_steps(level, kind):
+    last = len(MEM) - 1
+    out = _access(level, kind, last)
+    assert isinstance(out, Next)
+    if kind == "load":
+        assert out.obs == OLoad(last) and out.state.regs["x"] == 7
+    else:
+        assert out.obs == OStore(last) and out.state.mem == (4, 9, 5)
+
+
+@pytest.mark.parametrize("kind", ["load", "store"])
+@pytest.mark.parametrize("level", [*BLOCK_STEPS, "mc"])
+def test_access_past_memory_is_stuck_with_the_phrase_of_its_level(level, kind):
+    phrase = "outside data section" if level == "mc" else "out of bounds"
+    assert _access(level, kind, len(MEM)) == Stuck(f"{kind} address {len(MEM)} {phrase}")
+
+
+@pytest.mark.parametrize("kind", ["load", "store"])
+@pytest.mark.parametrize("level", BLOCK_STEPS)  # machine values are naturals
+def test_undefined_address_is_stuck_at_block_level(level, kind):
+    assert _access(level, kind, UV) == Stuck(f"{kind} address is not a number")
 
 
 def test_run_mc_full_program():

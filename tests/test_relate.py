@@ -9,7 +9,6 @@ from specibt.machine import concretize_state, layout
 from specibt.relate import (
     map_directive_mc_to_mir,
     map_obs_mir_to_mc,
-    pc_rel,
     state_rel,
     trace_cmp,
     value_rel,
@@ -39,7 +38,7 @@ def test_value_and_pc_relation(listing1):
     assert value_rel(FP(3), lay.addr(3), lay)
     assert not value_rel(FP(3), lay.addr(4), lay)
     assert value_rel(UV, 12345, lay)  # undefined refines to anything
-    assert pc_rel(PC(2, 1), lay.addr(2) + 1, lay)
+    assert lay.pc_addr(PC(2, 1)) == lay.addr(2) + 1
 
 
 def test_state_rel_on_concretized_states(listing1):
