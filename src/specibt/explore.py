@@ -29,6 +29,7 @@ from .interp import (
     Outcome,
     OutOfDirectives,
     RunResult,
+    advance,
     result,
     step_ideal,
     step_spec,
@@ -124,6 +125,12 @@ def walk(
     and fuel fix its own, and once it has ended only its status bears on a
     comparison. The traces agree up to the key's observations, so every
     verdict below a fork node, and their count, depend on its key alone.
+
+    Side 1 steps in `advance`, which past the depth follows the correct
+    directives; a stretch that repeats (`interp.repeats`) is taken in whole
+    periods at once, up to the fuel, adding its observations, steps, return
+    addresses and correct directives as stepping would. Side 2's legs run
+    in `run`, which does the same within the directives it is given.
     """
     step, choices = driver.step, driver.choices
     depth, cap, fuel = budget.depth, budget.max_sequences, budget.fuel
@@ -140,24 +147,14 @@ def walk(
     s, n1, going = s0, 0, True
     while runs < cap:
         # from `s`, below len(stack) forks, to the next fork node or the end
-        tail: list = []
-        while going:
-            out = None if n1 >= fuel else step(s, None)
-            if isinstance(out, OutOfDirectives):
-                if len(stack) < depth:
-                    break
-                tail.append(out.correct)
-                out = step(s, out.correct)
-            if not isinstance(out, Next):
-                break
-            if out.obs is not None:
-                t1.append(out.obs)
-            s, n1 = out.state, n1 + 1
+        tail: list = []  # the correct directives taken past the depth
+        if going:
+            out, s, n1 = advance(step, s, tail, fuel, t1, n1, len(stack) >= depth)
         if run and r2.status == "out-of-directives":
             r2 = run(r2.state, path[mark:] + tail, fuel - n2)
             t2 += r2.trace
             n2 += r2.steps
-        if going and isinstance(out, OutOfDirectives) and len(stack) < depth:
+        if isinstance(out, OutOfDirectives):
             key = None
             m = min(len(t1), len(t2))
             if run and t1[:m] == t2[:m]:

@@ -32,7 +32,7 @@ from .ir import (
     Store,
     wf_program,
 )
-from .interp import Next, State, Term, run_seq, step_seq
+from .interp import Next, State, Term, repeats, run_seq, step_seq
 
 
 class GenConfig(Record):
@@ -149,21 +149,14 @@ def _terminates(p: Program, s: State, fuel: int) -> bool:
 
     The run is checked against a checkpoint state that is re-taken after
     1, 2, 4, 8, ... steps (Brent's cycle detection); `low` is the shortest
-    stack seen since the checkpoint. A return to the checkpoint's pc and
-    registers and memory is a cycle. A return to its pc with other values
-    is tried once per checkpoint as a loop that changes them forever, by
-    widening those values to UV (`_loops_widened`); the abstract steps of
-    all tries together never outnumber the concrete steps taken.
+    stack seen since the checkpoint. A state that `repeats` the checkpoint
+    is a cycle. A return to its pc with other values is tried once per
+    checkpoint as a loop that changes them forever, by widening those
+    values to UV (`_loops_widened`); the abstract steps of all tries
+    together never outnumber the concrete steps taken.
     """
-    # Sound because the sequential step is deterministic and reads the stack
-    # only at `ret`: whether it is empty, and its top entry. If a later state
-    # has the checkpoint's pc, registers and memory, and the stack never got
-    # shorter than the checkpoint's in between, every `ret` on the way popped
-    # an entry pushed after the checkpoint: that stretch read only pc,
-    # registers, memory and entries it pushed itself. From the later state
-    # it repeats step for step, with the same stack growth, and so forever:
-    # the run never reaches `term` or `stuck`, and `run_seq` at any fuel
-    # reports `fuel`.
+    # A run that `repeats` (see its soundness argument) never reaches `term`
+    # or `stuck`, and `run_seq` at any fuel reports `fuel`.
     check, low, steps, power = s, len(s.stk), 0, 1
     spent = 0  # abstract steps
     tried = False  # widening was tried since the checkpoint
@@ -174,7 +167,7 @@ def _terminates(p: Program, s: State, fuel: int) -> bool:
         s = out.state
         low = min(low, len(s.stk))
         if low >= len(check.stk) and s.pc == check.pc:
-            if s.regs == check.regs and s.mem == check.mem:
+            if repeats(check, low, s):
                 return False
             if not tried:
                 tried = True

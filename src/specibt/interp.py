@@ -14,7 +14,10 @@ call, and `_compile_expr` every expression, for both levels, while
 memory is stuck at both levels, with a reason that differs in one phrase.
 A run compiles each instruction it reaches to a closure once per program
 (Feeley and Lapalme, "Using closures for code generation", 1987). One run
-loop, `run`, drives any step function, the machine semantics' included.
+loop, `advance`, drives any step function, the machine semantics' included,
+for `run` and for the walk of the directive tree. A run that provably
+repeats (`repeats`) takes its whole periods up to the fuel at once, with
+the results of the run stepped throughout.
 
 All step functions are pure; states are immutable snapshots.
 """
@@ -412,25 +415,87 @@ def result(trace: list[Obs], out: Optional[Outcome], s, steps: int) -> RunResult
 Step = Callable[[State, Optional[Directive]], Outcome]
 
 
-def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
-    """At most `fuel` steps from `s`, supplying `directives` in order at the
-    prediction points, where `step(s, None)` reports out-of-directives."""
-    trace: list[Obs] = []
-    used = 0
-    for steps in range(fuel):
+def repeats(c: State, low: int, s: State) -> bool:
+    """Whether a run that went from the checkpoint `c` to `s`, its stack
+    never shorter than `low` entries in between, repeats from `s` forever."""
+    # Sound because a step is deterministic in its state and directive, and
+    # reads the stack only at `ret`: whether it is empty, and its top entry.
+    # If `s` has the checkpoint's pc, registers, memory and flags, and the
+    # stack never got shorter than the checkpoint's in between, every `ret`
+    # on the way popped an entry pushed after the checkpoint: that stretch
+    # read only pc, registers, memory, flags and entries it pushed itself.
+    # From `s`, given the same directives, it repeats step for step, with
+    # the same observations, and pushes the same entries onto `s`'s stack;
+    # the correct directives, computed from the state, repeat with it.
+    return (low >= len(c.stk) and s.pc == c.pc and s.regs == c.regs
+            and s.mem == c.mem and s.ct == c.ct and s.ms == c.ms)
+
+
+def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
+            steps: int = 0, follow: bool = False) -> tuple[Optional[Outcome], Any, int]:
+    """Steps from `s`, after `steps` taken, until the fuel runs out or a step
+    ends the run: the outcome that ended it (None at the fuel), the last
+    state and the steps taken. Observations extend `trace`. At prediction
+    points the run takes the directives of `dirs` in order; past its end it
+    stops out of directives or, with `follow`, appends the correct one to
+    `dirs` and takes it.
+
+    A run of `State`s is checked at each prediction point against a
+    checkpoint re-taken after 1, 2, 4, ... of them (Brent's cycle
+    detection, as in `gen._terminates`). When it `repeats`, the run takes
+    at once as many whole periods as the fuel allows and, without `follow`,
+    as the next directives of `dirs` repeat the period's: q periods add q
+    times the period's steps, observations and directives, and push q times
+    the entries the period pushed. Then it steps on, so every result is
+    that of the run stepped throughout."""
+    used = points = 0
+    mark, low = None, -1  # the checkpoint, and the shortest stack since it
+    while steps < fuel:
         out = step(s, None)
         if isinstance(out, OutOfDirectives):
-            if used >= len(directives):
-                return result(trace, out, s, steps)
-            out = step(s, directives[used])
+            if used >= len(dirs) and not follow:
+                return out, s, steps
+            if mark and repeats(mark[0], low, s):
+                c, n, t, u = mark
+                p, period = steps - n, dirs[u:used]
+                k, q = len(period), (fuel - steps) // p
+                if follow:
+                    dirs.extend(period * q)
+                else:
+                    q = min(q, (len(dirs) - used) // k)
+                    if dirs[used : used + q * k] != period * q:
+                        q = next(i for i in range(q)
+                                 if dirs[used + i * k : used + i * k + k] != period)
+                trace += trace[t:] * q
+                s = s._replace(stk=s.stk[: len(s.stk) - len(c.stk)] * q + s.stk)
+                steps, used, mark = steps + q * p, used + q * k, None
+                continue
+            points += 1
+            if not points & (points - 1) and isinstance(s, State):
+                mark, low = (s, steps, len(trace), used), len(s.stk)
+            if used == len(dirs):
+                dirs.append(out.correct)
+            out = step(s, dirs[used])
             used += 1
-        if isinstance(out, Next):
-            if out.obs is not None:
-                trace.append(out.obs)
-            s = out.state
-            continue
-        return result(trace, out, s, steps)
-    return result(trace, None, s, max(fuel, 0))
+        if not isinstance(out, Next):
+            return out, s, steps
+        if out.obs is not None:
+            trace.append(out.obs)
+        s = out.state
+        steps += 1
+        if mark and len(s.stk) < low:
+            low = len(s.stk)
+    return None, s, steps
+
+
+def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:
+    """At most `fuel` steps from `s`, supplying `directives` in order at the
+    prediction points, where `step(s, None)` reports out-of-directives. A
+    run that provably repeats takes its whole periods at once (`advance`),
+    with the result of the run stepped throughout."""
+    trace: list[Obs] = []
+    out, s, steps = advance(step, s, directives, fuel, trace)
+    return result(trace, out, s, steps)
 
 
 def run_seq(p: Program, s: State, fuel: int) -> RunResult:

@@ -5,7 +5,8 @@ a run reports.
 side 1 with the driver, runs side 2 in legs resumed at prediction points,
 and counts a subtree that came out clean, instead of walking it, when its
 key comes up again. Its result must equal the oracle's in every field:
-`explore`, a run from scratch of every sequence on side 2, and
+each sequence `explore` reaches, run from scratch on both sides and stepped
+throughout (`test_periods.plain_run`, so no period is taken at once), and
 `_traces_match`, stopping at the first sequence whose traces differ. The
 same holds under a sequence cap that falls inside a counted subtree, when
 the fuel runs out within a leg, against the weakened passes, and on a walk
@@ -36,10 +37,13 @@ from specibt.interp import (
     run_ideal,
     run_seq,
     run_spec,
+    step_ideal,
+    step_spec,
 )
 from specibt.ir import PC
-from specibt.machine import concretize_state, linearize, run_mc
+from specibt.machine import concretize_state, linearize, run_mc, step_mc
 from specibt.textio import decode_pair, parse_program
+from test_periods import plain_run
 
 ROOT = pathlib.Path(__file__).parent.parent
 LISTING1 = parse_program((ROOT / "corpus" / "listing1.mir").read_text())
@@ -50,12 +54,20 @@ FUELS = (3, 7, 25, 1000)
 LOOP_FORKS = parse_program("entry a:\n  jump b\nblock b:\n  branch x b\n  ret\n")
 
 
+# the step function of each `run_*` engine
+STEPS = {run_spec: step_spec, run_ideal: step_ideal, run_mc: step_mc}
+
+
 def _oracle(driver, s0, run, r0, budget):
-    """`_diverge` by definition: every explored sequence run from scratch."""
+    """`_diverge` by definition: each sequence `explore` reaches, run from
+    scratch on both sides and stepped throughout (`plain_run`); side 2 takes
+    the steps of `run`, a `partial` of a `run_*` engine."""
+    step2 = partial(STEPS[run.func], *run.args, **run.keywords)
     runs = 0
-    for dirs, r1 in explore(driver, s0, budget):
+    for dirs, _ in explore(driver, s0, budget):
         runs += 1
-        r2 = run(r0, dirs, budget.fuel)
+        r1 = plain_run(driver.step, s0, dirs, budget.fuel)
+        r2 = plain_run(step2, r0, dirs, budget.fuel)
         if not _traces_match(r1, r2):
             return runs, (list(dirs), r1, r2)
     return runs, None
@@ -81,6 +93,9 @@ def _inputs():
     # it to seconds.
     s = State(PC(0, 0), {"x": 1}, (0,))
     yield "loop", LOOP_FORKS, (s, s), 1200, 20, (4000,)
+    # 256 sequences end at the fuel in the masked-call recursion: 16 items
+    # of the hardened walks, the rest in counted subtrees
+    yield "listing1-deep", LISTING1, PAIR, 16, 10**9, (150,)
 
 
 def _semantics(p, s1, s2):
@@ -104,8 +119,9 @@ def test_paired_walk_equals_the_oracle(name, sem, fuel):
     p, (s1, s2), depth, most = next(x[1:5] for x in _inputs() if x[0] == name)
     _, driver, r1, r2, run = next(x for x in _semantics(p, s1, s2) if x[0] == sem)
     # against the other state, and against itself: a walk with no
-    # divergence, in which every repeated key is counted
-    for other in (r2, r1):
+    # divergence, in which every repeated key is counted (the deep walk has
+    # none against the other state already)
+    for other in (r2,) if name == "listing1-deep" else (r2, r1):
         oracle = _oracle(driver, r1, run, other, ExploreBudget(depth, most, fuel))
         for cap in (*range(1, min(oracle[0] + 2, most), max(1, oracle[0] // 6)), most):
             budget = ExploreBudget(depth, cap, fuel)
@@ -210,22 +226,35 @@ def test_capped_deep_check_reads_pass_at_the_cap(pipeline):
     assert (v.status, v.runs) == ("pass", 3000)
 
 
-def test_deep_checks_walk_few_steps(monkeypatch):
-    """Walking all 5,866 sequences of the depth-16 check, with side 2
-    resumed at each prediction point, took 656,142 `step_spec` calls."""
+def _deep_check_steps(monkeypatch):
+    """The `step_spec` calls of the hardened-only depth-16 check of Listing
+    1, which passes over all 5,866 sequences."""
     calls = 0
     step_spec = specibt.interp.step_spec
 
-    def counted(*args):
+    def counted(*args, **kw):
         nonlocal calls
         calls += 1
-        return step_spec(*args)
+        return step_spec(*args, **kw)
 
     monkeypatch.setattr(specibt.interp, "step_spec", counted)
     monkeypatch.setattr(specibt.explore, "step_spec", counted)
     v = check_relative_security(LISTING1, *PAIR, ExploreBudget(16, 10**9, 1000))
     assert (v.status, v.runs) == ("pass", 5866)
-    assert calls < 656_142 // 10
+    return calls
+
+
+def test_deep_checks_walk_few_steps(monkeypatch):
+    """Walking all 5,866 sequences of the depth-16 check, with side 2
+    resumed at each prediction point, took 656,142 `step_spec` calls."""
+    assert _deep_check_steps(monkeypatch) < 656_142 // 10
+
+
+def test_deep_checks_take_repeated_periods_at_once(monkeypatch):
+    """The memoised walk made 46,042 `step_spec` calls while it stepped its
+    16 fuel-cut sequences, each a recursion through the masked call, all the
+    way to the fuel."""
+    assert _deep_check_steps(monkeypatch) < 46_042 // 4
 
 
 def test_depth_20_end_to_end_covers_every_sequence():

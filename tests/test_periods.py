@@ -1,0 +1,214 @@
+"""Runs that repeat take their periods at once, with the results of runs
+stepped throughout.
+
+`interp.run` and the walk past the depth (`interp.advance`) take as many
+whole periods as the fuel and the directives allow once a run of states
+repeats above an untouched stack. `plain_run` is the same loop with every
+step taken one at a time. Every result must equal its result field by
+field: under the four semantics on Listing 1 (source and hardened) and on
+`bench/gen_corpus`, and on hand-made cases: the masked-call recursion of
+hardened Listing 1, fuels that cut a period, directives that end inside a
+period or change after a few periods, a loop that pushes nothing, and a
+state that repeats after the stack dropped below the checkpoint's, which
+is no repeat.
+"""
+
+import json
+import pathlib
+import random
+from functools import partial
+
+import pytest
+from hypothesis import given, strategies as st
+
+from specibt.checks import _hardened_init
+from specibt.explore import ExploreBudget, IdealDriver, McDriver, SpecDriver, explore
+from specibt.gen import gen_state, spec_of
+from specibt.hardening import harden
+from specibt.interp import (
+    DBranch,
+    Next,
+    OutOfDirectives,
+    State,
+    result,
+    run,
+    run_ideal,
+    run_seq,
+    run_spec,
+    step_seq,
+)
+from specibt.ir import PC
+from specibt.machine import concretize_state, linearize, run_mc
+from specibt.textio import decode_pair, parse_program
+
+ROOT = pathlib.Path(__file__).parent.parent
+LISTING1 = parse_program((ROOT / "corpus" / "listing1.mir").read_text())
+PAIR = decode_pair(json.loads((ROOT / "corpus" / "listing1_pair.json").read_text()))
+GEN = sorted((ROOT / "bench" / "gen_corpus").glob("*.mir"))
+
+
+def plain_run(step, s, directives, fuel):
+    """`interp.run(step, s, directives, fuel)`, stepped throughout."""
+    trace = []
+    used = 0
+    for steps in range(fuel):
+        out = step(s, None)
+        if isinstance(out, OutOfDirectives):
+            if used >= len(directives):
+                return result(trace, out, s, steps)
+            out = step(s, directives[used])
+            used += 1
+        if isinstance(out, Next):
+            if out.obs is not None:
+                trace.append(out.obs)
+            s = out.state
+            continue
+        return result(trace, out, s, steps)
+    return result(trace, None, s, max(fuel, 0))
+
+
+def _engines(p, s):
+    """(driver, start state, run(state, directives, fuel)) of each
+    speculative semantics on `p` from `s`."""
+    mc = linearize(p, len(s.mem))
+    yield SpecDriver(p), s, partial(run_spec, p, cet=True)
+    yield SpecDriver(p, cet=False), s, partial(run_spec, p, cet=False)
+    yield IdealDriver(p), s, partial(run_ideal, p)
+    yield McDriver(mc), concretize_state(s, mc.lay), partial(run_mc, mc)
+
+
+def _check(p, s, budget, fuels):
+    """Under each semantics on `p` from `s`: every sequence `explore`
+    reaches within `budget`, against the plain run of its directives; then
+    its directives, cut short and changed after a few periods, at each of
+    `fuels`, against `run`."""
+    for fuel in fuels:
+        seq = partial(step_seq, p)
+        assert run_seq(p, s, fuel) == plain_run(lambda s, d: seq(s), s, (), fuel)
+    for driver, s0, run in _engines(p, s):
+        for dirs, r in explore(driver, s0, budget):
+            assert r == plain_run(driver.step, s0, dirs, budget.fuel)
+            for ds in (dirs[: len(dirs) // 2], dirs[: len(dirs) // 2] + dirs[:3]):
+                for fuel in fuels:
+                    assert run(s0, ds, fuel) == plain_run(driver.step, s0, ds, fuel)
+
+
+@pytest.mark.parametrize("hardened", [False, True], ids=["source", "hardened"])
+@pytest.mark.parametrize("which", [0, 1], ids=["s1", "s2"])
+def test_listing1_under_every_semantics(which, hardened):
+    s = spec_of(PAIR[which])
+    p = harden(LISTING1) if hardened else LISTING1
+    _check(p, _hardened_init(s) if hardened else s, ExploreBudget(3, 10**9, 1001),
+           (9, 41, 1001))
+
+
+@pytest.mark.parametrize("path", GEN, ids=[p.stem for p in GEN])
+def test_gen_corpus_under_every_semantics(path):
+    p = parse_program(path.read_text())
+    s = gen_state(random.Random(path.stem))
+    _check(p, s, ExploreBudget(3, 12, 200), (7, 200))
+    _check(harden(p), _hardened_init(s), ExploreBudget(3, 12, 200), (7, 200))
+
+
+# --------------------------------------------------------------------------
+# Hand-made cases
+
+
+def _masked_recursion():
+    """Hardened Listing 1 from s1 after a mispredicted entry branch: the
+    masked call targets `&b0` every time, so the run recurses, pushing one
+    return address per period of 8 steps and 2 directives. The program, its
+    driver, the start state and the first 400 directives the run follows."""
+    hp = harden(LISTING1)
+    driver, s0 = SpecDriver(hp), _hardened_init(PAIR[0])
+    dirs = next(d for d, r in explore(driver, s0, ExploreBudget(1, 10**9, 1600))
+                if r.status == "fuel")
+    return hp, driver, s0, tuple(dirs[:400])
+
+
+HP, MASKED, M0, MASKED_DIRS = _masked_recursion()
+
+
+def test_masked_recursion_takes_its_periods_at_once():
+    calls = []
+
+    def step(s, d):
+        calls.append(d)
+        return MASKED.step(s, d)
+
+    r = run(step, M0, MASKED_DIRS, 1000)
+    assert r == plain_run(MASKED.step, M0, MASKED_DIRS, 1000)
+    assert (r.status, r.steps, len(r.trace), len(r.state.stk)) == ("fuel", 1000, 249, 124)
+    assert len(calls) < 60  # stepped throughout: 1,000 steps, 250 prediction points
+
+
+@pytest.mark.parametrize("fuel", range(20, 60))
+def test_fuels_that_cut_a_period(fuel):
+    assert run_spec(HP, M0, MASKED_DIRS, fuel) == plain_run(MASKED.step, M0, MASKED_DIRS, fuel)
+    walked = list(explore(MASKED, M0, ExploreBudget(0, 10, fuel)))
+    assert walked == [(d, plain_run(MASKED.step, M0, d, fuel)) for d, _ in walked]
+
+
+@pytest.mark.parametrize("n", range(1, 30))
+def test_directives_that_end_inside_a_period(n):
+    want = plain_run(MASKED.step, M0, MASKED_DIRS[:n], 1000)
+    assert want.status == "out-of-directives"
+    assert run_spec(HP, M0, MASKED_DIRS[:n], 1000) == want
+
+
+_CHOICES = (*MASKED.calls, DBranch(True), DBranch(False))
+
+
+@given(st.integers(1, 900), st.integers(0, 400), st.integers(0, 400),
+       st.sampled_from(_CHOICES))
+def test_directives_that_change_after_a_few_periods(fuel, n, at, other):
+    dirs = list(MASKED_DIRS[:n])
+    dirs[at:at + 1] = [other] if at < n else []
+    assert run_spec(HP, M0, dirs, fuel) == plain_run(MASKED.step, M0, dirs, fuel)
+
+
+# A branch back to itself while `x` is set: the state repeats at every
+# step, and the stack never grows.
+SELF_LOOP = parse_program("entry a:\n  branch x a\n  ret\n")
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 3, 10, 333])
+@pytest.mark.parametrize("n", [0, 1, 5, 400])
+def test_a_loop_that_pushes_nothing(fuel, n):
+    s = State(PC(0, 0), {"x": 1}, (0,))
+    mc = linearize(SELF_LOOP, 1)
+    m = concretize_state(s, mc.lay)
+    for driver, s0, run in ((SpecDriver(SELF_LOOP), s, partial(run_spec, SELF_LOOP)),
+                            (McDriver(mc), m, partial(run_mc, mc))):
+        for dirs in ((DBranch(True),) * n, (DBranch(True),) * n + (DBranch(False),)):
+            want = plain_run(driver.step, s0, dirs, fuel)
+            assert run(s0, dirs, fuel) == want
+            assert want.state.stk == s0.stk
+        walked = list(explore(driver, s0, ExploreBudget(0, 10, fuel)))
+        assert walked == [(d, plain_run(driver.step, s0, d, fuel)) for d, _ in walked]
+
+
+# `f` returns at once, and every call of `main` reaches `f`'s branch in the
+# same state but for the return address: the stack drops below it in
+# between, so that is no repeat, and the run ends.
+CALLS = parse_program("entry main:\n" + "  call &f\n" * 8 + "  ret\n"
+                      "entry f:\n  branch x g\n  ret\nblock g:\n  ret\n")
+
+
+@pytest.mark.parametrize("fuel", [10, 40, 1000])
+def test_a_state_repeated_below_the_checkpoint_is_no_repeat(fuel):
+    s = State(PC(0, 0), {"x": 0}, (0,))
+    mc = linearize(CALLS, 1)
+    for driver, s0, run in (
+        (SpecDriver(CALLS, cet=False), s, partial(run_spec, CALLS, cet=False)),
+        (IdealDriver(CALLS), s, partial(run_ideal, CALLS)),
+    ):
+        walked = list(explore(driver, s0, ExploreBudget(0, 10, fuel)))
+        (dirs, r), = walked
+        assert r == plain_run(driver.step, s0, dirs, fuel)
+        assert run(s0, dirs, fuel) == r
+        assert r.status == ("fuel" if fuel == 10 else "term")
+    # the machine code arms the ctarget check at every call: `f` faults
+    m = concretize_state(s, mc.lay)
+    dirs = [d for d, _ in explore(McDriver(mc), m, ExploreBudget(0, 10, fuel))][0]
+    assert run_mc(mc, m, dirs, fuel) == plain_run(McDriver(mc).step, m, dirs, fuel)
