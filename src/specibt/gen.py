@@ -32,7 +32,7 @@ from .ir import (
     Store,
     wf_program,
 )
-from .interp import Next, State, Term, repeats, run_seq, step_seq
+from .interp import Next, State, Term, advance, run_seq, step_seq
 
 
 class GenConfig(Record):
@@ -144,42 +144,28 @@ def spec_of(s: State, ct: bool = False, ms: bool = False) -> State:
 
 
 def _terminates(p: Program, s: State, fuel: int) -> bool:
-    """`run_seq(p, s, fuel).status == "term"`, without building a trace,
-    and answered False as soon as the run provably never terminates.
+    """`run_seq(p, s, fuel).status == "term"`: `advance` plus widening.
 
-    The run is checked against a checkpoint state that is re-taken after
-    1, 2, 4, 8, ... steps (Brent's cycle detection); `low` is the shortest
-    stack seen since the checkpoint. A state that `repeats` the checkpoint
-    is a cycle. A return to its pc with other values is tried once per
-    checkpoint as a loop that changes them forever, by widening those
-    values to UV (`_loops_widened`); the abstract steps of all tries
-    together never outnumber the concrete steps taken.
+    A run that `repeats` its checkpoint takes its periods to the fuel at
+    once. A return to the checkpoint's pc with other values is tried once
+    per checkpoint as a loop that changes them forever, by widening those
+    values to UV (`_loops_widened`), and ends the run if it is one; the
+    abstract steps of all tries together never outnumber the concrete steps
+    taken.
     """
-    # A run that `repeats` (see its soundness argument) never reaches `term`
-    # or `stuck`, and `run_seq` at any fuel reports `fuel`.
-    check, low, steps, power = s, len(s.stk), 0, 1
-    spent = 0  # abstract steps
-    tried = False  # widening was tried since the checkpoint
-    for taken in range(1, fuel + 1):
-        out = step_seq(p, s)
-        if not isinstance(out, Next):
-            return isinstance(out, Term)
-        s = out.state
-        low = min(low, len(s.stk))
-        if low >= len(check.stk) and s.pc == check.pc:
-            if repeats(check, low, s):
-                return False
-            if not tried:
-                tried = True
-                loops, used = _loops_widened(p, _join(check, s), taken - spent)
-                if loops:
-                    return False
-                spent += used
-        steps += 1
-        if steps == power:
-            check, low, steps, power = s, len(s.stk), 0, 2 * power
-            tried = False
-    return False
+    spent, tried = 0, None  # abstract steps; the checkpoint last widened
+
+    def endless(c: State, s: State, steps: int) -> bool:
+        nonlocal spent, tried
+        if c is tried:
+            return False
+        tried = c
+        loops, used = _loops_widened(p, _join(c, s), steps - spent)
+        spent += used
+        return loops
+
+    out = advance(lambda s, d: step_seq(p, s), s, (), fuel, [], endless=endless)[0]
+    return isinstance(out, Term)
 
 
 def _join(w: State, s: State) -> State:
@@ -254,11 +240,10 @@ def gen_safe_input(
     Early rejection: if `no_input_terminates(p, cfg, fuel)` (passed in as
     `hopeless` by a caller that samples the same program again), the
     attempts' states are drawn and discarded and the result is None. Each
-    attempt's run stops as soon as `_terminates` proves it never ends: at
-    a repeated state, or at a loop whose changing values, widened to UV,
-    keep it going forever; it does not step on to `fuel`. The result and
-    the rng's position are those of the plain loop that runs each attempt
-    to `fuel`.
+    attempt's run (`_terminates`) takes a repeated state's periods at once,
+    and stops at a loop whose changing values, widened to UV, keep it going
+    forever; it does not step on to `fuel`. The result and the rng's
+    position are those of the plain loop that runs each attempt to `fuel`.
     """
     if hopeless is None:
         hopeless = no_input_terminates(p, cfg, fuel)

@@ -15,9 +15,10 @@ memory is stuck at both levels, with a reason that differs in one phrase.
 A run compiles each instruction it reaches to a closure once per program
 (Feeley and Lapalme, "Using closures for code generation", 1987). One run
 loop, `advance`, drives any step function, the machine semantics' included,
-for `run` and for the walk of the directive tree. A run that provably
-repeats (`repeats`) takes its whole periods up to the fuel at once, with
-the results of the run stepped throughout.
+for `run`, for the walk of the directive tree and for the generator's
+termination test. A run that provably repeats (`repeats`), after any step
+and with or without directives in its period, takes its whole periods up
+to the fuel at once, with the results of the run stepped throughout.
 
 All step functions are pure; states are immutable snapshots.
 """
@@ -432,7 +433,9 @@ def repeats(c: State, low: int, s: State) -> bool:
 
 
 def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
-            steps: int = 0, follow: bool = False) -> tuple[Optional[Outcome], Any, int]:
+            steps: int = 0, follow: bool = False,
+            endless: Optional[Callable[[State, State, int], bool]] = None,
+            ) -> tuple[Optional[Outcome], Any, int]:
     """Steps from `s`, after `steps` taken, until the fuel runs out or a step
     ends the run: the outcome that ended it (None at the fuel), the last
     state and the steps taken. Observations extend `trace`. At prediction
@@ -440,39 +443,27 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
     stops out of directives or, with `follow`, appends the correct one to
     `dirs` and takes it.
 
-    A run of `State`s is checked at each prediction point against a
-    checkpoint re-taken after 1, 2, 4, ... of them (Brent's cycle
-    detection, as in `gen._terminates`). When it `repeats`, the run takes
-    at once as many whole periods as the fuel allows and, without `follow`,
-    as the next directives of `dirs` repeat the period's: q periods add q
-    times the period's steps, observations and directives, and push q times
-    the entries the period pushed. Then it steps on, so every result is
-    that of the run stepped throughout."""
-    used = points = 0
-    mark, low = None, -1  # the checkpoint, and the shortest stack since it
+    A run of `State`s is checked after every step against a checkpoint,
+    `s` at first, re-taken after 1, 2, 4, ... more steps (Brent's cycle
+    detection). When it `repeats`, the run takes at once as many whole
+    periods as the fuel allows and, without `follow`, as the next
+    directives of `dirs` repeat the period's, if it holds any: q periods
+    add q times the period's steps, observations and directives, and push
+    q times the entries the period pushed. Then it steps on, so every
+    result is that of the run stepped throughout. Back at the checkpoint
+    `c`'s pc in a state `s` that does not repeat it, its stack never
+    shorter in between, the run ends as at the fuel if `endless(c, s,
+    steps)` holds."""
+    used, c = 0, None
+    if isinstance(s, State):
+        # the checkpoint, its steps, trace length and directives used, the
+        # shortest stack since it, the steps it is kept for and its pc's hash
+        c, n, t, u, low, power, h = s, steps, len(trace), 0, len(s.stk), 1, hash(s.pc)
     while steps < fuel:
         out = step(s, None)
         if isinstance(out, OutOfDirectives):
             if used >= len(dirs) and not follow:
                 return out, s, steps
-            if mark and repeats(mark[0], low, s):
-                c, n, t, u = mark
-                p, period = steps - n, dirs[u:used]
-                k, q = len(period), (fuel - steps) // p
-                if follow:
-                    dirs.extend(period * q)
-                else:
-                    q = min(q, (len(dirs) - used) // k)
-                    if dirs[used : used + q * k] != period * q:
-                        q = next(i for i in range(q)
-                                 if dirs[used + i * k : used + i * k + k] != period)
-                trace += trace[t:] * q
-                s = s._replace(stk=s.stk[: len(s.stk) - len(c.stk)] * q + s.stk)
-                steps, used, mark = steps + q * p, used + q * k, None
-                continue
-            points += 1
-            if not points & (points - 1) and isinstance(s, State):
-                mark, low = (s, steps, len(trace), used), len(s.stk)
             if used == len(dirs):
                 dirs.append(out.correct)
             out = step(s, dirs[used])
@@ -483,8 +474,29 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
             trace.append(out.obs)
         s = out.state
         steps += 1
-        if mark and len(s.stk) < low:
+        if c is None:
+            continue
+        if len(s.stk) < low:
             low = len(s.stk)
+        if hash(s.pc) == h and low >= len(c.stk) and s.pc == c.pc:
+            if repeats(c, low, s):
+                p, period = steps - n, dirs[u:used]
+                k, q = len(period), (fuel - steps) // p
+                if follow:
+                    dirs.extend(period * q)
+                elif k:
+                    q = min(q, (len(dirs) - used) // k)
+                    if dirs[used : used + q * k] != period * q:
+                        q = next(i for i in range(q)
+                                 if dirs[used + i * k : used + i * k + k] != period)
+                trace += trace[t:] * q
+                s = s._replace(stk=s.stk[: len(s.stk) - len(c.stk)] * q + s.stk)
+                steps, used = steps + q * p, used + q * k
+            elif endless is not None and endless(c, s, steps):
+                return None, s, steps
+        if steps - n >= power:
+            c, n, t, u, low, power, h = (s, steps, len(trace), used, len(s.stk),
+                                         2 * power, hash(s.pc))
     return None, s, steps
 
 

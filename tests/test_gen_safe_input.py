@@ -5,7 +5,8 @@ without running any drawn input. That must never reject a program some
 input terminates on, and it must leave the results and the rng exactly
 where the full rejection sampling leaves them. The digests in
 `data/gen_safe_input_stream.json` were recorded with the plain
-50-attempt loop.
+50-attempt loop. The all-UV check itself takes a repeated run's periods at
+once, so the checks of `bench/gen_corpus` cost a tenth of their steps.
 """
 
 import hashlib
@@ -13,10 +14,17 @@ import json
 import pathlib
 import random
 
-from specibt.gen import GenConfig, gen_program, gen_safe_input, gen_state
+import specibt.interp as interp
+from specibt.gen import (
+    GenConfig,
+    gen_program,
+    gen_safe_input,
+    gen_state,
+    no_input_terminates,
+)
 from specibt.interp import State, run_seq
 from specibt.ir import PC, UV
-from specibt.textio import encode_state
+from specibt.textio import encode_state, parse_program
 
 PINNED = pathlib.Path(__file__).parent / "data" / "gen_safe_input_stream.json"
 
@@ -51,3 +59,22 @@ def test_rejection_sampling_stream_is_pinned():
     assert sum(r is not None for r in results) == pinned["accepted"]
     assert _sha256(json.dumps(results, sort_keys=True)) == pinned["results_sha256"]
     assert _sha256(repr(rng.getstate())) == pinned["rng_state_sha256"]
+
+
+def test_all_uv_checks_of_the_gen_corpus_take_their_periods(monkeypatch):
+    """The all-UV checks of `bench/gen_corpus` at `fuzz-*`'s default fuel
+    find its 6 hopeless programs and take their repeated periods at once:
+    stepped throughout, they take 6,065 steps."""
+    corpus = pathlib.Path(__file__).parent.parent / "bench" / "gen_corpus"
+    programs = [parse_program(f.read_text()) for f in sorted(corpus.glob("*.mir"))]
+    steps = []
+    real = interp._step
+
+    def counted(p, s, d, sem):
+        steps.append(s)
+        return real(p, s, d, sem)
+
+    monkeypatch.setattr(interp, "_step", counted)
+    hopeless = [no_input_terminates(p, GenConfig(), 1000) for p in programs]
+    assert (len(programs), sum(hopeless)) == (40, 6)
+    assert len(steps) < 6_065 // 10

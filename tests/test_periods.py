@@ -10,7 +10,10 @@ field: under the four semantics on Listing 1 (source and hardened) and on
 hardened Listing 1, fuels that cut a period, directives that end inside a
 period or change after a few periods, a loop that pushes nothing, and a
 state that repeats after the stack dropped below the checkpoint's, which
-is no repeat.
+is no repeat. Checkpoints are taken after any step, so loops with no
+prediction point take their periods too: a `jump` loop, loops with loads
+and stores, a branch loop under seq, the all-UV runs of `bench/gen_corpus`
+and a loop after the last directive; a counter loop never repeats.
 """
 
 import json
@@ -23,7 +26,7 @@ from hypothesis import given, strategies as st
 
 from specibt.checks import _hardened_init
 from specibt.explore import ExploreBudget, IdealDriver, McDriver, SpecDriver, explore
-from specibt.gen import gen_state, spec_of
+from specibt.gen import GenConfig, gen_state, spec_of
 from specibt.hardening import harden
 from specibt.interp import (
     DBranch,
@@ -37,7 +40,7 @@ from specibt.interp import (
     run_spec,
     step_seq,
 )
-from specibt.ir import PC
+from specibt.ir import PC, UV
 from specibt.machine import concretize_state, linearize, run_mc
 from specibt.textio import decode_pair, parse_program
 
@@ -212,3 +215,86 @@ def test_a_state_repeated_below_the_checkpoint_is_no_repeat(fuel):
     m = concretize_state(s, mc.lay)
     dirs = [d for d, _ in explore(McDriver(mc), m, ExploreBudget(0, 10, fuel))][0]
     assert run_mc(mc, m, dirs, fuel) == plain_run(McDriver(mc).step, m, dirs, fuel)
+
+
+# --------------------------------------------------------------------------
+# Loops with no prediction point: checkpoints are taken after any step
+
+
+JUMP = parse_program("entry a:\n  jump a\n")
+LOAD_JUMP = parse_program("entry a:\n  load x, 0\n  jump a\n")
+# six steps a period, with loads and stores in it
+LONG_LOOP = parse_program("entry a:\n  load x, 0\n  skip\n  store 0, (x + 1)\n"
+                          "  load x, 0\n  store 0, (x - 1)\n  jump a\n")
+# under seq, `x` decides the branch: a loop while it is set
+BRANCH_LOOP = parse_program("entry a:\n  jump b\nblock b:\n  store 0, x\n"
+                            "  branch x b\n  ret\n")
+# `x` grows at every pass: no state repeats
+COUNTER = parse_program("entry a:\n  jump b\nblock b:\n  x <- (x + 1)\n  jump b\n")
+
+
+@pytest.mark.parametrize("p", [JUMP, LOAD_JUMP, LONG_LOOP, BRANCH_LOOP, COUNTER],
+                         ids=["jump", "load-jump", "long", "branch", "counter"])
+def test_loops_with_no_prediction_point(p):
+    """Under seq every step, and under spec, ideal and mc every sequence the
+    walk reaches, at fuels that end inside a period and at its end."""
+    _check(p, State(PC(0, 0), {"x": 1}, (0,)), ExploreBudget(3, 12, 97),
+           (*range(1, 20), 97, 1000))
+
+
+def _counted(step):
+    """`step`, and the list of the states it is called on."""
+    calls = []
+
+    def counted(s, d):
+        calls.append(s)
+        return step(s, d)
+    return counted, calls
+
+
+def test_a_jump_loop_takes_its_periods_at_once():
+    s = State(PC(0, 0), {}, (0,))
+    mc = linearize(JUMP, 1)
+    for step, s0 in ((lambda s, d: step_seq(JUMP, s), s),
+                     (SpecDriver(JUMP).step, s), (IdealDriver(JUMP).step, s),
+                     (McDriver(mc).step, concretize_state(s, mc.lay))):
+        step, calls = _counted(step)
+        r = run(step, s0, (), 10**9)
+        assert (r.trace, r.status, r.steps, r.state) == ([], "fuel", 10**9, s0)
+        assert len(calls) < 10
+
+
+def test_a_counter_loop_steps_to_the_fuel():
+    s = State(PC(0, 0), {"x": 0}, (0,))
+    step, calls = _counted(lambda s, d: step_seq(COUNTER, s))
+    r = run(step, s, (), 300)
+    assert r == plain_run(lambda s, d: step_seq(COUNTER, s), s, (), 300)
+    assert (r.status, r.steps, len(calls)) == ("fuel", 300, 300)
+    assert r.state.regs == {"x": 150}
+
+
+@pytest.mark.parametrize("path", GEN, ids=[p.stem for p in GEN])
+def test_all_uv_runs_of_the_gen_corpus(path):
+    """The run of each generated program from the all-UV state, as the
+    all-UV check of `fuzz-*` runs it."""
+    p = parse_program(path.read_text())
+    s = State(PC(0, 0), {}, (UV,) * GenConfig().mem_len)
+    seq = partial(step_seq, p)
+    for fuel in (1, 7, 200, 1000):
+        assert run_seq(p, s, fuel) == plain_run(lambda s, d: seq(s), s, (), fuel)
+
+
+# The branch is the only prediction point; the loop after it holds none.
+BRANCH_THEN_LOOP = parse_program("entry a:\n  branch x b\n  ret\nblock b:\n"
+                                 "  load y, 0\n  jump b\n")
+
+
+@pytest.mark.parametrize("fuel", [1, 2, 3, 4, 5, 50, 1001])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_directives_given_to_a_period_that_holds_none(fuel, n):
+    s = State(PC(0, 0), {"x": 0}, (0,))
+    dirs = (DBranch(True),) * n
+    for driver, s0, run in _engines(BRANCH_THEN_LOOP, s):
+        want = plain_run(driver.step, s0, dirs, fuel)
+        assert run(s0, dirs, fuel) == want
+        assert want.status == "fuel"
