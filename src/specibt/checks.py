@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from .ir import FP, Program, Record
 from .interp import (
     Directive,
+    Lockstep,
     Next,
     Obs,
     OutOfDirectives,
@@ -215,12 +216,13 @@ class _Parted(Record):
 def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
     """`p` under the speculative semantics and its linearization `mc` in
     lockstep, under machine directives mapped to the source level. A state
-    is (source state, machine state, steps taken); an observation is the
-    pair of both levels' observations, the source's mapped to machine
-    addresses. A step on which the levels disagree ends the run with
-    `_Parted`; the state relation is checked after every fifth step. At a
-    prediction point the machine's `OutOfDirectives` is returned, so the
-    correct directive is the machine's."""
+    is a `Lockstep`: both levels' states and the steps taken modulo 5; an
+    observation is the pair of both levels' observations, the source's
+    mapped to machine addresses. A step on which the levels disagree ends
+    the run with `_Parted`; the state relation is checked after the first
+    step and every fifth one after it, from phase 0. At a prediction point
+    the machine's `OutOfDirectives` is returned, so the correct directive
+    is the machine's."""
     lay = mc.lay
 
     def step(s, d: Optional[Directive]):
@@ -243,9 +245,9 @@ def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
         obs = None if o1 is None and out_mc.obs is None else (o1, out_mc.obs)
         if o1 != out_mc.obs:
             return _Parted("counterexample", "observations diverge", obs)
-        if i % 5 == 0 and not state_rel(out_mir.state, out_mc.state, lay):
+        if i == 0 and not state_rel(out_mir.state, out_mc.state, lay):
             return _Parted("counterexample", "state relation broken", obs)
-        return Next((out_mir.state, out_mc.state, i + 1), obs)
+        return Next(Lockstep(out_mir.state, out_mc.state, (i + 1) % 5), obs)
 
     return Driver(step, McDriver(mc).calls)
 
@@ -271,7 +273,7 @@ def _lockstep(
     pass. A machine directive with no block-level counterpart (a call into
     the data section) is inconclusive."""
     runs = 0
-    for dirs, res in explore(_lockstep_driver(p, mc), (s0, m0, 0), budget):
+    for dirs, res in explore(_lockstep_driver(p, mc), Lockstep(s0, m0), budget):
         runs += 1
         v = _parted(runs, dirs, res)
         if v is not None:

@@ -146,12 +146,12 @@ def spec_of(s: State, ct: bool = False, ms: bool = False) -> State:
 def _terminates(p: Program, s: State, fuel: int) -> bool:
     """`run_seq(p, s, fuel).status == "term"`: `advance` plus widening.
 
-    A run that `repeats` its checkpoint takes its periods to the fuel at
-    once. A return to the checkpoint's pc with other values is tried once
-    per checkpoint as a loop that changes them forever, by widening those
-    values to UV (`_loops_widened`), and ends the run if it is one; the
-    abstract steps of all tries together never outnumber the concrete steps
-    taken.
+    A run that `repeats` its checkpoint never terminates, so it ends there,
+    with nothing built for the fuel left. A return to the checkpoint's pc
+    with other values is tried once per checkpoint as a loop that changes
+    them forever, by widening those values to UV (`_loops_widened`), and
+    ends the run if it is one; the abstract steps of all tries together
+    never outnumber the concrete steps taken.
     """
     spent, tried = 0, None  # abstract steps; the checkpoint last widened
 
@@ -240,10 +240,10 @@ def gen_safe_input(
     Early rejection: if `no_input_terminates(p, cfg, fuel)` (passed in as
     `hopeless` by a caller that samples the same program again), the
     attempts' states are drawn and discarded and the result is None. Each
-    attempt's run (`_terminates`) takes a repeated state's periods at once,
-    and stops at a loop whose changing values, widened to UV, keep it going
-    forever; it does not step on to `fuel`. The result and the rng's
-    position are those of the plain loop that runs each attempt to `fuel`.
+    attempt's run (`_terminates`) stops at its first repeated state, and at
+    a loop whose changing values, widened to UV, keep it going forever; it
+    does not step on to `fuel`. The result and the rng's position are those
+    of the plain loop that runs each attempt to `fuel`.
     """
     if hopeless is None:
         hopeless = no_input_terminates(p, cfg, fuel)

@@ -15,10 +15,12 @@ memory is stuck at both levels, with a reason that differs in one phrase.
 A run compiles each instruction it reaches to a closure once per program
 (Feeley and Lapalme, "Using closures for code generation", 1987). One run
 loop, `advance`, drives any step function, the machine semantics' included,
-for `run`, for the walk of the directive tree and for the generator's
+for `run`, for the walk of the directive tree, for the lockstep of a program
+and its machine code (`Lockstep` states) and for the generator's
 termination test. A run that provably repeats (`repeats`), after any step
 and with or without directives in its period, takes its whole periods up
-to the fuel at once, with the results of the run stepped throughout.
+to the fuel at once, with the results of the run stepped throughout; the
+termination test stops there.
 
 All step functions are pure; states are immutable snapshots.
 """
@@ -111,11 +113,31 @@ class State(NamedTuple):
     ms: bool = False
 
 
+class Lockstep(NamedTuple):
+    """A run state of a program and its machine code in lockstep: the state
+    of each level, and the steps taken modulo 5. The step from phase 0
+    checks the relation of the two states it makes
+    (`checks._lockstep_driver`). A checkpoint reads a run state's `pc` and
+    `stk`: here both levels' pcs with the phase, and the shorter stack."""
+
+    source: State
+    machine: State
+    phase: int = 0
+
+    @property
+    def pc(self) -> tuple:
+        return self.source.pc, self.machine.pc, self.phase
+
+    @property
+    def stk(self) -> tuple:
+        return min(self.source.stk, self.machine.stk, key=len)
+
+
 # Each outcome names the run status it ends a run with.
 
 
 class Next(NamedTuple):
-    state: Any  # a State or a lockstep driver's state
+    state: Union[State, Lockstep]
     obs: Optional[Obs] = None
     status = "next"
 
@@ -416,20 +438,36 @@ def result(trace: list[Obs], out: Optional[Outcome], s, steps: int) -> RunResult
 Step = Callable[[State, Optional[Directive]], Outcome]
 
 
-def repeats(c: State, low: int, s: State) -> bool:
+def levels(s) -> tuple[State, ...]:
+    """The `State`s of a run state: a `State` is its own one level, and a
+    `Lockstep` state holds two."""
+    return (s,) if isinstance(s, State) else s[:2]
+
+
+def repeats(c, low: int, s) -> bool:
     """Whether a run that went from the checkpoint `c` to `s`, its stack
     never shorter than `low` entries in between, repeats from `s` forever."""
     # Sound because a step is deterministic in its state and directive, and
-    # reads the stack only at `ret`: whether it is empty, and its top entry.
-    # If `s` has the checkpoint's pc, registers, memory and flags, and the
-    # stack never got shorter than the checkpoint's in between, every `ret`
-    # on the way popped an entry pushed after the checkpoint: that stretch
-    # read only pc, registers, memory, flags and entries it pushed itself.
-    # From `s`, given the same directives, it repeats step for step, with
-    # the same observations, and pushes the same entries onto `s`'s stack;
-    # the correct directives, computed from the state, repeat with it.
-    return (low >= len(c.stk) and s.pc == c.pc and s.regs == c.regs
-            and s.mem == c.mem and s.ct == c.ct and s.ms == c.ms)
+    # reads a stack only at `ret`: whether it is empty, and its top entry.
+    # If each level of `s` has its checkpoint's pc, registers, memory and
+    # flags, and no stack got shorter than the checkpoint's in between,
+    # every `ret` on the way popped an entry pushed after the checkpoint:
+    # that stretch read only pc, registers, memory, flags and entries it
+    # pushed itself. From `s`, given the same directives, it repeats step
+    # for step, with the same observations, and pushes the same entries
+    # onto `s`'s stacks; the correct directives, computed from the state,
+    # repeat with it.
+    # A `Lockstep` step also reads both whole stacks when it checks the
+    # relation of its levels, from phase 0. But `c` is of phase 1 (see
+    # `advance`), as is `s`, whose pc holds the phase: the relation held at
+    # both. So both levels' stacks had equal lengths at `c`, and neither got
+    # shorter than its own there, since the shorter one, `stk`, did not;
+    # and the entries a period pushes above them relate, as many on each
+    # level. Every later check reads the stacks of the first period's with
+    # such entries inserted above `c`'s, and holds as that one did.
+    return low >= len(c.stk) and s.pc == c.pc and all(
+        y.regs == x.regs and y.mem == x.mem and y.ct == x.ct and y.ms == x.ms
+        for x, y in zip(levels(c), levels(s)))
 
 
 def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
@@ -443,23 +481,30 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
     stops out of directives or, with `follow`, appends the correct one to
     `dirs` and takes it.
 
-    A run of `State`s is checked after every step against a checkpoint,
-    `s` at first, re-taken after 1, 2, 4, ... more steps (Brent's cycle
-    detection). When it `repeats`, the run takes at once as many whole
+    The run is checked after every step against a checkpoint (Brent's
+    cycle detection), taken at the first run state it may be, and re-taken
+    so after 1, 2, 4, ... more steps: any `State`, and a `Lockstep` state
+    of phase 1, whose levels the step that made it checked for their
+    relation. When it `repeats`, the run takes at once as many whole
     periods as the fuel allows and, without `follow`, as the next
     directives of `dirs` repeat the period's, if it holds any: q periods
     add q times the period's steps, observations and directives, and push
-    q times the entries the period pushed. Then it steps on, so every
-    result is that of the run stepped throughout. Back at the checkpoint
-    `c`'s pc in a state `s` that does not repeat it, its stack never
-    shorter in between, the run ends as at the fuel if `endless(c, s,
-    steps)` holds."""
-    used, c = 0, None
-    if isinstance(s, State):
-        # the checkpoint, its steps, trace length and directives used, the
-        # shortest stack since it, the steps it is kept for and its pc's hash
-        c, n, t, u, low, power, h = s, steps, len(trace), 0, len(s.stk), 1, hash(s.pc)
-    while steps < fuel:
+    onto each level's stack q times the entries the period pushed there.
+    Then it steps on, so every result is that of the run stepped
+    throughout. A run given `endless` only asks whether it ends: it ends as
+    at the fuel when it repeats, and when `endless(c, s, steps)` holds for
+    a state `s` that is back at the checkpoint `c`'s pc, its stack never
+    shorter in between, but does not repeat it."""
+    used, c, n, power = 0, None, steps, 0
+    while True:
+        if steps - n >= power and (isinstance(s, State) or s.phase == 1):
+            # the checkpoint, its steps, trace length and directives used,
+            # the shortest stack since it, the steps it is kept for and its
+            # pc's hash
+            c, n, t, u, low, power, h = (s, steps, len(trace), used, len(s.stk),
+                                         2 * power or 1, hash(s.pc))
+        if steps >= fuel:
+            return None, s, steps
         out = step(s, None)
         if isinstance(out, OutOfDirectives):
             if used >= len(dirs) and not follow:
@@ -480,6 +525,8 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
             low = len(s.stk)
         if hash(s.pc) == h and low >= len(c.stk) and s.pc == c.pc:
             if repeats(c, low, s):
+                if endless is not None:
+                    return None, s, steps
                 p, period = steps - n, dirs[u:used]
                 k, q = len(period), (fuel - steps) // p
                 if follow:
@@ -490,14 +537,12 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
                         q = next(i for i in range(q)
                                  if dirs[used + i * k : used + i * k + k] != period)
                 trace += trace[t:] * q
-                s = s._replace(stk=s.stk[: len(s.stk) - len(c.stk)] * q + s.stk)
+                xs = [x._replace(stk=x.stk[: len(x.stk) - len(y.stk)] * q + x.stk)
+                      for x, y in zip(levels(s), levels(c))]
+                s = xs[0] if isinstance(s, State) else Lockstep(*xs, s.phase)
                 steps, used = steps + q * p, used + q * k
             elif endless is not None and endless(c, s, steps):
                 return None, s, steps
-        if steps - n >= power:
-            c, n, t, u, low, power, h = (s, steps, len(trace), used, len(s.stk),
-                                         2 * power, hash(s.pc))
-    return None, s, steps
 
 
 def run(step: Step, s, directives: Sequence[Directive], fuel: int) -> RunResult:

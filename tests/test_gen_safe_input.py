@@ -6,17 +6,20 @@ input terminates on, and it must leave the results and the rng exactly
 where the full rejection sampling leaves them. The digests in
 `data/gen_safe_input_stream.json` were recorded with the plain
 50-attempt loop. The all-UV check itself takes a repeated run's periods at
-once, so the checks of `bench/gen_corpus` cost a tenth of their steps.
+once, so the checks of `bench/gen_corpus` cost a tenth of their steps, and a
+draw's run stops at its first repeat, with nothing built for the fuel left.
 """
 
 import hashlib
 import json
 import pathlib
 import random
+import tracemalloc
 
 import specibt.interp as interp
 from specibt.gen import (
     GenConfig,
+    _terminates,
     gen_program,
     gen_safe_input,
     gen_state,
@@ -78,3 +81,26 @@ def test_all_uv_checks_of_the_gen_corpus_take_their_periods(monkeypatch):
     hopeless = [no_input_terminates(p, GenConfig(), 1000) for p in programs]
     assert (len(programs), sum(hopeless)) == (40, 6)
     assert len(steps) < 6_065 // 10
+
+
+def test_a_draw_stops_at_its_first_repeat(monkeypatch):
+    """A loop that loads at every pass repeats after two steps: the draw's
+    run returns there, without the observations or steps of the fuel left
+    (stepped throughout, five million loads)."""
+    p = parse_program("entry a:\n  load x, 0\n  jump a\n")
+    steps = []
+    real = interp._step
+
+    def counted(p, s, d, sem):
+        steps.append(s)
+        return real(p, s, d, sem)
+
+    monkeypatch.setattr(interp, "_step", counted)
+    tracemalloc.start()
+    try:
+        assert not _terminates(p, State(PC(0, 0), {}, (0,)), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) < 10
+    assert peak < 1 << 20

@@ -14,6 +14,15 @@ is no repeat. Checkpoints are taken after any step, so loops with no
 prediction point take their periods too: a `jump` loop, loops with loads
 and stores, a branch loop under seq, the all-UV runs of `bench/gen_corpus`
 and a loop after the last directive; a counter loop never repeats.
+
+The lockstep of `check linearize` steps `Lockstep` product states, which
+repeat only at phase 1, after a check of the state relation: every walk
+item and run of the lockstep driver must equal the plain loop's too, on a
+branch that spins forever, hardened Listing 1, the `fuzz-linearize` inputs
+of `bench/gen_corpus`, a recursion, a loop whose period is not a multiple
+of 5, calls whose states repeat only below the checkpoint's stack, and
+machine code whose recursion pushes return addresses unrelated to the
+source's, which the stepped run catches one period later.
 """
 
 import json
@@ -24,12 +33,15 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from specibt.checks import _hardened_init
+import specibt.checks as checks
+from specibt.checks import _hardened_init, _lockstep_driver, check_bcc_linearize
+from specibt.cli import _fuzz_inputs
 from specibt.explore import ExploreBudget, IdealDriver, McDriver, SpecDriver, explore
 from specibt.gen import GenConfig, gen_state, spec_of
 from specibt.hardening import harden
 from specibt.interp import (
     DBranch,
+    Lockstep,
     Next,
     OutOfDirectives,
     State,
@@ -40,8 +52,8 @@ from specibt.interp import (
     run_spec,
     step_seq,
 )
-from specibt.ir import PC, UV
-from specibt.machine import concretize_state, linearize, run_mc
+from specibt.ir import PC, RET, UV, Call, Const, Jump, Skip
+from specibt.machine import McProgram, concretize_state, linearize, run_mc
 from specibt.textio import decode_pair, parse_program
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -298,3 +310,125 @@ def test_directives_given_to_a_period_that_holds_none(fuel, n):
         want = plain_run(driver.step, s0, dirs, fuel)
         assert run(s0, dirs, fuel) == want
         assert want.status == "fuel"
+
+
+# --------------------------------------------------------------------------
+# The lockstep of `check linearize`: product states take their periods
+
+
+def _lockstep_check(p, s, budget, fuels=(), mc=None):
+    """The lockstep walk of `p` and its machine code (`mc`, if given) from
+    `s` within `budget`: each item against the plain run of its directives,
+    then those directives, cut short and changed, at each of `fuels`,
+    against `run`. The walk's items."""
+    mc = mc or linearize(p, len(s.mem))
+    driver = _lockstep_driver(p, mc)
+    s0 = Lockstep(s, concretize_state(s, mc.lay))
+    walked = list(explore(driver, s0, budget))
+    for dirs, r in walked:
+        assert r == plain_run(driver.step, s0, dirs, budget.fuel)
+        for ds in (dirs[: len(dirs) // 2], dirs[: len(dirs) // 2] + dirs[:3]):
+            for fuel in fuels:
+                assert run(driver.step, s0, ds, fuel) == plain_run(driver.step, s0, ds, fuel)
+    return walked
+
+
+# A mispredicted entry branch lands in a branch that spins forever.
+SPIN = parse_program("entry a:\n  branch x b\n  ret\nblock b:\n  branch y b\n  ret\n")
+SPIN_S = State(PC(0, 0), {"x": 0, "y": 1}, (0,))
+
+
+@pytest.mark.parametrize("fuel", [*range(1, 20), 1000])
+def test_a_spinning_branch_in_lockstep(fuel):
+    walked = _lockstep_check(SPIN, SPIN_S, ExploreBudget(1, 10, fuel), (1, 7, fuel))
+    assert [r.status for _, r in walked] == ["fuel", "fuel" if fuel == 1 else "term"]
+
+
+def test_a_spinning_branch_takes_its_periods_in_lockstep(monkeypatch):
+    calls = []
+    real = checks.step_mc
+
+    def counted(mc, s, d=None):
+        calls.append(s)
+        return real(mc, s, d)
+
+    monkeypatch.setattr(checks, "step_mc", counted)
+    v = check_bcc_linearize(SPIN, SPIN_S, ExploreBudget(1, 10**9, 10**6))
+    assert (v.status, v.runs) == ("pass", 2)
+    assert len(calls) < 100  # stepped throughout: a million steps
+
+
+def test_hardened_listing1_in_lockstep():
+    """`check linearize`'s depth-12 walk of hardened Listing 1 from its
+    hardened initial state, as CI runs it: 64 of its 1,450 sequences run
+    into the fuel, recursing through masked calls."""
+    walked = _lockstep_check(HP, M0, ExploreBudget(12, 10**9, 1000))
+    cut = [r for _, r in walked if r.status == "fuel"]
+    assert (len(walked), len(cut)) == (1450, 64)
+    assert all(r.state.source.stk for r in cut)
+
+
+FUZZ_LINEARIZE = list(_fuzz_inputs(str(ROOT / "bench" / "gen_corpus"), 1001, 40, 1000))
+
+
+@pytest.mark.parametrize("case", range(len(FUZZ_LINEARIZE)))
+def test_fuzz_linearize_inputs_of_the_gen_corpus(case):
+    """The inputs `fuzz-linearize --corpus bench/gen_corpus --seed 1001`
+    checks, at its default budget."""
+    p, s = FUZZ_LINEARIZE[case]
+    _lockstep_check(p, s, ExploreBudget(3, 100, 1000), (7, 200))
+
+
+# Each call pushes a return address and lands on the entry's ctarget: two
+# steps a period at each level, ten for the product with its phase.
+RECURSION = parse_program("entry a:\n  ctarget\n  call &a\n  ret\n")
+# three steps a period at each level, fifteen for the product
+LOOP3 = parse_program("entry a:\n  jump b\nblock b:\n  load x, 0\n"
+                      "  store 0, (x + 1)\n  jump b\n")
+
+
+@pytest.mark.parametrize("p", [RECURSION, LOOP3], ids=["recursion", "loop3"])
+def test_periods_that_push_or_are_not_a_multiple_of_5_in_lockstep(p):
+    s = State(PC(0, 0), {"x": 1}, (0,))
+    for fuel in (*range(1, 20), 97, 1000):
+        walked = _lockstep_check(p, s, ExploreBudget(3, 12, fuel), (fuel, 7))
+        assert walked[0][1].status in ("fuel", "term")
+    cut = [r for _, r in _lockstep_check(p, s, ExploreBudget(3, 12, 1000))
+           if r.status == "fuel"]
+    assert cut
+    if p is RECURSION:
+        assert all(len(r.state.source.stk) > 100 for r in cut)
+
+
+# `f` returns at once: the product states at `f` repeat, phase included,
+# every fifth call, but the stack dropped below them in between; the run
+# ends when `main` returns.
+CALLS_CT = parse_program("entry main:\n" + "  call &f\n" * 40 + "  ret\n"
+                         "entry f:\n  ctarget\n  ret\n")
+
+
+@pytest.mark.parametrize("fuel", [10, 40, 1000])
+def test_a_product_state_repeated_below_the_checkpoint_is_no_repeat(fuel):
+    walked = _lockstep_check(CALLS_CT, State(PC(0, 0), {}, (0,)),
+                             ExploreBudget(0, 10, fuel), (fuel,))
+    assert [r.status for _, r in walked] == ["fuel" if fuel < 121 else "term"]
+
+
+def test_unrelated_return_addresses_are_caught_one_period_later():
+    """Machine code in which `b`'s last skip jumps to a copy of its call
+    past the laid-out code, so each call pushes a return address that
+    relates to no source pc. The pcs part only at the call, and the
+    relation is checked two steps after `b`'s entry, before each push: the
+    product state at `b`'s first skip repeats, phase included, one period
+    after `a`'s call, but it was not checked. The check one period on reads
+    the pushed entry, and the run must end there, as stepped."""
+    p = parse_program("entry a:\n" + "  skip\n" * 13 + "  call &b\n  ret\n"
+                      "entry b:\n  ctarget\n  skip\n  skip\n  skip\n  call &b\n  ret\n")
+    mc = linearize(p, 1)
+    b, end = mc.lay.starts[1], mc.lay.addr(1) + len(p.blocks[1].insts)
+    code = (mc.code[: b + 3] + (Jump(end),) + mc.code[b + 4 :]
+            + (Call(Const(mc.lay.addr(1))), RET))
+    walked = _lockstep_check(p, State(PC(0, 0), {}, (0,)), ExploreBudget(0, 10, 1000),
+                             (20, 21, 1000), McProgram(code, mc.lay))
+    (_, r), = walked
+    assert (r.status, r.reason, r.steps) == ("counterexample", "state relation broken", 20)
