@@ -2,9 +2,10 @@
 and the speculative machine interpreter.
 
 The machine image is a data section of `data_len` cells followed by the
-flattened code. Labels in jumps, branches and function-pointer constants
-become absolute addresses, so machine code carries the layout that fixed
-them; machine values are plain naturals. A machine state is an
+flattened code. One walk over each instruction's fields (`_at`) makes the
+labels in jumps, branches and function-pointer constants absolute
+addresses, so machine code carries the layout that fixed them; machine
+values are plain naturals. A machine state is an
 `interp.State` whose pc and return stack are code addresses. The machine
 rules are interp's speculative rules with cet on, except for call, which
 checks the code section itself.
@@ -20,28 +21,25 @@ store address, `0 <= a < len(mem)`, is the data-section check
 from __future__ import annotations
 
 import bisect
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Any, Optional, Sequence
 
 from .ir import (
     UV,
-    Asgn,
-    BinOp,
     Branch,
     Call,
-    Cond,
     Const,
     Code,
     CTarget,
-    Expr,
     FP,
     FpConst,
-    Inst,
     Jump,
-    Load,
     PC,
     Program,
     Record,
-    Store,
+    Reg,
+    Ret,
+    Skip,
     Value,
 )
 from .interp import (
@@ -109,54 +107,36 @@ class McProgram(Code):
 def layout(p: Program, data_len: int) -> LayoutMap:
     if data_len <= 0:
         raise ValueError("data_len must be positive")
-    starts: list[int] = []
-    sizes: list[int] = []
-    off = 0
-    for b in p.blocks:
-        starts.append(off)
-        sizes.append(len(b.insts))
-        off += len(b.insts)
-    return LayoutMap(data_len, tuple(starts), tuple(sizes))
+    sizes = tuple(len(b.insts) for b in p.blocks)
+    return LayoutMap(data_len, tuple(accumulate(sizes, initial=0))[:-1], sizes)
 
 
-def _subst_expr(e: Expr, lay: LayoutMap) -> Expr:
-    if isinstance(e, FpConst):
-        return Const(lay.addr(e.label))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _subst_expr(e.lhs, lay), _subst_expr(e.rhs, lay))
-    if isinstance(e, Cond):
-        return Cond(
-            _subst_expr(e.cond, lay),
-            _subst_expr(e.then, lay),
-            _subst_expr(e.els, lay),
-        )
-    return e
+# The instructions, expressions and fields that hold no block label
+_NO_LABEL = frozenset({str, int, Const, Reg, Skip, CTarget, Ret})
+
+
+def _at(x: Any, lay: LayoutMap) -> Any:
+    """`x`, an instruction, an expression or a field of one, with every block
+    label in it made its absolute address under `lay`: a function-pointer
+    constant becomes a constant of the address, the target of a jump or a
+    branch the address itself, and any other record is rebuilt from its
+    fields."""
+    cls = type(x)
+    if cls in _NO_LABEL:
+        return x
+    if cls is FpConst:
+        return Const(lay.addr(x.label))
+    fields = [_at(f, lay) for f in x]
+    if cls is Jump or cls is Branch:
+        fields[-1] = lay.addr(x.target)
+    return cls(*fields)
 
 
 def linearize(p: Program, data_len: int) -> McProgram:
     """Concatenate all blocks, rewriting labels and function-pointer
     constants to absolute addresses."""
     lay = layout(p, data_len)
-    code: list[Inst] = []
-    for b in p.blocks:
-        for i in b.insts:
-            if isinstance(i, Branch):
-                code.append(Branch(_subst_expr(i.cond, lay), lay.addr(i.target)))
-            elif isinstance(i, Jump):
-                code.append(Jump(lay.addr(i.target)))
-            elif isinstance(i, Asgn):
-                code.append(Asgn(i.reg, _subst_expr(i.expr, lay)))
-            elif isinstance(i, Load):
-                code.append(Load(i.reg, _subst_expr(i.addr, lay)))
-            elif isinstance(i, Store):
-                code.append(
-                    Store(_subst_expr(i.addr, lay), _subst_expr(i.value, lay))
-                )
-            elif isinstance(i, Call):
-                code.append(Call(_subst_expr(i.target, lay)))
-            else:
-                code.append(i)
-    return McProgram(tuple(code), lay)
+    return McProgram(tuple(_at(i, lay) for b in p.blocks for i in b.insts), lay)
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,10 @@ Grammar::
               | "(" expr "?" expr ":" expr ")"
 
 Comments run from "#" to end of line. Labels resolve to block indices in
-order of first definition. Flat machine listings are printed, not parsed:
-one instruction per line in the same grammar, with absolute addresses as
-branch and jump targets.
+order of first definition. Printing is one walk over each instruction's
+fields, by a format string per class (`_SYNTAX`). Flat machine listings are
+printed, not parsed: one instruction per line in the same grammar, with
+absolute addresses as branch and jump targets.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .ir import (
     Call,
     Cond,
     Const,
-    CTARGET,
+    CTarget,
     Expr,
     FP,
     FpConst,
@@ -45,8 +46,8 @@ from .ir import (
     Program,
     Record,
     Reg,
-    RET,
-    SKIP,
+    Ret,
+    Skip,
     Store,
     Value,
 )
@@ -64,9 +65,19 @@ from .interp import (
 )
 from .machine import LayoutMap, McProgram
 
-# The instructions without operands, by keyword, and their keywords by class
-_NULLARY = {"skip": SKIP, "ctarget": CTARGET, "ret": RET}
-_KEYWORD = {type(i): k for k, i in _NULLARY.items()}
+# The text of each instruction and expression, over its fields by name, as
+# in the grammar above; `L` prefixes a jump or branch target: "b" names a
+# block, nothing an address of machine code
+_SYNTAX = {
+    Skip: "skip", Asgn: "{reg} <- {expr}", Branch: "branch {cond} {L}{target}",
+    Jump: "jump {L}{target}", Load: "load {reg}, {addr}", Store: "store {addr}, {value}",
+    Call: "call {target}", CTarget: "ctarget", Ret: "ret",
+    Const: "{value}", FpConst: "&b{label}", Reg: "{name}",
+    BinOp: "({lhs} {op} {rhs})", Cond: "({cond} ? {then} : {els})",
+}
+
+# The instructions without operands, by keyword
+_NULLARY = {k: cls() for cls, k in _SYNTAX.items() if not cls._fields}
 KEYWORDS = {"entry", "block", "branch", "jump", "load", "store", "call", *_NULLARY}
 
 
@@ -305,37 +316,10 @@ def parse_program(text: str) -> Program:
 # Printing
 
 
-def print_expr(e: Expr) -> str:
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, FpConst):
-        return f"&b{e.label}"
-    if isinstance(e, Reg):
-        return e.name
-    if isinstance(e, BinOp):
-        return f"({print_expr(e.lhs)} {e.op} {print_expr(e.rhs)})"
-    if isinstance(e, Cond):
-        return f"({print_expr(e.cond)} ? {print_expr(e.then)} : {print_expr(e.els)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _print_inst(i: Inst, label: str) -> str:
-    """One instruction; jump and branch targets are printed after `label`."""
-    if type(i) in _KEYWORD:
-        return _KEYWORD[type(i)]
-    if isinstance(i, Asgn):
-        return f"{i.reg} <- {print_expr(i.expr)}"
-    if isinstance(i, Branch):
-        return f"branch {print_expr(i.cond)} {label}{i.target}"
-    if isinstance(i, Jump):
-        return f"jump {label}{i.target}"
-    if isinstance(i, Load):
-        return f"load {i.reg}, {print_expr(i.addr)}"
-    if isinstance(i, Store):
-        return f"store {print_expr(i.addr)}, {print_expr(i.value)}"
-    if isinstance(i, Call):
-        return f"call {print_expr(i.target)}"
-    raise TypeError(f"not an instruction: {i!r}")
+def _print(x: Record, L: str) -> str:
+    """The text of an instruction or an expression."""
+    fields = {f: _print(v, L) if isinstance(v, Record) else v for f, v in zip(x._fields, x)}
+    return _SYNTAX[type(x)].format(L=L, **fields)
 
 
 def print_program(p: Program) -> str:
@@ -343,15 +327,13 @@ def print_program(p: Program) -> str:
     identical program."""
     lines: list[str] = []
     for l, b in enumerate(p.blocks):
-        kw = "entry" if b.is_entry else "block"
-        lines.append(f"{kw} b{l}:")
-        for i in b.insts:
-            lines.append(f"  {_print_inst(i, 'b')}")
+        lines.append(f"{'entry' if b.is_entry else 'block'} b{l}:")
+        lines += (f"  {_print(i, 'b')}" for i in b.insts)
     return "\n".join(lines) + "\n"
 
 
 def print_mc_program(mc: McProgram) -> str:
-    return "\n".join(_print_inst(i, "") for i in mc.code) + "\n"
+    return "\n".join(_print(i, "") for i in mc.code) + "\n"
 
 
 # --------------------------------------------------------------------------
