@@ -87,18 +87,26 @@ def _fail(msg: str) -> NoReturn:
     sys.exit(1)
 
 
-def _load(path: str, decode: Callable, *args) -> Any:
+def _load(path: str, decode: Callable) -> Any:
     """Read PATH and decode it: `parse_program` takes the text, every other
     decoder the JSON document. Unreadable or malformed input exits 1."""
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8")
-        return decode(text if decode is parse_program else json.loads(text), *args)
+        return decode(text if decode is parse_program else json.loads(text))
     except OSError as exc:
         _fail(str(exc))
     except (ParseError, json.JSONDecodeError, DocError, UnicodeDecodeError) as exc:
         _fail(f"{path}: {exc}")
     except RecursionError:
         _fail(f"{path}: nested too deeply")
+
+
+def _no_effect(under: str, *flags: tuple[str, bool, bool]) -> None:
+    """A usage error (exit 2) naming each flag given that UNDER does not
+    read; FLAGS are (flag, given, read) triples."""
+    unread = [f for f, given, read in flags if given and not read]
+    if unread:
+        raise argparse.ArgumentError(None, f"{', '.join(unread)}: no effect under {under}")
 
 
 def _write(path: Optional[str], text: str, stream: Any = None) -> None:
@@ -128,13 +136,9 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
     --sem mc the data section is as long as the state's memory. Call
     directives name block labels and offsets of PROGRAM under spec and
     ideal, and code addresses under mc."""
-    ignored = {"seq": "--ct --no-ct --ms --no-cet", "ideal": "--ct --no-ct --no-cet",
-               "mc": "--no-cet", "spec": ""}[sem].split()
-    given = {"--ct": ct is True, "--no-ct": ct is False, "--ms": ms, "--no-cet": no_cet}
-    unread = [f for f in ignored if given[f]]
-    if unread:
-        msg = f"{', '.join(unread)}: no effect under --sem {sem}"
-        raise argparse.ArgumentError(None, msg)  # a usage error: exit 2
+    _no_effect(f"--sem {sem}", ("--ct", ct is True, sem in ("spec", "mc")),
+               ("--no-ct", ct is False, sem in ("spec", "mc")),
+               ("--ms", ms, sem != "seq"), ("--no-cet", no_cet, sem == "spec"))
     p = _load(program, parse_program)
     directives = _load(directives_path, decode_directives) if directives_path else []
     misfit = f"{directives_path}: directives do not fit --sem {sem}"
@@ -212,12 +216,8 @@ def _finish_verdict(v: Verdict) -> None:
 def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
     linearize) or a two-state pair JSON (rs)."""
-    unread = [f for f, v, reads in (("--pipeline", pipeline, property == "rs"),
-                                    ("--variant", variant, property != "linearize"))
-              if v is not None and not reads]
-    if unread:
-        msg = f"{', '.join(unread)}: no effect under check {property}"
-        raise argparse.ArgumentError(None, msg)  # a usage error: exit 2
+    _no_effect(f"check {property}", ("--pipeline", pipeline is not None, property == "rs"),
+               ("--variant", variant is not None, property != "linearize"))
     p = _load(program, parse_program)
     budget = ExploreBudget(depth, runs, fuel)
     pipeline, cfg = pipeline or "hardened-only", VARIANTS[variant or "full"]

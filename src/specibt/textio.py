@@ -13,17 +13,18 @@ Grammar::
               | "(" expr "?" expr ":" expr ")"
 
 Comments run from "#" to end of line. Labels resolve to block indices in
-order of first definition. Printing is one walk over each instruction's
-fields, by a format string per class (`_SYNTAX`). Flat machine listings are
-printed, not parsed: one instruction per line in the same grammar, with
-absolute addresses as branch and jump targets.
+order of first definition. Printing and instruction parsing read one format
+string per class (`_SYNTAX`): a record prints by a walk over its fields, and
+an instruction parses by a walk over the pieces of the format its keyword
+selects. Flat machine listings are printed, not parsed: one instruction per
+line in the same grammar, with absolute addresses as branch and jump targets.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, get_args
 
 from .ir import (
     UV,
@@ -66,8 +67,9 @@ from .interp import (
 from .machine import LayoutMap, McProgram
 
 # The text of each instruction and expression, over its fields by name, as
-# in the grammar above; `L` prefixes a jump or branch target: "b" names a
-# block, nothing an address of machine code
+# in the grammar above. `L` prefixes a jump or branch target: "b" names a
+# block, nothing an address of machine code. Parsed, `{reg}` is a register
+# name, and any other field not after `{L}` an expression.
 _SYNTAX = {
     Skip: "skip", Asgn: "{reg} <- {expr}", Branch: "branch {cond} {L}{target}",
     Jump: "jump {L}{target}", Load: "load {reg}, {addr}", Store: "store {addr}, {value}",
@@ -76,9 +78,12 @@ _SYNTAX = {
     BinOp: "({lhs} {op} {rhs})", Cond: "({cond} ? {then} : {els})",
 }
 
-# The instructions without operands, by keyword
-_NULLARY = {k: cls() for cls, k in _SYNTAX.items() if not cls._fields}
-KEYWORDS = {"entry", "block", "branch", "jump", "load", "store", "call", *_NULLARY}
+# Each instruction's class and the (symbol, `{L}`, field) pieces of its
+# format after its keyword, by keyword, or by None for the assignment.
+_PIECE = re.compile(r"([^\s{]+)|(\{L\})?\{(\w+)\}")
+_FORMS = {pieces[0][0] or None: (cls, pieces[1:] if pieces[0][0] else pieces)
+          for cls in get_args(Inst) for pieces in [_PIECE.findall(_SYNTAX[cls])]}
+KEYWORDS = {"entry", "block", *filter(None, _FORMS)}
 
 
 class ParseIssue(Record):
@@ -110,6 +115,7 @@ _TOKEN_RE = re.compile(
       | (?P<nat>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<sym><-|<=|->|&&|[-+*=&(),:?])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -117,19 +123,15 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, bol, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                [ParseIssue(line, pos - bol + 1, f"unexpected character {text[pos]!r}")]
-            )
-        if m.lastgroup == "nl":
-            line += 1
-            bol = m.end()
-        elif m.lastgroup is not None:
-            toks.append(_Tok(m.lastgroup, m.group(), line, m.start() - bol + 1))
-        pos = m.end()
+    line, bol = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - bol + 1
+        if kind == "bad":
+            raise ParseError([ParseIssue(line, col, f"unexpected character {m.group()!r}")])
+        if kind == "nl":
+            line, bol = line + 1, m.end()
+        elif kind is not None:
+            toks.append(_Tok(kind, m.group(), line, col))
     toks.append(_Tok("eof", "", line, len(text) - bol + 1))
     return toks
 
@@ -197,10 +199,7 @@ class _Parser:
             name = self._expect("ident")
             return FpConst(self._label(name))
         if t.kind == "ident":
-            if t.text in KEYWORDS:
-                raise self._fail(f"keyword {t.text!r} cannot name a register")
-            self._advance()
-            return Reg(t.text)
+            return Reg(self._reg())
         if t.kind == "sym" and t.text == "(":
             if depth == MAX_NESTING:
                 raise self._fail(f"expression nested deeper than {MAX_NESTING} levels")
@@ -223,6 +222,12 @@ class _Parser:
             raise self._fail(f"expected operator or '?', found {op.text!r}")
         raise self._fail(f"expected expression, found {t.text or 'end of input'!r}")
 
+    def _reg(self) -> str:
+        """A register name: an identifier that is not a keyword."""
+        if self.cur.text in KEYWORDS:
+            raise self._fail(f"keyword {self.cur.text!r} cannot name a register")
+        return self._expect("ident").text
+
     # -- labels
 
     def _label(self, tok: _Tok) -> int:
@@ -231,41 +236,30 @@ class _Parser:
             return 0
         return self.labels[tok.text]
 
-    def _target(self) -> int:
-        return self._label(self._expect("ident"))
-
     # -- instructions
 
     def inst(self) -> Inst:
+        """An instruction, by the pieces of its format after the keyword."""
         t = self.cur
-        if t.kind == "ident" and t.text in KEYWORDS:
-            self._advance()
-            if t.text in _NULLARY:
-                return _NULLARY[t.text]
-            if t.text == "branch":
-                cond = self.expr()
-                return Branch(cond, self._target())
-            if t.text == "jump":
-                return Jump(self._target())
-            if t.text == "load":
-                reg = self._expect("ident")
-                if reg.text in KEYWORDS:
-                    raise self._fail(f"keyword {reg.text!r} cannot name a register", reg)
-                self._expect("sym", ",")
-                return Load(reg.text, self.expr())
-            if t.text == "store":
-                addr = self.expr()
-                self._expect("sym", ",")
-                return Store(addr, self.expr())
-            if t.text == "call":
-                return Call(self.expr())
-            raise self._fail(f"{t.text!r} does not start an instruction", t)
-        if t.kind == "ident":
-            self._advance()
-            self._expect("sym", "<-")
-            return Asgn(t.text, self.expr())
-        raise self._fail(f"expected instruction, found {t.text or 'end of input'!r}")
-
+        if t.kind != "ident":
+            raise self._fail(f"expected instruction, found {t.text or 'end of input'!r}")
+        if t.text not in KEYWORDS:
+            cls, pieces = _FORMS[None]
+        elif t.text in _FORMS:
+            cls, pieces = _FORMS[self._advance().text]
+        else:
+            raise self._fail(f"{t.text!r} does not start an instruction")
+        fields: list[Any] = []
+        for sym, label, field in pieces:
+            if sym:
+                self._expect("sym", sym)
+            elif label:
+                fields.append(self._label(self._expect("ident")))
+            elif field == "reg":
+                fields.append(self._reg())
+            else:
+                fields.append(self.expr())
+        return cls(*fields)
 
     # -- programs
 
@@ -298,9 +292,7 @@ def parse_program(text: str) -> Program:
         if _header_at(toks, j):
             name = toks[j + 1]
             if name.text in labels:
-                issues.append(
-                    ParseIssue(name.line, name.col, f"duplicate label {name.text!r}")
-                )
+                issues.append(ParseIssue(name.line, name.col, f"duplicate label {name.text!r}"))
             else:
                 labels[name.text] = len(labels)
     if issues:
@@ -396,14 +388,19 @@ def decode_obs(doc: Any, path: str = "") -> Obs:
     raise DocError(path, f"not an observation: {doc!r}")
 
 
+def _decode_list(doc: Any, path: str, what: str, decode: Callable) -> list[Any]:
+    """A list document, each entry decoded at its index."""
+    if not isinstance(doc, list):
+        raise DocError(path, f"{what} must be a list")
+    return [decode(x, f"{path}/{k}") for k, x in enumerate(doc)]
+
+
 def encode_trace(trace: Sequence[Obs]) -> list[Any]:
     return [encode_obs(o) for o in trace]
 
 
 def decode_trace(doc: Any, path: str = "") -> list[Obs]:
-    if not isinstance(doc, list):
-        raise DocError(path, "trace must be a list")
-    return [decode_obs(o, f"{path}/{k}") for k, o in enumerate(doc)]
+    return _decode_list(doc, path, "trace", decode_obs)
 
 
 def encode_directive(d: Directive) -> Any:
@@ -434,9 +431,7 @@ def encode_directives(directives: Sequence[Directive]) -> list[Any]:
 
 
 def decode_directives(doc: Any, path: str = "") -> list[Directive]:
-    if not isinstance(doc, list):
-        raise DocError(path, "directive sequence must be a list")
-    return [decode_directive(d, f"{path}/{k}") for k, d in enumerate(doc)]
+    return _decode_list(doc, path, "directive sequence", decode_directive)
 
 
 def _decode_pc(doc: Any, path: str) -> PC:
@@ -481,15 +476,9 @@ def decode_state(doc: Any, path: str = "") -> State:
     if not isinstance(regs_doc, dict):
         raise DocError(f"{path}/regs", "registers must be an object")
     regs = {k: decode_value(v, f"{path}/regs/{k}") for k, v in regs_doc.items()}
-    mem_doc = doc.get("mem", [])
-    if not isinstance(mem_doc, list):
-        raise DocError(f"{path}/mem", "memory must be a list")
-    mem = tuple(decode_value(v, f"{path}/mem/{k}") for k, v in enumerate(mem_doc))
+    mem = tuple(_decode_list(doc.get("mem", []), f"{path}/mem", "memory", decode_value))
     pc = _decode_pc(doc["pc"], f"{path}/pc") if "pc" in doc else PC(0, 0)
-    stk_doc = doc.get("stk", [])
-    if not isinstance(stk_doc, list):
-        raise DocError(f"{path}/stk", "stack must be a list")
-    stk = tuple(_decode_pc(x, f"{path}/stk/{k}") for k, x in enumerate(stk_doc))
+    stk = tuple(_decode_list(doc.get("stk", []), f"{path}/stk", "stack", _decode_pc))
     return State(pc, regs, mem, stk, _flag(doc, "ct", path), _flag(doc, "ms", path))
 
 

@@ -1,11 +1,16 @@
 """Parser, printer and JSON codec tests, including round-trip properties."""
 
+import hashlib
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from specibt.cli import VARIANTS
 from specibt.gen import GenConfig, gen_program, gen_state, spec_of
+from specibt.hardening import harden
 from specibt.interp import (
     DBranch,
     DCallMc,
@@ -109,7 +114,9 @@ def test_print_parse_round_trip_generated():
     rng = random.Random(7)
     for _ in range(200):
         p = gen_program(rng, GenConfig())
-        assert parse_program(print_program(p)) == p
+        # hardened forms add ctarget, masked call targets and split edges
+        for q in (p, *(harden(p, cfg=cfg) for cfg in VARIANTS.values())):
+            assert parse_program(print_program(q)) == q
 
 
 values = st.one_of(
@@ -207,6 +214,15 @@ def test_canonical_printing_uses_dense_labels(listing1):
      "3:7: duplicate label 'a'; 5:7: duplicate label 'a'"),
     ("entry a:\n  ret\nblock x", "3:1: 'block' does not start an instruction"),
     ("entry a:\n  ret\nblock b,\n", "3:1: 'block' does not start an instruction"),
+    # one malformed case per instruction form
+    ("entry a:\n  load 5, 1\n", "2:8: expected 'ident', found '5'"),
+    ("entry a:\n  load ret, 1\n", "2:8: keyword 'ret' cannot name a register"),
+    ("entry a:\n  store 1 2\n", "2:11: expected ',', found '2'"),
+    ("entry a:\n  x 1\n", "2:5: expected '<-', found '1'"),
+    ("entry a:\n  branch 1\n", "3:1: expected 'ident', found 'end of input'"),
+    ("entry a:\n  jump 5\n", "2:8: expected 'ident', found '5'"),
+    ("entry a:\n  call\n", "3:1: expected expression, found 'end of input'"),
+    ("entry a:\n  skip $\n", "2:8: unexpected character '$'"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as exc:
@@ -261,3 +277,40 @@ def test_decode_layout_checks_field_types(field, value, path):
 def test_root_doc_error_has_no_empty_path():
     assert str(DocError("", "state must be an object")) == "state must be an object"
     assert str(DocError("/s1", "state must be an object")) == "/s1: state must be an object"
+
+
+_ROOT = pathlib.Path(__file__).parent.parent
+_WORD = re.compile(r"#[^\n]*|<-|<=|->|&&|\w+|\S")
+_REPLACEMENTS = [
+    "entry", "block", "skip", "branch", "jump", "load", "store", "call", "ctarget", "ret",
+    "<-", "<=", "->", "&&", "+", "-", "*", "=", "&", "(", ")", ",", ":", "?",
+    "7", "r9", "$",
+]
+
+
+def _outcome(text: str) -> str:
+    """The printed program, or the parse error's text."""
+    try:
+        return print_program(parse_program(text))
+    except ParseError as exc:
+        return f"error: {exc}"
+
+
+def test_parse_outcomes_of_one_token_mutations_are_pinned():
+    """Each token of every generated corpus program and of Listing 1 in
+    turn replaced by one drawn from the keywords, the symbols, a number, a
+    name and a stray character: the outcomes are pinned by their digest."""
+    rng = random.Random(1)
+    files = [*sorted((_ROOT / "bench" / "gen_corpus").glob("*.mir")),
+             _ROOT / "corpus" / "listing1.mir"]
+    digest, n = hashlib.sha256(), 0
+    for f in files:
+        text = f.read_text()
+        for m in _WORD.finditer(text):
+            if m.group().startswith("#"):
+                continue
+            mutant = text[:m.start()] + rng.choice(_REPLACEMENTS) + text[m.end():]
+            digest.update(_outcome(mutant).encode() + b"\0")
+            n += 1
+    assert n == 2860
+    assert digest.hexdigest() == "357366eca6031ded0ff97c6418aa94145ade248fb46773a11a220bbee513a0f0"
