@@ -8,13 +8,14 @@ sequence and both traces so it can be replayed.
 The relational checks walk two runs down one directive tree, `explore.walk`,
 which counts a subtree that came out clean once per key instead of walking
 it again; they compare the two traces of each sequence (`_diverge`). The
-other checks take every sequence `explore` yields.
+other checks take the sequences `explore` yields up to the first whose
+result they reject (`_explored`).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .ir import FP, Program, Record
 from .interp import (
@@ -88,6 +89,17 @@ def _verdict(runs: int, found: Optional[Divergence], reason: str) -> Verdict:
     return Verdict("counterexample", runs, reason, dirs, list(r1.trace), list(r2.trace))
 
 
+def _explored(results: Iterable, reject: Callable[[RunResult], Optional[Verdict]]) -> Verdict:
+    """The verdict REJECT gives the first of `explore`'s RESULTS it rejects,
+    with the sequences explored up to it and its directives, else a pass."""
+    runs = 0
+    for runs, (dirs, res) in enumerate(results, 1):
+        v = reject(res)
+        if v is not None:
+            return v._replace(runs=runs, directives=list(dirs))
+    return Verdict("pass", runs=runs)
+
+
 def _hardened_init(s: State) -> State:
     """The theorems' initial target state: misspeculation flag clear, callee
     register pointing at the entry, ctarget check armed."""
@@ -118,6 +130,14 @@ def check_bcc_specibt(
     )
 
 
+def _stuck(res: RunResult) -> Optional[Verdict]:
+    """The counterexample of a stuck run, if it is, with its trace as both."""
+    if res.status != "stuck":
+        return None
+    return Verdict("counterexample", reason=f"hardened speculative run is stuck: {res.reason}",
+                   trace1=list(res.trace), trace2=list(res.trace))
+
+
 def check_safety_preservation(
     p: Program,
     s0: State,
@@ -130,13 +150,7 @@ def check_safety_preservation(
     if seq.status == "stuck":
         return Verdict("inconclusive", reason="sequential run is not safe")
     hp = harden(p, cfg=cfg)
-    runs = 0
-    for dirs, res in explore(SpecDriver(hp, cet=True), _hardened_init(s0), budget):
-        runs += 1
-        if res.status == "stuck":
-            reason = f"hardened speculative run is stuck: {res.reason}"
-            return _verdict(runs, (list(dirs), res, res), reason)
-    return Verdict("pass", runs=runs)
+    return _explored(explore(SpecDriver(hp, cet=True), _hardened_init(s0), budget), _stuck)
 
 
 def attack_search(
@@ -252,13 +266,12 @@ def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
     return Driver(step, McDriver(mc).calls)
 
 
-def _parted(runs: int, dirs: Sequence[Directive], res: RunResult) -> Optional[Verdict]:
+def _parted(res: RunResult) -> Optional[Verdict]:
     """The verdict of a lockstep run that ended with `_Parted`, if it did,
-    after `runs` sequences, with the directives consumed and each level's
-    trace up to that step."""
+    with each level's trace up to that step."""
     if res.status not in ("counterexample", "inconclusive"):
         return None
-    v = Verdict(res.status, runs, res.reason, list(dirs))
+    v = Verdict(res.status, reason=res.reason)
     if res.status == "counterexample":
         v = v._replace(trace1=[o for o, _ in res.trace if o is not None],
                        trace2=[o for _, o in res.trace if o is not None])
@@ -272,10 +285,4 @@ def _lockstep(
     the first directive sequence on which the two levels disagree, else a
     pass. A machine directive with no block-level counterpart (a call into
     the data section) is inconclusive."""
-    runs = 0
-    for dirs, res in explore(_lockstep_driver(p, mc), Lockstep(s0, m0), budget):
-        runs += 1
-        v = _parted(runs, dirs, res)
-        if v is not None:
-            return v
-    return Verdict("pass", runs=runs)
+    return _explored(explore(_lockstep_driver(p, mc), Lockstep(s0, m0), budget), _parted)

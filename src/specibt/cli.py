@@ -14,6 +14,7 @@ import json
 import pathlib
 import random
 import sys
+from functools import partial
 from typing import Any, Callable, NoReturn, Optional
 
 from . import SEMANTICS_REVISION, __version__
@@ -45,9 +46,9 @@ from .hardening import (
     ReservedRegs,
     harden,
 )
-from .ir import CTarget, FP, used_registers, wf_program
-from .interp import RunResult, State, run_ideal, run_seq, run_spec, wf_directives_mir
-from .machine import LayoutError, concretize_state, linearize, run_mc, wf_directives_mc
+from .ir import CTarget, FP, PC, used_registers, wf_program
+from .interp import DBranch, DCallMc, DCallMir, RunResult, State, run_ideal, run_seq, run_spec
+from .machine import LayoutError, concretize_state, linearize, run_mc
 from .textio import (DocError, ParseError, decode_directives, decode_pair, decode_state,
                      encode_directives, encode_layout, encode_trace, parse_program,
                      print_mc_program, print_program)
@@ -141,14 +142,18 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
                ("--ms", ms, sem != "seq"), ("--no-cet", no_cet, sem == "spec"))
     p = _load(program, parse_program)
     directives = _load(directives_path, decode_directives) if directives_path else []
-    misfit = f"{directives_path}: directives do not fit --sem {sem}"
+
+    def fit(calls) -> None:
+        """Exit 1 unless each directive is a branch one or in CALLS; seq takes none."""
+        level = set() if sem == "seq" else {DBranch(True), DBranch(False), *calls}
+        if not level.issuperset(directives):
+            _fail(f"{directives_path}: directives do not fit --sem {sem}")
+
+    if sem != "mc":
+        fit(DCallMir(PC(l, o)) for l, b in enumerate(p.blocks) for o in range(len(b.insts)))
     if sem == "seq":
-        if directives:
-            _fail(misfit)
         _emit_run(run_seq(p, _load(state, decode_state), fuel))
         return
-    if sem != "mc" and not wf_directives_mir(p, directives):
-        _fail(misfit)
     s = _load(state, decode_state)
     s = spec_of(s, s.ct if ct is None else ct, s.ms or ms)
     if sem == "ideal":
@@ -165,8 +170,7 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
         m = concretize_state(s, mc.lay)
     except ValueError as exc:
         _fail(f"{state}: {exc}")
-    if not wf_directives_mc(directives, mc):
-        _fail(misfit)
+    fit(map(DCallMc, range(mc.lay.data_len, mc.lay.data_len + len(mc.code))))
     _emit_run(run_mc(mc, m, directives, fuel))
 
 
@@ -344,16 +348,9 @@ def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
     _finish_verdict(Verdict("pass" if passed else "inconclusive", runs=total))
 
 
-def cmd_fuzz_bcc(corpus, seed, depth, runs, fuel, sequences):
-    """Fuzz hardened-speculative vs source-ideal trace equality."""
-    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
-               check_bcc_specibt)
-
-
-def cmd_fuzz_safety(corpus, seed, depth, runs, fuel, sequences):
-    """Fuzz for speculative undefined behavior in hardened programs."""
-    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
-               check_safety_preservation)
+def cmd_fuzz(check, corpus, seed, depth, runs, fuel, sequences):
+    """Check CHECK on safe inputs: programs of the corpus or generated ones."""
+    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel, check)
 
 
 def cmd_fuzz_rs(seed, depth, runs, fuel, sequences, pipeline):
@@ -362,12 +359,6 @@ def cmd_fuzz_rs(seed, depth, runs, fuel, sequences, pipeline):
     pairs = (gen_seq_equiv_pair(rng, GenConfig(), fuel) for _ in range(runs))
     _fuzz_loop(((q.program, q.s1, q.s2) for q in pairs), depth, sequences, fuel,
                lambda p, s1, s2, b: check_relative_security(p, s1, s2, b, pipeline))
-
-
-def cmd_fuzz_linearize(corpus, seed, depth, runs, fuel, sequences):
-    """Fuzz machine-level vs block-level lockstep correspondence."""
-    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel,
-               check_bcc_linearize)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -398,6 +389,13 @@ def _parser() -> argparse.ArgumentParser:
         opt(p, "--depth", 3, type=DEPTH)
         opt(p, "--runs", runs, type=COUNT, help=runs_help)
         opt(p, "--fuel", 1000, type=COUNT)
+
+    def fuzz(check: Callable, doc: str) -> Callable:
+        """The fuzz command that checks CHECK on safe inputs, with help DOC.
+        CHECK is read as the parser is built, after a traced run wraps it."""
+        cmd = partial(cmd_fuzz, check)
+        cmd.__doc__ = doc
+        return cmd
 
     pipelines, variants = ["hardened-only", "end-to-end"], sorted(VARIANTS)
     p = command("run", cmd_run, "program", "state")
@@ -433,8 +431,15 @@ def _parser() -> argparse.ArgumentParser:
     budget(p, 500)
     opt(p, "--cet", action=argparse.BooleanOptionalAction, help="Force the indirect-branch-"
         "tracking model on or off (default: on iff the attacked program contains ctarget).")
-    for name, cmd in (("fuzz-bcc", cmd_fuzz_bcc), ("fuzz-safety", cmd_fuzz_safety),
-                      ("fuzz-rs", cmd_fuzz_rs), ("fuzz-linearize", cmd_fuzz_linearize)):
+    for name, cmd in (
+        ("fuzz-bcc", fuzz(check_bcc_specibt,
+                          "Fuzz hardened-speculative vs source-ideal trace equality.")),
+        ("fuzz-safety", fuzz(check_safety_preservation,
+                             "Fuzz for speculative undefined behavior in hardened programs.")),
+        ("fuzz-rs", cmd_fuzz_rs),
+        ("fuzz-linearize", fuzz(check_bcc_linearize,
+                                "Fuzz machine-level vs block-level lockstep correspondence.")),
+    ):
         p = command(name, cmd)
         opt(p, "--seed", 0, type=int)
         budget(p, 100, "Number of fuzzed programs.")

@@ -574,17 +574,3 @@ def run_ideal(
 ) -> RunResult:
     return run(lambda s, d: step_ideal(p, s, d), s, directives, fuel)
 
-
-def wf_directives_mir(p: Program, directives: Sequence[Directive]) -> bool:
-    """Call directives use valid labels and in-range offsets; no machine-level
-    call directives appear."""
-    for d in directives:
-        if isinstance(d, DCallMc):
-            return False
-        if isinstance(d, DCallMir):
-            t = d.target
-            if not 0 <= t.label < len(p.blocks):
-                return False
-            if not 0 <= t.offset < len(p.blocks[t.label].insts):
-                return False
-    return True

@@ -45,7 +45,6 @@ from .ir import (
 from .interp import (
     SPEC_CET,
     DCallMc,
-    DCallMir,
     Directive,
     DirectiveMismatch,
     FAULT,
@@ -64,7 +63,8 @@ from .interp import (
 
 
 class LayoutError(ValueError):
-    """A code pointer whose label names no block of the laid-out program."""
+    """A code pointer whose label names no block of the laid-out program,
+    or a pc or return address outside its block."""
 
 
 class LayoutMap(Record):
@@ -193,19 +193,6 @@ def run_mc(
     return run(lambda s, d: step_mc(mc, s, d), s, directives, fuel)
 
 
-def wf_directives_mc(directives: Sequence[Directive], mc: McProgram) -> bool:
-    """Machine call directives must land in the code section; no
-    block-structured call directives appear."""
-    lo = mc.lay.data_len
-    hi = lo + len(mc.code)
-    for d in directives:
-        if isinstance(d, DCallMir):
-            return False
-        if isinstance(d, DCallMc) and not lo <= d.addr < hi:
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # Concretization of block-structured states to machine states
 
@@ -220,12 +207,22 @@ def concretize_value(v: Value, lay: LayoutMap) -> int:
 
 
 def concretize_state(s: State, lay: LayoutMap) -> State:
-    """The machine state `s` refines to under `lay`."""
+    """The machine state `s` refines to under `lay`. Its pc and return addresses
+    must lie inside their blocks: `pc_addr` maps an offset past a block's end
+    into the next block."""
+
+    def inside(pc: PC, what: str) -> int:
+        a = lay.pc_addr(pc)
+        if pc.offset >= lay.sizes[pc.label]:
+            raise LayoutError(f"{what} offset {pc.offset} lies outside block "
+                              f"{pc.label} of {lay.sizes[pc.label]} instructions")
+        return a
+
     return State(
-        pc=lay.pc_addr(s.pc),
+        pc=inside(s.pc, "pc"),
         regs={k: concretize_value(v, lay) for k, v in s.regs.items()},
         mem=tuple(concretize_value(v, lay) for v in s.mem),
-        stk=tuple(map(lay.pc_addr, s.stk)),
+        stk=tuple(inside(pc, "return address") for pc in s.stk),
         ct=s.ct,
         ms=s.ms,
     )

@@ -219,7 +219,7 @@ class _Parser:
                 rhs = self.expr(depth)
                 self._expect("sym", ")")
                 return BinOp(op.text, lhs, rhs)
-            raise self._fail(f"expected operator or '?', found {op.text!r}")
+            raise self._fail(f"expected operator or '?', found {op.text or 'end of input'!r}")
         raise self._fail(f"expected expression, found {t.text or 'end of input'!r}")
 
     def _reg(self) -> str:

@@ -55,6 +55,10 @@ def test_bad_call_directive_exits_1(tmp_path, sem, call):
     ("spec", {"addr": 15}),  # a machine-level call at the block level
     ("mc", {"label": 4, "offset": 0}),  # a block-level call at machine level
     ("spec", {"label": 99, "offset": 0}),  # a label Listing 1 does not have
+    ("spec", {"label": 0, "offset": 5}),  # an offset past its block
+    ("ideal", {"label": 4, "offset": 3}),
+    ("mc", {"addr": 1}),  # an address in the data section
+    ("mc", {"addr": 20}),  # one past the code, 12 instructions after 8 cells
 ])
 def test_directive_of_the_wrong_level_exits_1(tmp_path, sem, call):
     state = _write(tmp_path / "s.json", PAIR["s1"])
@@ -62,6 +66,14 @@ def test_directive_of_the_wrong_level_exits_1(tmp_path, sem, call):
     res = invoke(["run", "--sem", sem, "--dir", dirs, LISTING1, state])
     assert res.exit_code == 1
     assert f"Error: {dirs}: directives do not fit --sem {sem}" in res.output
+
+
+def test_call_to_the_last_code_address_fits_mc(tmp_path):
+    state = _write(tmp_path / "s.json", PAIR["s1"])
+    dirs = _write(tmp_path / "d.json", [{"branch": True}, {"call": {"addr": 19}}])
+    res = invoke(["run", "--sem", "mc", "--dir", dirs, LISTING1, state])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["outcome"] == "fault"
 
 
 def test_directives_under_seq_exit_1(tmp_path):
@@ -159,6 +171,24 @@ def test_code_pointer_to_no_block_exits_1(tmp_path, args):
     res = invoke(args + [LISTING1, state])
     assert res.exit_code == 1
     assert "&99 names no block" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--sem", "mc"],
+    ["check", "linearize"],
+])
+@pytest.mark.parametrize("field,doc,message", [
+    # past its block, the pc would name the head of the next block
+    ("pc", {"label": 0, "offset": 3}, "pc offset 3 lies outside block 0 of 3 instructions"),
+    ("stk", [{"label": 4, "offset": 2}, {"label": 2, "offset": 2}],
+     "return address offset 2 lies outside block 2 of 2 instructions"),
+])
+def test_pc_or_return_address_outside_its_block_exits_1(tmp_path, args, field, doc, message):
+    state = _write(tmp_path / "s.json", dict(PAIR["s1"], **{field: doc}))
+    res = invoke(args + [LISTING1, state])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"Error: {state}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "check", "linearize"])

@@ -26,7 +26,6 @@ from specibt.interp import (
     step_ideal,
     step_seq,
     step_spec,
-    wf_directives_mir,
 )
 from specibt.ir import (
     UV,
@@ -259,12 +258,6 @@ def test_run_spec_out_of_directives(listing1, listing1_pair):
     r = run_spec(listing1, spec_of(s1), [], 100, cet=False)
     assert r.status == "out-of-directives"
     assert r.trace == []
-
-
-def test_wf_directives_mir(listing1):
-    assert wf_directives_mir(listing1, [DBranch(True), DCallMir(PC(4, 1))])
-    assert not wf_directives_mir(listing1, [DCallMir(PC(9, 0))])
-    assert not wf_directives_mir(listing1, [DCallMir(PC(0, 5))])
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from specibt.gen import GenConfig, gen_state, spec_of
 from specibt.interp import (
     DBranch,
     DCallMc,
-    DCallMir,
     Fault,
     Next,
     OCall,
@@ -45,7 +44,6 @@ from specibt.machine import (
     linearize,
     run_mc,
     step_mc,
-    wf_directives_mc,
 )
 
 # Two blocks of sizes 2 and 2 after a data section of 2 cells:
@@ -202,14 +200,6 @@ def test_run_mc_full_program():
     r = run_mc(mc, State(2, {}, (0, 0)), [DCallMc(4)], 100)
     assert r.status == "term"
     assert r.trace == [OCall(4)]
-
-
-def test_wf_directives_mc():
-    mc = linearize(TINY, 2)
-    assert wf_directives_mc([DBranch(True), DCallMc(4)], mc)
-    assert not wf_directives_mc([DCallMc(1)], mc)
-    assert not wf_directives_mc([DCallMc(6)], mc)
-    assert not wf_directives_mc([DCallMir(PC(0, 0))], mc)
 
 
 def test_linearized_code_carries_its_layout():

@@ -210,6 +210,7 @@ def test_canonical_printing_uses_dense_labels(listing1):
      "4:9: unknown label 'gone'"),
     ("entry a:\n  branch 1 nowhere\n  x <- (1 +\n",
      "4:1: expected expression, found 'end of input'"),
+    ("entry a:\n  x <- (1", "2:10: expected operator or '?', found 'end of input'"),
     ("entry a:\n  ret\nentry a:\n  ret\nblock a:\n  skip\n",
      "3:7: duplicate label 'a'; 5:7: duplicate label 'a'"),
     ("entry a:\n  ret\nblock x", "3:1: 'block' does not start an instruction"),
