@@ -361,19 +361,28 @@ def cmd_fuzz_rs(seed, depth, runs, fuel, sequences, pipeline):
                lambda p, s1, s2, b: check_relative_security(p, s1, s2, b, pipeline))
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The command line's parser. Every subcommand is listed with its help
+    line, but only the one ARGV names, by its first token that is not an
+    option, takes its arguments: the top level's options take no value."""
     parser = argparse.ArgumentParser(prog="specibt", description=main.__doc__,
                                      allow_abbrev=False)
     version = f"specibt {__version__} (semantics {SEMANTICS_REVISION})"
     parser.add_argument("--version", action="version", version=version,
                         help="Print version and semantics revision.")
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    # given the subcommands' usage prefix, argparse builds no help formatter here
+    commands = parser.add_subparsers(metavar="COMMAND", required=True, prog=parser.prog)
+    named = next((a for a in argv if not a.startswith("-")), None)
 
-    def command(name: str, cmd: Callable, *args) -> argparse.ArgumentParser:
-        """Subcommand NAME runs CMD; each of ARGS names a positional path that
-        must exist, or is a `(name, add_argument keywords)` pair."""
+    def command(name: str, cmd: Callable, *args) -> Optional[argparse.ArgumentParser]:
+        """Subcommand NAME runs CMD. If ARGV names it, its parser, with ARGS:
+        each names a positional path that must exist, or is a `(name,
+        add_argument keywords)` pair; else None, as it is never parsed."""
         p = commands.add_parser(name, help=cmd.__doc__.split(".")[0] + ".",
-                                description=cmd.__doc__, allow_abbrev=False)
+                                description=cmd.__doc__, allow_abbrev=False,
+                                add_help=name == named)
+        if name != named:
+            return None
         p.set_defaults(cmd=cmd, parser=p)
         for a in args:
             a, kw = a if isinstance(a, tuple) else (a, {"type": _existing})
@@ -398,39 +407,39 @@ def _parser() -> argparse.ArgumentParser:
         return cmd
 
     pipelines, variants = ["hardened-only", "end-to-end"], sorted(VARIANTS)
-    p = command("run", cmd_run, "program", "state")
-    opt(p, "--sem", "seq", choices=["seq", "spec", "ideal", "mc"])
-    opt(p, "--dir", dest="directives_path", metavar="PATH", type=_existing,
-        help="JSON directive sequence for spec/ideal/mc runs.")
-    opt(p, "--fuel", 10_000, type=COUNT)
-    opt(p, "--ct", action=argparse.BooleanOptionalAction,
-        help="Override the initial ctarget-armed flag (spec, mc).")
-    p.add_argument("--ms", action="store_true",
-                   help="Start with the misspeculation flag set (spec, ideal, mc).")
-    p.add_argument("--no-cet", action="store_true",
-                   help="Model hardware without indirect-branch tracking (spec).")
-    p = command("harden", cmd_harden, "program")
-    p.add_argument("-o", "--output", metavar="PATH")
-    opt(p, "--msf-reg", "msf")
-    opt(p, "--callee-reg", "callee")
-    opt(p, "--variant", "full", choices=variants)
-    p = command("linearize", cmd_linearize, "program")
-    p.add_argument("--data-len", type=int, required=True)
-    p.add_argument("-o", "--output", metavar="PATH")
-    p.add_argument("--layout-out", metavar="PATH",
-                   help="Layout sidecar path (default: layout JSON on stderr).")
+    if p := command("run", cmd_run, "program", "state"):
+        opt(p, "--sem", "seq", choices=["seq", "spec", "ideal", "mc"])
+        opt(p, "--dir", dest="directives_path", metavar="PATH", type=_existing,
+            help="JSON directive sequence for spec/ideal/mc runs.")
+        opt(p, "--fuel", 10_000, type=COUNT)
+        opt(p, "--ct", action=argparse.BooleanOptionalAction,
+            help="Override the initial ctarget-armed flag (spec, mc).")
+        p.add_argument("--ms", action="store_true",
+                       help="Start with the misspeculation flag set (spec, ideal, mc).")
+        p.add_argument("--no-cet", action="store_true",
+                       help="Model hardware without indirect-branch tracking (spec).")
+    if p := command("harden", cmd_harden, "program"):
+        p.add_argument("-o", "--output", metavar="PATH")
+        opt(p, "--msf-reg", "msf")
+        opt(p, "--callee-reg", "callee")
+        opt(p, "--variant", "full", choices=variants)
+    if p := command("linearize", cmd_linearize, "program"):
+        p.add_argument("--data-len", type=int, required=True)
+        p.add_argument("-o", "--output", metavar="PATH")
+        p.add_argument("--layout-out", metavar="PATH",
+                       help="Layout sidecar path (default: layout JSON on stderr).")
     properties = {"choices": ["bcc", "safety", "rs", "linearize"]}
-    p = command("check", cmd_check, ("property", properties), "program", "state")
-    budget(p, 200, "Maximum explored directive sequences.")
-    opt(p, "--pipeline", choices=pipelines,
-        help=f"For rs only (default: {pipelines[0]}).")
-    opt(p, "--variant", choices=variants,
-        help="For bcc, safety and rs (default: full).")
-    p = command("attack", cmd_attack, "program", "pair")
-    opt(p, "--target", "auto", choices=["pht", "btb", "auto"])
-    budget(p, 500)
-    opt(p, "--cet", action=argparse.BooleanOptionalAction, help="Force the indirect-branch-"
-        "tracking model on or off (default: on iff the attacked program contains ctarget).")
+    if p := command("check", cmd_check, ("property", properties), "program", "state"):
+        budget(p, 200, "Maximum explored directive sequences.")
+        opt(p, "--pipeline", choices=pipelines,
+            help=f"For rs only (default: {pipelines[0]}).")
+        opt(p, "--variant", choices=variants,
+            help="For bcc, safety and rs (default: full).")
+    if p := command("attack", cmd_attack, "program", "pair"):
+        opt(p, "--target", "auto", choices=["pht", "btb", "auto"])
+        budget(p, 500)
+        opt(p, "--cet", action=argparse.BooleanOptionalAction, help="Force the indirect-branch-"
+            "tracking model on or off (default: on iff the attacked program contains ctarget).")
     for name, cmd in (
         ("fuzz-bcc", fuzz(check_bcc_specibt,
                           "Fuzz hardened-speculative vs source-ideal trace equality.")),
@@ -440,7 +449,8 @@ def _parser() -> argparse.ArgumentParser:
         ("fuzz-linearize", fuzz(check_bcc_linearize,
                                 "Fuzz machine-level vs block-level lockstep correspondence.")),
     ):
-        p = command(name, cmd)
+        if not (p := command(name, cmd)):
+            continue
         opt(p, "--seed", 0, type=int)
         budget(p, 100, "Number of fuzzed programs.")
         opt(p, "--sequences", 100, type=COUNT,
@@ -456,7 +466,8 @@ def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None
     """Speculative control-flow integrity laboratory."""
     # Every failure ends in SystemExit with its exit code. `standalone_mode`
     # is ignored: only the in-process runner of `bench/run.py` passes it.
-    args, extra = _parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = _parser(argv).parse_known_args(argv)
     kw = vars(args)
     cmd, parser = kw.pop("cmd"), kw.pop("parser")
     if extra:  # name the first unknown option, if there is one

@@ -208,15 +208,16 @@ def concretize_value(v: Value, lay: LayoutMap) -> int:
 
 def concretize_state(s: State, lay: LayoutMap) -> State:
     """The machine state `s` refines to under `lay`. Its pc and return addresses
-    must lie inside their blocks: `pc_addr` maps an offset past a block's end
-    into the next block."""
+    must name a block and lie inside it: `pc_addr` maps an offset past a
+    block's end into the next block."""
 
     def inside(pc: PC, what: str) -> int:
-        a = lay.pc_addr(pc)
+        if not 0 <= pc.label < len(lay.sizes):
+            raise LayoutError(f"{what} label {pc.label} names no block of the program")
         if pc.offset >= lay.sizes[pc.label]:
             raise LayoutError(f"{what} offset {pc.offset} lies outside block "
                               f"{pc.label} of {lay.sizes[pc.label]} instructions")
-        return a
+        return lay.pc_addr(pc)
 
     return State(
         pc=inside(s.pc, "pc"),

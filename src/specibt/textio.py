@@ -14,10 +14,13 @@ Grammar::
 
 Comments run from "#" to end of line. Labels resolve to block indices in
 order of first definition. Printing and instruction parsing read one format
-string per class (`_SYNTAX`): a record prints by a walk over its fields, and
-an instruction parses by a walk over the pieces of the format its keyword
-selects. Flat machine listings are printed, not parsed: one instruction per
-line in the same grammar, with absolute addresses as branch and jump targets.
+string per class (`_SYNTAX`), split once into text and fields (`_PARTS`): a
+record prints by joining the text with its printed fields, and an
+instruction parses by a walk over the steps of the format its keyword
+selects. A token is kept as its text alone; line and column are worked out
+only for an error. Flat machine listings are printed, not parsed: one
+instruction per line in the same grammar, with absolute addresses as branch
+and jump targets.
 """
 
 from __future__ import annotations
@@ -78,11 +81,25 @@ _SYNTAX = {
     BinOp: "({lhs} {op} {rhs})", Cond: "({cond} ? {then} : {els})",
 }
 
-# Each instruction's class and the (symbol, `{L}`, field) pieces of its
-# format after its keyword, by keyword, or by None for the assignment.
-_PIECE = re.compile(r"([^\s{]+)|(\{L\})?\{(\w+)\}")
-_FORMS = {pieces[0][0] or None: (cls, pieces[1:] if pieces[0][0] else pieces)
-          for cls in get_args(Inst) for pieces in [_PIECE.findall(_SYNTAX[cls])]}
+# Each format split once, for the printer and the parser alike: its text,
+# then for each field `{L}` or None and the field's name, and the text after it.
+_PARTS = {cls: re.split(r"(\{L\})?\{(\w+)\}", fmt) for cls, fmt in _SYNTAX.items()}
+
+
+def _steps(parts: list) -> list[tuple[str, Optional[str], Optional[str]]]:
+    """The (symbol, `{L}`, field) steps of a format: a symbol, or a field."""
+    steps: list[tuple[str, Optional[str], Optional[str]]] = []
+    for text, label, field in zip(parts[::3], parts[1::3] + [None], parts[2::3] + [None]):
+        steps += ((sym, None, None) for sym in text.split())
+        if field:
+            steps.append(("", label, field))
+    return steps
+
+
+# Each instruction's class and the steps of its format after its keyword,
+# by keyword, or by None for the assignment.
+_FORMS = {steps[0][0] or None: (cls, steps[1:] if steps[0][0] else steps)
+          for cls in get_args(Inst) for steps in [_steps(_PARTS[cls])]}
 KEYWORDS = {"entry", "block", *filter(None, _FORMS)}
 
 
@@ -101,51 +118,52 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
-class _Tok(Record):
-    kind: str  # nat | ident | sym | eof
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(
-    r"""[ \t\r]+
+# Spaces and comments, or a token: a natural, a name or a symbol.
+_TOKENS = re.compile(
+    r"""[ \t\r\n]+
       | \#[^\n]*
-      | (?P<nl>\n)
-      | (?P<nat>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym><-|<=|->|&&|[-+*=&(),:?])
-      | (?P<bad>.)
+      | ( \d+
+        | [A-Za-z_][A-Za-z0-9_]*
+        | <- | <= | -> | && | [-+*=&(),:?] )
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, bol = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind, col = m.lastgroup, m.start() - bol + 1
-        if kind == "bad":
-            raise ParseError([ParseIssue(line, col, f"unexpected character {m.group()!r}")])
-        if kind == "nl":
-            line, bol = line + 1, m.end()
-        elif kind is not None:
-            toks.append(_Tok(kind, m.group(), line, col))
-    toks.append(_Tok("eof", "", line, len(text) - bol + 1))
-    return toks
+def _tokenize(text: str) -> list[str]:
+    """The tokens of TEXT, then "" for its end. A token is known by its text:
+    a natural is decimal, a name an identifier, anything else a symbol.
+    Raises ParseError at a character that starts no token."""
+    parts = _TOKENS.split(text)  # text between matches, then the token or None
+    if any(parts[::2]):
+        _positions(text)
+    return [*filter(None, parts[1::2]), ""]
 
 
-def _header_at(toks: list[_Tok], j: int) -> bool:
-    """Whether a block header `entry|block IDENT :` starts at toks[j]."""
-    return (
-        toks[j].kind == "ident"
-        and toks[j].text in ("entry", "block")
-        and j + 2 < len(toks)
-        and toks[j + 1].kind == "ident"
-        and toks[j + 2].kind == "sym"
-        and toks[j + 2].text == ":"
-    )
+def _positions(text: str) -> list[tuple[int, int]]:
+    """The line and column of each token of TEXT and of its end. Raises
+    ParseError at the first character that starts no token."""
+    spots: list[tuple[int, int]] = []
+    line, bol, end = 1, 0, 0
+    for m in _TOKENS.finditer(text):
+        if m.start() != end:
+            break
+        if m.lastindex:
+            spots.append((line, m.start() - bol + 1))
+        elif "\n" in m.group():
+            line += m.group().count("\n")
+            bol = m.start() + m.group().rindex("\n") + 1
+        end = m.end()
+    if end != len(text):
+        raise ParseError([ParseIssue(line, end - bol + 1,
+                                     f"unexpected character {text[end]!r}")])
+    return spots + [(line, end - bol + 1)]
+
+
+def _error(text: str, found: list[tuple[int, str]]) -> ParseError:
+    """The error of FOUND, (token index, message) pairs, placed in TEXT."""
+    at = _positions(text)
+    return ParseError([ParseIssue(*at[k], msg) for k, msg in found])
 
 
 # The deepest nesting of parentheses an expression may have. Every layer
@@ -155,106 +173,109 @@ MAX_NESTING = 256
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream. `labels` maps block
-    names to indices. Unknown labels are collected in `issues` and parsing
-    goes on; any other error raises at once."""
+    """Recursive-descent parser over the tokens of `text`; `i` indexes the
+    current one. `labels` maps block names to indices, and `heads` holds the
+    index of each block header and of the end. Unknown labels are collected
+    in `issues` by token index and parsing goes on; any other error raises
+    at once. Positions are worked out only for an error."""
 
-    def __init__(self, toks: list[_Tok], labels: dict[str, int]):
+    def __init__(self, text: str, toks: list[str], labels: dict[str, int], heads: set[int]):
+        self.text = text
         self.toks = toks
         self.i = 0
         self.labels = labels
-        self.issues: list[ParseIssue] = []
+        self.heads = heads
+        self.issues: list[tuple[int, str]] = []
 
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.i]
+    def _fail(self, msg: str, k: Optional[int] = None) -> ParseError:
+        return _error(self.text, [(self.i if k is None else k, msg)])
 
-    def _fail(self, msg: str, tok: Optional[_Tok] = None) -> "ParseError":
-        t = tok or self.cur
-        return ParseError([ParseIssue(t.line, t.col, msg)])
+    def _expect(self, sym: str) -> None:
+        t = self.toks[self.i]
+        if t != sym:
+            raise self._fail(f"expected {sym!r}, found {t or 'end of input'!r}")
+        self.i += 1
 
-    def _advance(self) -> _Tok:
-        t = self.cur
+    def _name(self) -> str:
+        t = self.toks[self.i]
+        if not t.isidentifier():
+            raise self._fail(f"expected 'ident', found {t or 'end of input'!r}")
         self.i += 1
         return t
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> _Tok:
-        t = self.cur
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            got = t.text or "end of input"
-            raise self._fail(f"expected {want!r}, found {got!r}")
-        return self._advance()
 
     # -- expressions
 
     def expr(self, depth: int = 0) -> Expr:
         """An expression inside `depth` parentheses."""
-        t = self.cur
-        if t.kind == "nat":
-            self._advance()
-            return Const(int(t.text))
-        if t.kind == "sym" and t.text == "&":
-            self._advance()
-            name = self._expect("ident")
-            return FpConst(self._label(name))
-        if t.kind == "ident":
+        t = self.toks[self.i]
+        if t.isdecimal():
+            self.i += 1
+            return Const(int(t))
+        if t == "&":
+            self.i += 1
+            return FpConst(self._label())
+        if t.isidentifier():
             return Reg(self._reg())
-        if t.kind == "sym" and t.text == "(":
+        if t == "(":
             if depth == MAX_NESTING:
                 raise self._fail(f"expression nested deeper than {MAX_NESTING} levels")
-            self._advance()
+            self.i += 1
             depth += 1
             lhs = self.expr(depth)
-            op = self.cur
-            if op.kind == "sym" and op.text == "?":
-                self._advance()
+            op = self.toks[self.i]
+            if op == "?":
+                self.i += 1
                 then = self.expr(depth)
-                self._expect("sym", ":")
+                self._expect(":")
                 els = self.expr(depth)
-                self._expect("sym", ")")
+                self._expect(")")
                 return Cond(lhs, then, els)
-            if op.kind == "sym" and op.text in BINOPS:
-                self._advance()
+            if op in BINOPS:
+                self.i += 1
                 rhs = self.expr(depth)
-                self._expect("sym", ")")
-                return BinOp(op.text, lhs, rhs)
-            raise self._fail(f"expected operator or '?', found {op.text or 'end of input'!r}")
-        raise self._fail(f"expected expression, found {t.text or 'end of input'!r}")
+                self._expect(")")
+                return BinOp(op, lhs, rhs)
+            raise self._fail(f"expected operator or '?', found {op or 'end of input'!r}")
+        raise self._fail(f"expected expression, found {t or 'end of input'!r}")
 
     def _reg(self) -> str:
         """A register name: an identifier that is not a keyword."""
-        if self.cur.text in KEYWORDS:
-            raise self._fail(f"keyword {self.cur.text!r} cannot name a register")
-        return self._expect("ident").text
+        t = self.toks[self.i]
+        if t in KEYWORDS:
+            raise self._fail(f"keyword {t!r} cannot name a register")
+        return self._name()
 
     # -- labels
 
-    def _label(self, tok: _Tok) -> int:
-        if tok.text not in self.labels:
-            self.issues.append(ParseIssue(tok.line, tok.col, f"unknown label {tok.text!r}"))
+    def _label(self) -> int:
+        """The block a label names; an unknown one is an issue."""
+        k = self.i
+        name = self._name()
+        if name not in self.labels:
+            self.issues.append((k, f"unknown label {name!r}"))
             return 0
-        return self.labels[tok.text]
+        return self.labels[name]
 
     # -- instructions
 
     def inst(self) -> Inst:
-        """An instruction, by the pieces of its format after the keyword."""
-        t = self.cur
-        if t.kind != "ident":
-            raise self._fail(f"expected instruction, found {t.text or 'end of input'!r}")
-        if t.text not in KEYWORDS:
-            cls, pieces = _FORMS[None]
-        elif t.text in _FORMS:
-            cls, pieces = _FORMS[self._advance().text]
+        """An instruction, by the steps of its format after the keyword."""
+        t = self.toks[self.i]
+        if not t.isidentifier():
+            raise self._fail(f"expected instruction, found {t or 'end of input'!r}")
+        if t not in KEYWORDS:
+            cls, steps = _FORMS[None]
+        elif t in _FORMS:
+            self.i += 1
+            cls, steps = _FORMS[t]
         else:
-            raise self._fail(f"{t.text!r} does not start an instruction")
+            raise self._fail(f"{t!r} does not start an instruction")
         fields: list[Any] = []
-        for sym, label, field in pieces:
+        for sym, label, field in steps:
             if sym:
-                self._expect("sym", sym)
+                self._expect(sym)
             elif label:
-                fields.append(self._label(self._expect("ident")))
+                fields.append(self._label())
             elif field == "reg":
                 fields.append(self._reg())
             else:
@@ -266,41 +287,43 @@ class _Parser:
     def program(self) -> Program:
         blocks: list[Block] = []
         while True:
-            kw = self.cur
-            if not (kw.kind == "ident" and kw.text in ("entry", "block")):
+            k, kw = self.i, self.toks[self.i]
+            if kw not in ("entry", "block"):
                 raise self._fail("expected 'entry' or 'block'")
-            self._advance()
-            self._expect("ident")
-            self._expect("sym", ":")
+            self.i += 1
+            self._name()
+            self._expect(":")
             insts: list[Inst] = []
-            while not (self.cur.kind == "eof" or _header_at(self.toks, self.i)):
+            while self.i not in self.heads:
                 insts.append(self.inst())
             if not insts:
-                raise self._fail("block has no instructions", kw)
-            blocks.append(Block(tuple(insts), kw.text == "entry"))
-            if self.cur.kind == "eof":
+                raise self._fail("block has no instructions", k)
+            blocks.append(Block(tuple(insts), kw == "entry"))
+            if not self.toks[self.i]:
                 return Program(tuple(blocks))
 
 
 def parse_program(text: str) -> Program:
     """Parse a textual program; raises ParseError with positioned issues."""
     toks = _tokenize(text)
+    # the block headers, `entry|block IDENT :`
+    heads = [j for j, t in enumerate(toks[:-2]) if t in ("entry", "block")
+             and toks[j + 1].isidentifier() and toks[j + 2] == ":"]
     # Labels resolve in order of definition, so forward references work.
     labels: dict[str, int] = {}
-    issues: list[ParseIssue] = []
-    for j in range(len(toks)):
-        if _header_at(toks, j):
-            name = toks[j + 1]
-            if name.text in labels:
-                issues.append(ParseIssue(name.line, name.col, f"duplicate label {name.text!r}"))
-            else:
-                labels[name.text] = len(labels)
-    if issues:
-        raise ParseError(issues)
-    parser = _Parser(toks, labels)
+    duplicates = []
+    for j in heads:
+        name = toks[j + 1]
+        if name in labels:
+            duplicates.append((j + 1, f"duplicate label {name!r}"))
+        else:
+            labels[name] = len(labels)
+    if duplicates:
+        raise _error(text, duplicates)
+    parser = _Parser(text, toks, labels, {*heads, len(toks) - 1})
     prog = parser.program()
     if parser.issues:
-        raise ParseError(parser.issues)
+        raise _error(text, parser.issues)
     return prog
 
 
@@ -308,10 +331,26 @@ def parse_program(text: str) -> Program:
 # Printing
 
 
-def _print(x: Record, L: str) -> str:
-    """The text of an instruction or an expression."""
-    fields = {f: _print(v, L) if isinstance(v, Record) else v for f, v in zip(x._fields, x)}
-    return _SYNTAX[type(x)].format(L=L, **fields)
+def _printer(L: str) -> dict[type, tuple[str, tuple[tuple[int, str], ...]]]:
+    """Per class, the text of its format before the first field, and each
+    field's index with the text after it, where `{L}` reads L."""
+    table = {}
+    for cls, parts in _PARTS.items():
+        texts = [t + (L if label else "") for t, label in zip(parts[::3], parts[1::3] + [None])]
+        table[cls] = texts[0], tuple(zip(map(cls._fields.index, parts[2::3]), texts[1:]))
+    return table
+
+
+_PRINT = {L: _printer(L) for L in ("b", "")}
+
+
+def _print(x: Record, table: dict) -> str:
+    """The text of an instruction or an expression, by the TABLE of `_printer`."""
+    text, fields = table[x.__class__]
+    for k, after in fields:
+        v = x[k]
+        text += (_print(v, table) if isinstance(v, Record) else str(v)) + after
+    return text
 
 
 def print_program(p: Program) -> str:
@@ -320,12 +359,12 @@ def print_program(p: Program) -> str:
     lines: list[str] = []
     for l, b in enumerate(p.blocks):
         lines.append(f"{'entry' if b.is_entry else 'block'} b{l}:")
-        lines += (f"  {_print(i, 'b')}" for i in b.insts)
+        lines += (f"  {_print(i, _PRINT['b'])}" for i in b.insts)
     return "\n".join(lines) + "\n"
 
 
 def print_mc_program(mc: McProgram) -> str:
-    return "\n".join(_print(i, "") for i in mc.code) + "\n"
+    return "\n".join(_print(i, _PRINT[""]) for i in mc.code) + "\n"
 
 
 # --------------------------------------------------------------------------

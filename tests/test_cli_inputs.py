@@ -182,6 +182,9 @@ def test_code_pointer_to_no_block_exits_1(tmp_path, args):
     ("pc", {"label": 0, "offset": 3}, "pc offset 3 lies outside block 0 of 3 instructions"),
     ("stk", [{"label": 4, "offset": 2}, {"label": 2, "offset": 2}],
      "return address offset 2 lies outside block 2 of 2 instructions"),
+    # a label past the last block is no code pointer of the state
+    ("pc", {"label": 9, "offset": 0}, "pc label 9 names no block of the program"),
+    ("stk", [{"label": 7, "offset": 0}], "return address label 7 names no block of the program"),
 ])
 def test_pc_or_return_address_outside_its_block_exits_1(tmp_path, args, field, doc, message):
     state = _write(tmp_path / "s.json", dict(PAIR["s1"], **{field: doc}))

@@ -42,7 +42,7 @@ def test_every_record_class_is_found():
         "ExploreBudget", "FP", "Fault", "FpConst", "GenConfig", "Jump", "LayoutMap",
         "Load", "McProgram", "OBranch", "OCall", "OLoad", "OStore", "OutOfDirectives",
         "PC", "ParseIssue", "PassConfig", "Program", "Reg", "ReservedRegs", "Ret",
-        "RunResult", "Skip", "Store", "Stuck", "Term", "Verdict", "_Parted", "_Tok",
+        "RunResult", "Skip", "Store", "Stuck", "Term", "Verdict", "_Parted",
     } <= {c.__name__ for c in EVERY}
     assert {c.__name__ for c in CODE} == {"Program", "McProgram"}
 
