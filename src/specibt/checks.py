@@ -27,6 +27,7 @@ from .interp import (
     RunResult,
     State,
     Stuck,
+    new,
     run_ideal,
     run_seq,
     run_spec,
@@ -55,6 +56,11 @@ class Verdict(Record):
     @property
     def ok(self) -> bool:
         return self.status == "pass"
+
+
+# The verdict on an input whose sequential run is stuck: the hardening
+# theorems assume a sequentially safe input.
+UNSAFE = Verdict("inconclusive", reason="sequential run is not safe")
 
 
 def _traces_match(r1: RunResult, r2: RunResult) -> bool:
@@ -115,7 +121,10 @@ def check_bcc_specibt(
     cfg: PassConfig = FULL,
 ) -> Verdict:
     """Every speculative behavior of the hardened program is an ideal
-    behavior of the source program under the same directives."""
+    behavior of the source program under the same directives, from a
+    sequentially safe input."""
+    if run_seq(p, s0, budget.fuel).status == "stuck":
+        return UNSAFE
     hp = harden(p, cfg=cfg)
     ideal = spec_of(s0)  # not misspeculating, whatever `s0` carries
     runs, found = _diverge(
@@ -146,9 +155,8 @@ def check_safety_preservation(
 ) -> Verdict:
     """Hardened speculative execution never reaches undefined behavior from
     a sequentially safe input."""
-    seq = run_seq(p, s0, budget.fuel)
-    if seq.status == "stuck":
-        return Verdict("inconclusive", reason="sequential run is not safe")
+    if run_seq(p, s0, budget.fuel).status == "stuck":
+        return UNSAFE
     hp = harden(p, cfg=cfg)
     return _explored(explore(SpecDriver(hp, cet=True), _hardened_init(s0), budget), _stuck)
 
@@ -185,7 +193,7 @@ def check_relative_security(
     q1 = run_seq(p, s1, budget.fuel)
     q2 = run_seq(p, s2, budget.fuel)
     if q1.status == "stuck" or q2.status == "stuck":
-        return Verdict("inconclusive", reason="sequential run is not safe")
+        return UNSAFE
     if q1.trace != q2.trace:
         return Verdict(
             "inconclusive", reason="inputs are sequentially distinguishable"
@@ -255,13 +263,15 @@ def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
                 return _Parted("counterexample", "outcomes diverge: source "
                                f"{out_mir.status}, machine {out_mc.status}")
             return out_mc
-        o1 = None if out_mir.obs is None else map_obs_mir_to_mc(out_mir.obs, lay)
-        obs = None if o1 is None and out_mc.obs is None else (o1, out_mc.obs)
-        if o1 != out_mc.obs:
+        (sp, o1), (sc, o2) = out_mir, out_mc  # each level's next state and observation
+        if o1 is not None:
+            o1 = map_obs_mir_to_mc(o1, lay)
+        obs = None if o1 is None and o2 is None else (o1, o2)
+        if o1 != o2:
             return _Parted("counterexample", "observations diverge", obs)
-        if i == 0 and not state_rel(out_mir.state, out_mc.state, lay):
+        if i == 0 and not state_rel(sp, sc, lay):
             return _Parted("counterexample", "state relation broken", obs)
-        return Next(Lockstep(out_mir.state, out_mc.state, (i + 1) % 5), obs)
+        return new(Next, (new(Lockstep, (sp, sc, (i + 1) % 5)), obs))
 
     return Driver(step, McDriver(mc).calls)
 

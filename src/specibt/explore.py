@@ -136,7 +136,7 @@ def walk(
     depth, cap, fuel = budget.depth, budget.max_sequences, budget.fuel
     s2, run = pair or (None, None)
     # side 2's last leg, as if out of directives at its start state
-    r2 = RunResult([], "out-of-directives", None, s2)
+    r2 = RunResult([], "out-of-directives", None, s2, 0)
     n2 = 0  # the steps of all side 2's legs
     t1: list = []  # side 1's observations
     t2: list = []  # side 2's observations
@@ -188,9 +188,10 @@ def walk(
             out = step(s, d)
             going = isinstance(out, Next)
             if going:
-                if out.obs is not None:
-                    t1.append(out.obs)
-                s, n1 = out.state, n1 + 1
+                s, obs = out
+                if obs is not None:
+                    t1.append(obs)
+                n1 += 1
             break
         else:
             return

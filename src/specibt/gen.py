@@ -6,7 +6,9 @@ checks.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from collections import deque
+from itertools import islice, repeat
+from typing import Iterator, Optional
 
 from .ir import (
     BINOPS,
@@ -131,9 +133,24 @@ def gen_program(rng: random.Random, cfg: GenConfig = GenConfig()) -> Program:
     return p
 
 
+def _draws(rng: random.Random, cfg: GenConfig) -> Iterator[int]:
+    """The values `rng.randrange(cfg.max_const + 1)` would draw one after
+    another, by the rule it applies: `getrandbits(k)`, for the bit length
+    `k` of the range's size, until the result falls below that size. A
+    value is drawn only when it is asked for."""
+    n = cfg.max_const + 1
+    return filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+
+
 def gen_state(rng: random.Random, cfg: GenConfig = GenConfig()) -> State:
-    regs = {r: rng.randrange(cfg.max_const + 1) for r in cfg.reg_pool}
-    mem = tuple(rng.randrange(cfg.max_const + 1) for _ in range(cfg.mem_len))
+    """A random initial state: a value below `max_const + 1` in each
+    register of the pool, in order, then in each memory cell. The values,
+    and the rng's state after them, are those of drawing each one by
+    `rng.randrange(cfg.max_const + 1)`, on every CPython from 3.10, so a
+    seed gives the same inputs as it always has."""
+    draws = _draws(rng, cfg)
+    regs = {r: next(draws) for r in cfg.reg_pool}
+    mem = tuple(islice(draws, cfg.mem_len))
     return State(PC(0, 0), regs, mem)
 
 
@@ -247,9 +264,8 @@ def gen_safe_input(
     """
     if hopeless is None:
         hopeless = no_input_terminates(p, cfg, fuel)
-    if hopeless:
-        for _ in range(attempts):
-            gen_state(rng, cfg)
+    if hopeless:  # draw the attempts' values, and build no state
+        deque(islice(_draws(rng, cfg), attempts * (len(cfg.reg_pool) + cfg.mem_len)), 0)
         return None
     for _ in range(attempts):
         s = gen_state(rng, cfg)

@@ -13,7 +13,11 @@ call, and `_compile_expr` every expression, for both levels, while
 `_compile` adds the block-level call. A load or store past the end of
 memory is stuck at both levels, with a reason that differs in one phrase.
 A run compiles each instruction it reaches to a closure once per program
-(Feeley and Lapalme, "Using closures for code generation", 1987). One run
+(Feeley and Lapalme, "Using closures for code generation", 1987). A closure
+builds its successor `State`, its `Next` and its observation by
+`tuple.__new__` (`new`), one C call each, since a step builds them every
+time: the classes' own constructors are Python calls, which check the
+number of fields and fill the defaults. One run
 loop, `advance`, drives any step function, the machine semantics' included,
 for `run`, for the walk of the directive tree, for the lockstep of a program
 and its machine code (`Lockstep` states) and for the generator's
@@ -103,7 +107,9 @@ class State(NamedTuple):
     semantics, where the pc and the return stack hold code addresses and
     values are naturals. `ct` is the armed ctarget check and `ms` the
     misspeculation flag; `_step` decides which of them a block-level
-    semantics reads. A tuple, the cheapest record to build."""
+    semantics reads. A tuple: a rule builds one at every step, with all six
+    fields, by `new`, which is a C call; elsewhere, the constructor checks
+    the fields and fills the defaults."""
 
     pc: Union[PC, int]
     regs: dict[str, Value]
@@ -174,7 +180,11 @@ class DirectiveMismatch(Record):
 
 Outcome = Union[Next, Term, Fault, Stuck, OutOfDirectives, DirectiveMismatch]
 
-TERM, FAULT = Term(), Fault()
+# `new(cls, fields)` builds a record of a rule's outcome (see the module
+# docstring); a step must give every field.
+new = tuple.__new__
+
+TERM, FAULT, NO_PC = Term(), Fault(), Stuck("pc out of range")
 # The prediction point and the observation of a branch, indexed by the
 # outcome the program computes; built once, since every run reaches them.
 BRANCH_POINTS = (OutOfDirectives(DBranch(False)), OutOfDirectives(DBranch(True)))
@@ -283,12 +293,14 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
         to = to if isinstance(inst, Jump) else nxt
         keep = rct and not isinstance(inst, CTarget)  # a ctarget clears `ct`
         def rule(s, d):
-            return Next(State(to, s.regs, s.mem, s.stk, keep and s.ct, spec and s.ms))
+            return new(Next, (new(State, (to, s.regs, s.mem, s.stk, keep and s.ct,
+                                          spec and s.ms)), None))
     elif isinstance(inst, Asgn):
         reg, expr = inst.reg, _compile_expr(inst.expr, unset)
         def rule(s, d):
             regs = with_reg(s.regs, reg, expr(s.regs))
-            return Next(State(nxt, regs, s.mem, s.stk, rct and s.ct, spec and s.ms))
+            return new(Next, (new(State, (nxt, regs, s.mem, s.stk, rct and s.ct,
+                                          spec and s.ms)), None))
     elif isinstance(inst, Branch):
         cond = _compile_expr(inst.cond, unset)
         def rule(s, d):
@@ -305,7 +317,8 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
                 taken = d.taken
                 ms = ms or b != taken
             pc2 = to if taken else nxt
-            return Next(State(pc2, s.regs, s.mem, s.stk, rct and s.ct, ms), OBRANCH[b])
+            return new(Next, (new(State, (pc2, s.regs, s.mem, s.stk, rct and s.ct, ms)),
+                              OBRANCH[b]))
     elif isinstance(inst, Load):
         reg, addr = inst.reg, _compile_expr(inst.addr, unset)
         def rule(s, d):
@@ -314,7 +327,8 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
             if not (isinstance(a, int) and 0 <= a < len(mem)):
                 return _bad_addr(a, "load", outside)
             regs = with_reg(s.regs, reg, mem[a])
-            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OLoad(a))
+            return new(Next, (new(State, (nxt, regs, mem, s.stk, rct and s.ct, ms)),
+                              new(OLoad, (a,))))
     elif isinstance(inst, Store):
         addr, value = _compile_expr(inst.addr, unset), _compile_expr(inst.value, unset)
         def rule(s, d):
@@ -323,13 +337,15 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
             if not (isinstance(a, int) and 0 <= a < len(mem)):
                 return _bad_addr(a, "store", outside)
             mem = mem[:a] + (value(regs),) + mem[a + 1 :]
-            return Next(State(nxt, regs, mem, s.stk, rct and s.ct, ms), OStore(a))
+            return new(Next, (new(State, (nxt, regs, mem, s.stk, rct and s.ct, ms)),
+                              new(OStore, (a,))))
     elif isinstance(inst, Ret):
         def rule(s, d):
-            if not s.stk:
+            stk = s.stk
+            if not stk:
                 return TERM
             ct, ms = rct and s.ct, spec and s.ms
-            return Next(State(s.stk[0], s.regs, s.mem, s.stk[1:], ct, ms))
+            return new(Next, (new(State, (stk[0], s.regs, s.mem, stk[1:], ct, ms)), None))
     else:
         raise TypeError(f"not an instruction: {inst!r}")
     return rule
@@ -364,14 +380,15 @@ def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
                 return DirectiveMismatch("call instruction needs a call directive")
             pc2 = d.target
             if ideal and pc2 not in entries:
-                return Fault(OCall(t))
+                return Fault(new(OCall, (t,)))
             ms = ms or pc2 != PC(t, 0)
             ct = cet
         else:
             if not (0 <= t < len(blocks) and blocks[t].is_entry):
                 return Stuck(f"call target &{t} is not a function entry")
-            pc2 = PC(t, 0)
-        return Next(State(pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms), OCall(t))
+            pc2 = points[t].correct.target
+        return new(Next, (new(State, (pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms)),
+                          new(OCall, (t,))))
     return rule
 
 
@@ -381,12 +398,15 @@ def _step(p: Program, s: State, d: Optional[Directive], sem: Sem) -> Outcome:
     code = p.compiled.get(sem)
     if code is None:
         code = p.compiled[sem] = [[None] * len(b.insts) for b in p.blocks]
-    l, o = s.pc.label, s.pc.offset
-    if not (0 <= l < len(code) and 0 <= o < len(code[l])):
-        return Stuck("pc out of range")
-    if s.ct and sem == SPEC_CET and not isinstance(p.blocks[l].insts[o], CTarget):
+    l, o = s.pc
+    if l < 0 or o < 0:  # would index from the end
+        return NO_PC
+    try:
+        rule = code[l][o]
+    except IndexError:
+        return NO_PC
+    if sem is SPEC_CET and s.ct and not isinstance(p.blocks[l].insts[o], CTarget):
         return FAULT
-    rule = code[l][o]
     if rule is None:
         rule = code[l][o] = _compile(p, sem, l, o)
     return rule(s, d)
@@ -515,9 +535,9 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
             used += 1
         if not isinstance(out, Next):
             return out, s, steps
-        if out.obs is not None:
-            trace.append(out.obs)
-        s = out.state
+        s, obs = out
+        if obs is not None:
+            trace.append(obs)
         steps += 1
         if c is None:
             continue

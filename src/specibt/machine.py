@@ -58,6 +58,7 @@ from .interp import (
     Stuck,
     _compile_expr,
     compile_rule,
+    new,
     run,
 )
 
@@ -169,20 +170,23 @@ def _compile_mc(mc: McProgram, pc: int) -> Rule:
             return points[t - data_len]
         if not isinstance(d, DCallMc):
             return DirectiveMismatch("call instruction needs a call directive")
-        stk, ms = (nxt,) + s.stk, s.ms or d.addr != t
-        return Next(State(d.addr, s.regs, s.mem, stk, True, ms), OCall(t))
+        a = d.addr
+        state = new(State, (a, s.regs, s.mem, (nxt,) + s.stk, True, s.ms or a != t))
+        return new(Next, (state, new(OCall, (t,))))
     return rule
 
 
 def step_mc(mc: McProgram, s: State, d: Optional[Directive] = None) -> Outcome:
     """One speculative machine step: the rule of the instruction at the pc,
     compiled the first time a run reaches it and kept on the program."""
-    rule = mc.compiled.get(s.pc)
-    if rule is None:
-        if not 0 <= s.pc - mc.lay.data_len < len(mc.code):
+    pc = s.pc
+    try:
+        rule = mc.compiled[pc]
+    except KeyError:  # not reached before, or outside the code
+        if not 0 <= pc - mc.lay.data_len < len(mc.code):
             return Stuck("pc outside code section")
-        rule = mc.compiled[s.pc] = _compile_mc(mc, s.pc)
-    if s.ct and not isinstance(mc.code[s.pc - mc.lay.data_len], CTarget):
+        rule = mc.compiled[pc] = _compile_mc(mc, pc)
+    if s.ct and not isinstance(mc.code[pc - mc.lay.data_len], CTarget):
         return FAULT
     return rule(s, d)
 

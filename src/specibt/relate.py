@@ -17,6 +17,7 @@ from .interp import (
     Obs,
     OCall,
     State,
+    new,
 )
 from .machine import LayoutMap, concretize_value
 
@@ -63,5 +64,5 @@ def map_obs_mir_to_mc(o: Obs, lay: LayoutMap) -> Obs:
     """Call observations carry labels at the block level and addresses at
     the machine level; data accesses and branch outcomes are unchanged."""
     if isinstance(o, OCall):
-        return OCall(lay.addr(o.target))
+        return new(OCall, (lay.addr(o.target),))
     return o

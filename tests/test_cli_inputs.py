@@ -194,6 +194,18 @@ def test_pc_or_return_address_outside_its_block_exits_1(tmp_path, args, field, d
     assert res.stderr == f"Error: {state}: {message}\n"
 
 
+@pytest.mark.parametrize("prop", ["bcc", "safety"])
+def test_check_of_a_sequentially_stuck_input_is_inconclusive(tmp_path, prop):
+    # the sequential run is stuck at once, so both of bcc's runs would be
+    # stuck with the same empty trace: a pass that checked nothing
+    state = _write(tmp_path / "s.json", dict(PAIR["s1"], pc={"label": 9, "offset": 0}))
+    res = invoke(["check", prop, LISTING1, state])
+    assert res.exit_code == 3
+    assert res.stderr == ""
+    assert json.loads(res.stdout) == {
+        "status": "inconclusive", "runs": 0, "reason": "sequential run is not safe"}
+
+
 @pytest.mark.parametrize("command", ["run", "check", "linearize"])
 def test_empty_data_section_is_a_side_condition(tmp_path, command):
     # under run --sem mc and check linearize the data section is as long as

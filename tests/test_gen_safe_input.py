@@ -8,6 +8,8 @@ where the full rejection sampling leaves them. The digests in
 50-attempt loop. The all-UV check itself takes a repeated run's periods at
 once, so the checks of `bench/gen_corpus` cost a tenth of their steps, and a
 draw's run stops at its first repeat, with nothing built for the fuel left.
+`gen_state` draws each value by the rule of `randrange`, checked against it
+value for value and by the rng's state after them.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import json
 import pathlib
 import random
 import tracemalloc
+
+import pytest
 
 import specibt.interp as interp
 from specibt.gen import (
@@ -104,3 +108,44 @@ def test_a_draw_stops_at_its_first_repeat(monkeypatch):
         tracemalloc.stop()
     assert len(steps) < 10
     assert peak < 1 << 20
+
+
+def _randrange_state(rng: random.Random, cfg: GenConfig) -> State:
+    """The state `gen_state` drew with `randrange`, one value at a time: the
+    oracle of the draw rule."""
+    regs = {r: rng.randrange(cfg.max_const + 1) for r in cfg.reg_pool}
+    mem = tuple(rng.randrange(cfg.max_const + 1) for _ in range(cfg.mem_len))
+    return State(PC(0, 0), regs, mem)
+
+
+@pytest.mark.parametrize("max_const", [0, 1, 15, 16, 31])
+@pytest.mark.parametrize("mem_len", [0, 1, 8])
+@pytest.mark.parametrize("pool", range(5))
+def test_gen_state_draws_as_randrange(pool, mem_len, max_const):
+    # range sizes 1, 2, 16, 17 and 32: a power of two draws no rejected
+    # value, one past it rejects almost half
+    cfg = GenConfig(reg_pool=tuple(f"r{i}" for i in range(pool)), mem_len=mem_len,
+                    max_const=max_const)
+    for seed in range(3):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            s, expected = gen_state(rng, cfg), _randrange_state(oracle, cfg)
+            assert s == expected
+            assert list(s.regs.items()) == list(expected.regs.items())
+        assert rng.getstate() == oracle.getstate()
+
+
+def test_hopeless_program_draws_as_50_states():
+    p = parse_program("entry a:\n  jump a\n")
+    cfg = GenConfig()
+    assert no_input_terminates(p, cfg, 1000)
+    rng, oracle = random.Random(5), random.Random(5)
+    assert gen_safe_input(rng, p, cfg, 1000) is None
+    for _ in range(50):
+        gen_state(oracle, cfg)
+    assert rng.getstate() == oracle.getstate()
+    # the caller's verdict is taken as given
+    assert gen_safe_input(rng, p, cfg, 1000, attempts=7, hopeless=True) is None
+    for _ in range(7):
+        gen_state(oracle, cfg)
+    assert rng.getstate() == oracle.getstate()
