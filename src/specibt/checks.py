@@ -106,12 +106,13 @@ def _explored(results: Iterable, reject: Callable[[RunResult], Optional[Verdict]
     return Verdict("pass", runs=runs)
 
 
-def _hardened_init(s: State) -> State:
+def _hardened_init(s: State, cet: bool = True) -> State:
     """The theorems' initial target state: misspeculation flag clear, callee
-    register pointing at the entry, ctarget check armed."""
+    register pointing at the entry, ctarget check armed under `cet`, which a
+    check models, as `attack` does, only where the pass inserted landing pads."""
     r = ReservedRegs()
     regs = {**s.regs, r.msf: 0, r.callee: FP(0)}
-    return State(s.pc, regs, s.mem, s.stk, ct=True, ms=False)
+    return State(s.pc, regs, s.mem, s.stk, cet, False)
 
 
 def check_bcc_specibt(
@@ -125,11 +126,11 @@ def check_bcc_specibt(
     sequentially safe input."""
     if run_seq(p, s0, budget.fuel).status == "stuck":
         return UNSAFE
-    hp = harden(p, cfg=cfg)
+    hp, cet = harden(p, cfg=cfg), cfg.insert_ctarget
     ideal = spec_of(s0)  # not misspeculating, whatever `s0` carries
     runs, found = _diverge(
-        SpecDriver(hp, cet=True),
-        _hardened_init(s0),
+        SpecDriver(hp, cet),
+        _hardened_init(s0, cet),
         partial(run_ideal, p),
         ideal,
         budget,
@@ -157,8 +158,8 @@ def check_safety_preservation(
     a sequentially safe input."""
     if run_seq(p, s0, budget.fuel).status == "stuck":
         return UNSAFE
-    hp = harden(p, cfg=cfg)
-    return _explored(explore(SpecDriver(hp, cet=True), _hardened_init(s0), budget), _stuck)
+    hp, cet = harden(p, cfg=cfg), cfg.insert_ctarget
+    return _explored(explore(SpecDriver(hp, cet), _hardened_init(s0, cet), budget), _stuck)
 
 
 def attack_search(
@@ -198,11 +199,11 @@ def check_relative_security(
         return Verdict(
             "inconclusive", reason="inputs are sequentially distinguishable"
         )
-    hp = harden(p, cfg=cfg)
-    h1, h2 = _hardened_init(s1), _hardened_init(s2)
+    hp, cet = harden(p, cfg=cfg), cfg.insert_ctarget
+    h1, h2 = _hardened_init(s1, cet), _hardened_init(s2, cet)
     if pipeline == "hardened-only":
         runs, found = _diverge(
-            SpecDriver(hp, cet=True), h1, partial(run_spec, hp, cet=True), h2, budget
+            SpecDriver(hp, cet), h1, partial(run_spec, hp, cet=cet), h2, budget
         )
         return _verdict(runs, found, "speculative traces distinguish the inputs")
     mc = linearize(hp, len(s1.mem))

@@ -143,7 +143,7 @@ def walk(
     path: list = []  # the directive taken at each open fork node
     stack: list = []  # the open fork nodes
     clean: dict = {}  # key of a fork node -> sequences of its clean subtree
-    runs = mark = 0  # side 2 has followed path[:mark]
+    runs = 0
     s, n1, going = s0, 0, True
     while runs < cap:
         # from `s`, below len(stack) forks, to the next fork node or the end
@@ -151,7 +151,7 @@ def walk(
         if going:
             out, s, n1 = advance(step, s, tail, fuel, t1, n1, len(stack) >= depth)
         if run and r2.status == "out-of-directives":
-            r2 = run(r2.state, path[mark:] + tail, fuel - n2)
+            r2 = run(r2.state, path[-1:] + tail, fuel - n2)  # from the last fork node
             t2 += r2.trace
             n2 += r2.steps
         if isinstance(out, OutOfDirectives):
@@ -176,8 +176,7 @@ def walk(
         # the next directive at the innermost open fork node
         while stack and runs < cap:
             s, n1, l1, r2, n2, l2, left, key, before = stack[-1]
-            mark = len(stack) - 1
-            del path[mark:], t1[l1:], t2[l2:]
+            del path[len(stack) - 1 :], t1[l1:], t2[l2:]
             d = next(left, None)
             if d is None:
                 stack.pop()
@@ -197,7 +196,7 @@ def walk(
             return
 
 
-def _frozen(s):
-    """A block-level or machine `State`, hashable: its registers as a frozen
-    set of items."""
-    return s._replace(regs=frozenset(s.regs.items()))
+def _frozen(s) -> tuple:
+    """A block-level or machine `State` as a hashable plain tuple, its registers
+    a frozen set of items: a key `tuple.__eq__` compares, faster than a `Record`."""
+    return (s.pc, frozenset(s.regs.items()), *s[2:])

@@ -151,7 +151,7 @@ def gen_state(rng: random.Random, cfg: GenConfig = GenConfig()) -> State:
     draws = _draws(rng, cfg)
     regs = {r: next(draws) for r in cfg.reg_pool}
     mem = tuple(islice(draws, cfg.mem_len))
-    return State(PC(0, 0), regs, mem)
+    return State(PC(0, 0), regs, mem, (), False, False)  # all six: no defaults to fill
 
 
 def spec_of(s: State, ct: bool = False, ms: bool = False) -> State:
@@ -193,7 +193,7 @@ def _join(w: State, s: State) -> State:
         v = w.regs.get(r, UV)
         regs[r] = v if v == s.regs.get(r, UV) else UV
     mem = tuple(v if v == u else UV for v, u in zip(w.mem, s.mem))
-    return State(w.pc, regs, mem, w.stk)
+    return State(w.pc, regs, mem, w.stk, False, False)
 
 
 def _loops_widened(p: Program, w: State, budget: int) -> tuple[bool, int]:

@@ -32,7 +32,7 @@ All step functions are pure; states are immutable snapshots.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .ir import (
     UV,
@@ -102,14 +102,14 @@ Directive = Union[DBranch, DCallMir, DCallMc]
 # States and step outcomes
 
 
-class State(NamedTuple):
+class State(Record):
     """A state of any of the three block-level semantics, or of the machine
     semantics, where the pc and the return stack hold code addresses and
     values are naturals. `ct` is the armed ctarget check and `ms` the
     misspeculation flag; `_step` decides which of them a block-level
-    semantics reads. A tuple: a rule builds one at every step, with all six
-    fields, by `new`, which is a C call; elsewhere, the constructor checks
-    the fields and fills the defaults."""
+    semantics reads. A rule builds one at every step, with all six fields,
+    by `new`, a C call; the constructor, which checks the fields and fills
+    the defaults, is for states built once per run or input."""
 
     pc: Union[PC, int]
     regs: dict[str, Value]
@@ -119,7 +119,7 @@ class State(NamedTuple):
     ms: bool = False
 
 
-class Lockstep(NamedTuple):
+class Lockstep(Record):
     """A run state of a program and its machine code in lockstep: the state
     of each level, and the steps taken modulo 5. The step from phase 0
     checks the relation of the two states it makes
@@ -142,7 +142,9 @@ class Lockstep(NamedTuple):
 # Each outcome names the run status it ends a run with.
 
 
-class Next(NamedTuple):
+class Next(Record):
+    """A step that goes on to `state`, observing `obs`; a rule builds it by `new`."""
+
     state: Union[State, Lockstep]
     obs: Optional[Obs] = None
     status = "next"

@@ -7,7 +7,8 @@ import pickle
 
 import pytest
 
-from specibt.interp import OLoad, OStore, Fault
+from specibt.explore import ExploreBudget
+from specibt.interp import Fault, Lockstep, Next, OLoad, OStore
 from specibt.ir import PC, Block, Code, Program, Record
 
 MODULES = ("ir", "interp", "machine", "explore", "gen", "hardening", "relate",
@@ -35,14 +36,15 @@ def _values(cls, tag=0):
 
 
 def test_every_record_class_is_found():
-    # every class that was a dataclass; a record class may be added
+    # every class that was a dataclass or a NamedTuple; a record class may be added
     assert {
         "Asgn", "BinOp", "Block", "Branch", "CTarget", "Call", "Cond", "Const",
         "DBranch", "DCallMc", "DCallMir", "DirectiveMismatch", "Driver", "EquivPair",
         "ExploreBudget", "FP", "Fault", "FpConst", "GenConfig", "Jump", "LayoutMap",
-        "Load", "McProgram", "OBranch", "OCall", "OLoad", "OStore", "OutOfDirectives",
-        "PC", "ParseIssue", "PassConfig", "Program", "Reg", "ReservedRegs", "Ret",
-        "RunResult", "Skip", "Store", "Stuck", "Term", "Verdict", "_Parted",
+        "Load", "Lockstep", "McProgram", "Next", "OBranch", "OCall", "OLoad", "OStore",
+        "OutOfDirectives", "PC", "ParseIssue", "PassConfig", "Program", "Reg",
+        "ReservedRegs", "Ret", "RunResult", "Skip", "State", "Store", "Stuck", "Term",
+        "Verdict", "_Parted",
     } <= {c.__name__ for c in EVERY}
     assert {c.__name__ for c in CODE} == {"Program", "McProgram"}
 
@@ -65,6 +67,14 @@ def test_equality_examples():
     assert OLoad(3) != OLoad(4)
     # a record never equals a plain tuple, from either side
     assert OLoad(3) != (3,) and (3,) != OLoad(3) and not (3,) == OLoad(3)
+
+
+def test_former_named_tuples_compare_only_within_their_class():
+    # `Lockstep` and `Next` were tuples that equalled any record of their
+    # fields from their own side, and shared its dict entries
+    for r, twin in ((Lockstep(1, 2, 3), ExploreBudget(1, 2, 3)), (Next(1, 2), PC(1, 2))):
+        assert r != twin and twin != r and not r == twin and not twin == r
+        assert {r: "y"}.get(twin) is None and {twin: "y"}.get(r) is None
 
 
 @pytest.mark.parametrize("cls", EVERY, ids=lambda c: c.__name__)
