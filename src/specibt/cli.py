@@ -10,6 +10,7 @@ so a verdict's JSON line tells a counterexample from it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import random
@@ -365,7 +366,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
     """The command line's parser. Every subcommand is listed with its help
     line, but only the one ARGV names, by its first token that is not an
     option, takes its arguments: the top level's options take no value."""
-    parser = argparse.ArgumentParser(prog="specibt", description=main.__doc__,
+    parser = argparse.ArgumentParser(prog="specibt",
+                                     description=main.__doc__.partition("\n")[0],
                                      allow_abbrev=False)
     version = f"specibt {__version__} (semantics {SEMANTICS_REVISION})"
     parser.add_argument("--version", action="version", version=version,
@@ -463,10 +465,22 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None:
-    """Speculative control-flow integrity laboratory."""
+    """Speculative control-flow integrity laboratory.
+
+    Called with no argv, as the console script and `python -m specibt.cli`
+    call it, `main` owns its process: it freezes the start-up heap (every
+    layer is imported by now) into the collector's permanent generation, so
+    no full collection walks it again, and neither do the collections at
+    interpreter exit, which cost a fresh process several milliseconds. A
+    caller that passes argv keeps its collector as it is.
+    """
     # Every failure ends in SystemExit with its exit code. `standalone_mode`
     # is ignored: only the in-process runner of `bench/run.py` passes it.
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     args, extra = _parser(argv).parse_known_args(argv)
     kw = vars(args)
     cmd, parser = kw.pop("cmd"), kw.pop("parser")

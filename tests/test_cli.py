@@ -1,5 +1,7 @@
-"""End-to-end CLI tests via click's runner."""
+"""End-to-end CLI tests: each runs `specibt.cli.main` in this process through
+`conftest.invoke`, and a few run a fresh interpreter in a subprocess."""
 
+import gc
 import json
 import os
 import pathlib
@@ -52,6 +54,28 @@ def test_importing_the_cli_leaves_click_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert out.stdout == "False\n"
+
+
+def test_the_process_entry_freezes_the_start_up_heap():
+    # called with no argv, main owns its process: no collection, not even those
+    # at interpreter exit, walks the start-up heap again
+    src = str(pathlib.Path(specibt.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import gc, sys, specibt.cli\n"
+            "sys.argv = ['specibt', '--version']\n"
+            "try:\n    specibt.cli.main()\n"
+            "except SystemExit:\n    print(gc.get_freeze_count())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout.splitlines()[0] == "specibt 0.1.0 (semantics 1)"
+    assert int(out.stdout.splitlines()[-1]) > 0
+
+
+def test_an_in_process_call_keeps_the_collector_as_it_is():
+    # pytest and the benchmark's traced runner pass argv
+    frozen = gc.get_freeze_count()
+    assert invoke(["--version"]).exit_code == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_run_seq(state1):
