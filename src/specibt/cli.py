@@ -218,6 +218,18 @@ def _finish_verdict(v: Verdict) -> None:
         sys.exit(EXIT_INCONCLUSIVE)
 
 
+def _checker(property: str, pipeline: str, cfg: PassConfig = FULL) -> Callable:
+    """The checker of PROPERTY, over (program, input states..., budget): one
+    state, or two for rs. It is looked up as it is asked for, so a traced
+    run gets the checker it wraps."""
+    if property == "rs":
+        return partial(check_relative_security, pipeline=pipeline, cfg=cfg)
+    if property == "linearize":
+        return check_bcc_linearize
+    return partial(check_bcc_specibt if property == "bcc" else check_safety_preservation,
+                   cfg=cfg)
+
+
 def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
     """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
     linearize) or a two-state pair JSON (rs)."""
@@ -225,17 +237,10 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
                ("--variant", variant is not None, property != "linearize"))
     p = _load(program, parse_program)
     budget = ExploreBudget(depth, runs, fuel)
-    pipeline, cfg = pipeline or "hardened-only", VARIANTS[variant or "full"]
+    states = _load(state, decode_pair) if property == "rs" else (_load(state, decode_state),)
+    check = _checker(property, pipeline or "hardened-only", VARIANTS[variant or "full"])
     try:
-        if property == "bcc":
-            v = check_bcc_specibt(p, _load(state, decode_state), budget, cfg=cfg)
-        elif property == "safety":
-            v = check_safety_preservation(p, _load(state, decode_state), budget, cfg=cfg)
-        elif property == "rs":
-            s1, s2 = _load(state, decode_pair)
-            v = check_relative_security(p, s1, s2, budget, pipeline, cfg=cfg)
-        else:
-            v = check_bcc_linearize(p, _load(state, decode_state), budget)
+        v = check(p, *states, budget)
     except LayoutError as exc:
         _fail(f"{state}: {exc}")
     except (HardenError, ValueError) as exc:
@@ -320,27 +325,34 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
                 _fail(f"could not sample safe inputs for {corpus}")
     produced = 0
     for _ in range(50 * runs):
-        if produced >= runs:
-            return
         p = gen_program(rng, cfg)
         s = gen_safe_input(rng, p, cfg, fuel)
-        if s is None:
-            continue
-        produced += 1
-        yield p, s
+        if s is not None:
+            yield p, s
+            produced += 1
+            if produced == runs:  # the last draw may give the last input
+                return
     _fail("could not sample enough safe inputs")
 
 
-def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
-    """Check every case (a tuple of arguments to `one`, before the budget)
-    and print the verdict: the first counterexample, with the sequences of
-    all cases up to it, else a pass over all of them, or inconclusive if no
-    case passed."""
-    budget = ExploreBudget(depth, sequences, fuel)
+def cmd_fuzz(property, seed, depth, runs, fuel, sequences, corpus=None,
+             pipeline="hardened-only"):
+    """Check PROPERTY on drawn cases and print the verdict: the first
+    counterexample, with the sequences of all cases up to it, else a pass
+    over all of them, or inconclusive if no case passed. The cases of rs are
+    generated state pairs; those of the others are safe inputs to programs
+    of the corpus or generated ones."""
+    if property == "rs":
+        rng = random.Random(seed)
+        pairs = (gen_seq_equiv_pair(rng, GenConfig(), fuel) for _ in range(runs))
+        cases = ((q.program, q.s1, q.s2) for q in pairs)
+    else:
+        cases = _fuzz_inputs(corpus, seed, runs, fuel)
+    check, budget = _checker(property, pipeline), ExploreBudget(depth, sequences, fuel)
     total = 0
     passed = False
     for case in cases:
-        v = one(*case, budget)
+        v = check(*case, budget)
         if v.status == "counterexample":
             _finish_verdict(v._replace(runs=total + v.runs))
             return
@@ -349,25 +361,12 @@ def _fuzz_loop(cases, depth, sequences, fuel, one) -> None:
     _finish_verdict(Verdict("pass" if passed else "inconclusive", runs=total))
 
 
-def cmd_fuzz(check, corpus, seed, depth, runs, fuel, sequences):
-    """Check CHECK on safe inputs: programs of the corpus or generated ones."""
-    _fuzz_loop(_fuzz_inputs(corpus, seed, runs, fuel), depth, sequences, fuel, check)
-
-
-def cmd_fuzz_rs(seed, depth, runs, fuel, sequences, pipeline):
-    """Fuzz relative security on sequentially equivalent state pairs."""
-    rng = random.Random(seed)
-    pairs = (gen_seq_equiv_pair(rng, GenConfig(), fuel) for _ in range(runs))
-    _fuzz_loop(((q.program, q.s1, q.s2) for q in pairs), depth, sequences, fuel,
-               lambda p, s1, s2, b: check_relative_security(p, s1, s2, b, pipeline))
-
-
 def _parser(argv: list[str]) -> argparse.ArgumentParser:
     """The command line's parser. Every subcommand is listed with its help
     line, but only the one ARGV names, by its first token that is not an
     option, takes its arguments: the top level's options take no value."""
     parser = argparse.ArgumentParser(prog="specibt",
-                                     description=main.__doc__.partition("\n")[0],
+                                     description=(main.__doc__ or "").partition("\n")[0],
                                      allow_abbrev=False)
     version = f"specibt {__version__} (semantics {SEMANTICS_REVISION})"
     parser.add_argument("--version", action="version", version=version,
@@ -376,13 +375,15 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
     commands = parser.add_subparsers(metavar="COMMAND", required=True, prog=parser.prog)
     named = next((a for a in argv if not a.startswith("-")), None)
 
-    def command(name: str, cmd: Callable, *args) -> Optional[argparse.ArgumentParser]:
-        """Subcommand NAME runs CMD. If ARGV names it, its parser, with ARGS:
+    def command(name: str, cmd: Callable, *args,
+                doc: str = "") -> Optional[argparse.ArgumentParser]:
+        """Subcommand NAME runs CMD, described by DOC or else CMD's docstring
+        (none under `python -OO`). If ARGV names it, its parser, with ARGS:
         each names a positional path that must exist, or is a `(name,
         add_argument keywords)` pair; else None, as it is never parsed."""
-        p = commands.add_parser(name, help=cmd.__doc__.split(".")[0] + ".",
-                                description=cmd.__doc__, allow_abbrev=False,
-                                add_help=name == named)
+        doc = doc or cmd.__doc__ or ""
+        p = commands.add_parser(name, help=doc and doc.split(".")[0] + ".", description=doc,
+                                allow_abbrev=False, add_help=name == named)
         if name != named:
             return None
         p.set_defaults(cmd=cmd, parser=p)
@@ -400,13 +401,6 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
         opt(p, "--depth", 3, type=DEPTH)
         opt(p, "--runs", runs, type=COUNT, help=runs_help)
         opt(p, "--fuel", 1000, type=COUNT)
-
-    def fuzz(check: Callable, doc: str) -> Callable:
-        """The fuzz command that checks CHECK on safe inputs, with help DOC.
-        CHECK is read as the parser is built, after a traced run wraps it."""
-        cmd = partial(cmd_fuzz, check)
-        cmd.__doc__ = doc
-        return cmd
 
     pipelines, variants = ["hardened-only", "end-to-end"], sorted(VARIANTS)
     if p := command("run", cmd_run, "program", "state"):
@@ -430,7 +424,11 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", metavar="PATH")
         p.add_argument("--layout-out", metavar="PATH",
                        help="Layout sidecar path (default: layout JSON on stderr).")
-    properties = {"choices": ["bcc", "safety", "rs", "linearize"]}
+    fuzzed = {"bcc": "Fuzz hardened-speculative vs source-ideal trace equality.",
+              "safety": "Fuzz for speculative undefined behavior in hardened programs.",
+              "rs": "Fuzz relative security on sequentially equivalent state pairs.",
+              "linearize": "Fuzz machine-level vs block-level lockstep correspondence."}
+    properties = {"choices": list(fuzzed)}
     if p := command("check", cmd_check, ("property", properties), "program", "state"):
         budget(p, 200, "Maximum explored directive sequences.")
         opt(p, "--pipeline", choices=pipelines,
@@ -442,22 +440,15 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
         budget(p, 500)
         opt(p, "--cet", action=argparse.BooleanOptionalAction, help="Force the indirect-branch-"
             "tracking model on or off (default: on iff the attacked program contains ctarget).")
-    for name, cmd in (
-        ("fuzz-bcc", fuzz(check_bcc_specibt,
-                          "Fuzz hardened-speculative vs source-ideal trace equality.")),
-        ("fuzz-safety", fuzz(check_safety_preservation,
-                             "Fuzz for speculative undefined behavior in hardened programs.")),
-        ("fuzz-rs", cmd_fuzz_rs),
-        ("fuzz-linearize", fuzz(check_bcc_linearize,
-                                "Fuzz machine-level vs block-level lockstep correspondence.")),
-    ):
-        if not (p := command(name, cmd)):
+    for prop, doc in fuzzed.items():
+        if not (p := command(f"fuzz-{prop}", cmd_fuzz, doc=doc)):
             continue
+        p.set_defaults(property=prop)
         opt(p, "--seed", 0, type=int)
         budget(p, 100, "Number of fuzzed programs.")
         opt(p, "--sequences", 100, type=COUNT,
             help="Directive sequences explored per program.")
-        if cmd is cmd_fuzz_rs:  # generated state pairs only
+        if prop == "rs":  # generated state pairs only
             opt(p, "--pipeline", pipelines[0], choices=pipelines)
         else:
             opt(p, "--corpus", metavar="PATH", type=_directory)

@@ -2,6 +2,7 @@
 `conftest.invoke`, and a few run a fresh interpreter in a subprocess."""
 
 import gc
+import itertools
 import json
 import os
 import pathlib
@@ -10,8 +11,10 @@ import sys
 
 import pytest
 
-import specibt
+import specibt.cli
 from conftest import invoke
+from specibt.checks import Verdict
+from specibt.interp import DBranch, OBranch
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 LISTING1 = str(CORPUS / "listing1.mir")
@@ -300,3 +303,52 @@ def test_determinism():
     a = invoke(args).output
     b = invoke(args).output
     assert a == b
+
+
+@pytest.mark.parametrize("command,checker", [
+    ("fuzz-bcc", "check_bcc_specibt"),
+    ("fuzz-rs", "check_relative_security"),
+])
+def test_fuzz_counterexample_counts_the_runs_of_the_cases_before_it(monkeypatch, command,
+                                                                    checker):
+    # the first case passes in 3 runs, the second finds a counterexample in 2
+    verdicts = iter([Verdict("pass", runs=3),
+                     Verdict("counterexample", runs=2, directives=[DBranch(True)],
+                             trace1=[OBranch(True)], trace2=[OBranch(False)])])
+    monkeypatch.setattr(specibt.cli, checker, lambda *args, **kw: next(verdicts))
+    res = invoke([command, "--seed", "1", "--runs", "5", "--fuel", "300"])
+    assert res.exit_code == 2
+    assert res.stderr == ""
+    assert json.loads(res.stdout) == {
+        "status": "counterexample", "runs": 5, "directives": [{"branch": True}],
+        "trace1": [{"branch": True}], "trace2": [{"branch": False}]}
+
+
+def test_a_campaign_whose_last_draw_gives_its_last_input_prints_its_verdict(monkeypatch):
+    # a generated campaign of one run draws at most 50 times; only the 50th
+    # draw gives a safe input, so the campaign got all the inputs it asked for
+    draws, gen_safe_input = itertools.count(1), specibt.cli.gen_safe_input
+
+    def last_draw_only(*args, **kw):
+        s = gen_safe_input(*args, **kw)
+        return s if next(draws) == 50 else None
+
+    monkeypatch.setattr(specibt.cli, "gen_safe_input", last_draw_only)
+    res = invoke(["fuzz-bcc", "--seed", "0", "--runs", "1"])
+    assert next(draws) == 51
+    assert res.stderr == ""
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["status"] == "pass"
+
+
+def test_the_command_line_runs_under_python_OO(state1):
+    # -OO strips docstrings, from which the parser builds the commands' help
+    src = str(pathlib.Path(specibt.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for args in (["--version"], ["check", "bcc", LISTING1, state1],
+                 ["fuzz-rs", "--seed", "1", "--runs", "3", "--depth", "2"], ["bogus"]):
+        out = subprocess.run([sys.executable, "-OO", "-m", "specibt.cli", *args],
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        res = invoke(args)
+        assert (out.returncode, out.stdout) == (res.exit_code, res.stdout), out.stderr
+        assert "Traceback" not in out.stderr

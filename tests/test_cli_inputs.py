@@ -369,6 +369,9 @@ def test_layout_sidecar_round_trip(tmp_path, listing1, data_len):
     (["attack", LISTING1], [1, 2], "pair must be an object with states s1 and s2"),
     (["run", "--sem", "seq", LISTING1], [1, 2], "state must be an object"),
     (["run", "--sem", "mc", LISTING1], "state", "state must be an object"),
+    # below the root, the pointer into the document follows the one separator
+    (["check", "bcc", LISTING1], dict(PAIR["s1"], regs=[1, 2]),
+     "/regs: registers must be an object"),
 ])
 def test_document_root_error_has_one_separator(tmp_path, args, doc, message):
     path = _write(tmp_path / "doc.json", doc)
@@ -386,6 +389,24 @@ def test_fuzz_campaign_with_no_passing_case_is_not_a_pass(tmp_path):
     res = invoke(["fuzz-linearize", "--corpus", str(tmp_path), "--seed", "1", "--runs", "5"])
     assert res.exit_code == 3
     assert json.loads(res.output) == {"status": "inconclusive", "runs": 5}
+
+
+@pytest.mark.parametrize("programs,message", [
+    ({}, "no .mir files in {corpus}"),
+    # instrumented programs cannot be hardened again
+    ({"h.mir": "entry a:\n  ctarget\n  ret\n"}, "no source programs in {corpus}"),
+    # every run of a program that never terminates is cut by its fuel (a
+    # branch into the entry block would make it no source program)
+    ({"spin.mir": "entry a:\n  jump b\nblock b:\n  jump b\n"},
+     "could not sample safe inputs for {corpus}"),
+], ids=["empty", "no-source-program", "no-safe-input"])
+def test_fuzz_corpus_without_inputs_exits_1(tmp_path, programs, message):
+    for name, text in programs.items():
+        (tmp_path / name).write_text(text)
+    res = invoke(["fuzz-bcc", "--corpus", str(tmp_path), "--runs", "2"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"Error: {message.format(corpus=tmp_path)}\n"
 
 
 COMMANDS = ["run", "harden", "linearize", "check", "attack",
