@@ -133,11 +133,11 @@ def _emit_run(res: RunResult) -> None:
         sys.exit(1)
 
 
+# The subcommands. Each one's help text is a string in `_parser`, which
+# `python -OO` keeps, as it strips docstrings.
+
+
 def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
-    """Execute PROGRAM from STATE and print the observation trace. Under
-    --sem mc the data section is as long as the state's memory. Call
-    directives name block labels and offsets of PROGRAM under spec and
-    ideal, and code addresses under mc."""
     _no_effect(f"--sem {sem}", ("--ct", ct is True, sem in ("spec", "mc")),
                ("--no-ct", ct is False, sem in ("spec", "mc")),
                ("--ms", ms, sem != "seq"), ("--no-cet", no_cet, sem == "spec"))
@@ -176,8 +176,6 @@ def cmd_run(program, state, sem, directives_path, fuel, ct, ms, no_cet):
 
 
 def cmd_harden(program, output, msf_reg, callee_reg, variant):
-    """Apply the hardening pass and print the transformed program. Exits 5,
-    writing nothing, if the printed program would not parse again."""
     p = _load(program, parse_program)
     try:
         text = print_program(harden(p, ReservedRegs(msf_reg, callee_reg), VARIANTS[variant]))
@@ -190,7 +188,6 @@ def cmd_harden(program, output, msf_reg, callee_reg, variant):
 
 
 def cmd_linearize(program, data_len, output, layout_out):
-    """Flatten PROGRAM to machine code and emit the layout sidecar."""
     p = _load(program, parse_program)
     try:
         mc = linearize(p, data_len)
@@ -231,8 +228,6 @@ def _checker(property: str, pipeline: str, cfg: PassConfig = FULL) -> Callable:
 
 
 def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
-    """Check one property of PROGRAM. STATE is a state JSON (bcc, safety,
-    linearize) or a two-state pair JSON (rs)."""
     _no_effect(f"check {property}", ("--pipeline", pipeline is not None, property == "rs"),
                ("--variant", variant is not None, property != "linearize"))
     p = _load(program, parse_program)
@@ -249,10 +244,6 @@ def cmd_check(property, program, state, depth, runs, fuel, pipeline, variant):
 
 
 def cmd_attack(program, pair, target, depth, runs, fuel, cet):
-    """Search for a directive sequence distinguishing the two states in
-    PAIR. Target pht attacks the program as given; btb attacks its
-    masking-only hardened variant on hardware without indirect-branch
-    tracking, and exits 5 if the pass rejects the program."""
     p = _load(program, parse_program)
     s1, s2 = _load(pair, decode_pair)
     budget = ExploreBudget(depth, runs, fuel)
@@ -365,9 +356,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
     """The command line's parser. Every subcommand is listed with its help
     line, but only the one ARGV names, by its first token that is not an
     option, takes its arguments: the top level's options take no value."""
-    parser = argparse.ArgumentParser(prog="specibt",
-                                     description=(main.__doc__ or "").partition("\n")[0],
-                                     allow_abbrev=False)
+    parser = argparse.ArgumentParser(prog="specibt", allow_abbrev=False,
+                                     description="Speculative control-flow integrity laboratory.")
     version = f"specibt {__version__} (semantics {SEMANTICS_REVISION})"
     parser.add_argument("--version", action="version", version=version,
                         help="Print version and semantics revision.")
@@ -375,14 +365,12 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
     commands = parser.add_subparsers(metavar="COMMAND", required=True, prog=parser.prog)
     named = next((a for a in argv if not a.startswith("-")), None)
 
-    def command(name: str, cmd: Callable, *args,
-                doc: str = "") -> Optional[argparse.ArgumentParser]:
-        """Subcommand NAME runs CMD, described by DOC or else CMD's docstring
-        (none under `python -OO`). If ARGV names it, its parser, with ARGS:
-        each names a positional path that must exist, or is a `(name,
-        add_argument keywords)` pair; else None, as it is never parsed."""
-        doc = doc or cmd.__doc__ or ""
-        p = commands.add_parser(name, help=doc and doc.split(".")[0] + ".", description=doc,
+    def command(name: str, cmd: Callable, *args, doc: str) -> Optional[argparse.ArgumentParser]:
+        """Subcommand NAME runs CMD, described by DOC, whose first sentence
+        is its help line. If ARGV names it, its parser, with ARGS: each names
+        a positional path that must exist, or is a `(name, add_argument
+        keywords)` pair; else None, as it is never parsed."""
+        p = commands.add_parser(name, help=doc.split(".")[0] + ".", description=doc,
                                 allow_abbrev=False, add_help=name == named)
         if name != named:
             return None
@@ -403,7 +391,11 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
         opt(p, "--fuel", 1000, type=COUNT)
 
     pipelines, variants = ["hardened-only", "end-to-end"], sorted(VARIANTS)
-    if p := command("run", cmd_run, "program", "state"):
+    if p := command("run", cmd_run, "program", "state", doc=(
+            "Execute PROGRAM from STATE and print the observation trace. Under --sem mc the "
+            "data section is as long as the state's memory. Call directives name block "
+            "labels and offsets of PROGRAM under spec and ideal, and code addresses under "
+            "mc.")):
         opt(p, "--sem", "seq", choices=["seq", "spec", "ideal", "mc"])
         opt(p, "--dir", dest="directives_path", metavar="PATH", type=_existing,
             help="JSON directive sequence for spec/ideal/mc runs.")
@@ -414,12 +406,15 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
                        help="Start with the misspeculation flag set (spec, ideal, mc).")
         p.add_argument("--no-cet", action="store_true",
                        help="Model hardware without indirect-branch tracking (spec).")
-    if p := command("harden", cmd_harden, "program"):
+    if p := command("harden", cmd_harden, "program", doc=(
+            "Apply the hardening pass and print the transformed program. Exits 5, writing "
+            "nothing, if the printed program would not parse again.")):
         p.add_argument("-o", "--output", metavar="PATH")
         opt(p, "--msf-reg", "msf")
         opt(p, "--callee-reg", "callee")
         opt(p, "--variant", "full", choices=variants)
-    if p := command("linearize", cmd_linearize, "program"):
+    if p := command("linearize", cmd_linearize, "program",
+                    doc="Flatten PROGRAM to machine code and emit the layout sidecar."):
         p.add_argument("--data-len", type=int, required=True)
         p.add_argument("-o", "--output", metavar="PATH")
         p.add_argument("--layout-out", metavar="PATH",
@@ -429,13 +424,19 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
               "rs": "Fuzz relative security on sequentially equivalent state pairs.",
               "linearize": "Fuzz machine-level vs block-level lockstep correspondence."}
     properties = {"choices": list(fuzzed)}
-    if p := command("check", cmd_check, ("property", properties), "program", "state"):
+    if p := command("check", cmd_check, ("property", properties), "program", "state", doc=(
+            "Check one property of PROGRAM. STATE is a state JSON (bcc, safety, linearize) "
+            "or a two-state pair JSON (rs).")):
         budget(p, 200, "Maximum explored directive sequences.")
         opt(p, "--pipeline", choices=pipelines,
             help=f"For rs only (default: {pipelines[0]}).")
         opt(p, "--variant", choices=variants,
             help="For bcc, safety and rs (default: full).")
-    if p := command("attack", cmd_attack, "program", "pair"):
+    if p := command("attack", cmd_attack, "program", "pair", doc=(
+            "Search for a directive sequence distinguishing the two states in PAIR. Target "
+            "pht attacks the program as given; btb attacks its masking-only hardened "
+            "variant on hardware without indirect-branch tracking, and exits 5 if the pass "
+            "rejects the program.")):
         opt(p, "--target", "auto", choices=["pht", "btb", "auto"])
         budget(p, 500)
         opt(p, "--cet", action=argparse.BooleanOptionalAction, help="Force the indirect-branch-"

@@ -20,6 +20,7 @@ from .ir import (
     Cond,
     Const,
     Expr,
+    FP,
     FpConst,
     Inst,
     Jump,
@@ -28,6 +29,7 @@ from .ir import (
     Program,
     Record,
     Reg,
+    Ret,
     RET,
     SKIP,
     UV,
@@ -230,17 +232,232 @@ def _loops_widened(p: Program, w: State, budget: int) -> tuple[bool, int]:
     return False, budget
 
 
+# --------------------------------------------------------------------------
+# Abstract sequential runs over intervals
+
+# An abstract value stands for a set of values: a plain pair `(lo, hi)` for
+# the naturals from `lo` to `hi` (`hi` may be `_INF`), an `FP` or `UV` for
+# itself alone, and `_TOP` for every value.
+_INF = float("inf")
+_TOP = object()
+_ABSTRACT_STEPS = 2_000  # the budget of one proof, over all its paths
+
+
+def _iv_bool(true: bool, false: bool) -> tuple:
+    """The truth value that is 1 if `true` holds, 0 if `false` does, else either."""
+    return (1, 1) if true else (0, 0) if false else (0, 1)
+
+
+# `interp.NAT_OPS` over intervals: an arithmetic result's bounds are the
+# operator at the operands' bounds (`-` saturates at 0), and a comparison or
+# connective is 0 or 1 where the intervals decide it, else either.
+_IV_OPS = {
+    "+": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "-": lambda a, b: (max(a[0] - b[1], 0), max(a[1] - b[0], 0)),
+    "*": lambda a, b: (a[0] * b[0], 0 if a[1] == 0 or b[1] == 0 else a[1] * b[1]),
+    "=": lambda a, b: _iv_bool(a[0] == a[1] == b[0] == b[1], a[1] < b[0] or b[1] < a[0]),
+    "<=": lambda a, b: _iv_bool(a[1] <= b[0], a[0] > b[1]),
+    "&&": lambda a, b: _iv_bool(a[0] > 0 and b[0] > 0, a[1] == 0 or b[1] == 0),
+    "->": lambda a, b: _iv_bool(a[1] == 0 or b[0] > 0, a[0] > 0 and b[1] == 0),
+}
+
+
+def _ajoin(a, b):
+    """The least abstract value above `a` and `b`."""
+    if a == b:
+        return a
+    if type(a) is tuple and type(b) is tuple:
+        return min(a[0], b[0]), max(a[1], b[1])
+    return _TOP
+
+
+def _aleq(a, b) -> bool:
+    """Whether every value `a` stands for is one `b` stands for."""
+    return b is _TOP or a == b or (type(a) is tuple and type(b) is tuple
+                                   and b[0] <= a[0] and a[1] <= b[1])
+
+
+def _awiden(a, b):
+    """`a`, widened to stand for `b` too: a bound that `b` passes goes to
+    the end of its range, so a chain of widenings is short."""
+    if type(a) is tuple and type(b) is tuple:
+        return a[0] if b[0] >= a[0] else 0, a[1] if b[1] <= a[1] else _INF
+    return a if a == b else _TOP
+
+
+def _aeval(e: Expr, regs: dict):
+    """The abstract value of `e`, as `interp._compile_expr` evaluates it at
+    block level, over the abstract registers `regs`."""
+    t = type(e)
+    if t is Const:
+        return e.value, e.value
+    if t is Reg:
+        return regs.get(e.name, UV)
+    if t is FpConst:
+        return FP(e.label)
+    if t is BinOp:
+        a, b = _aeval(e.lhs, regs), _aeval(e.rhs, regs)
+        if type(a) is tuple and type(b) is tuple:
+            return _IV_OPS[e.op](a, b)
+        if e.op == "=" and type(a) is FP and type(b) is FP:
+            return (1, 1) if a == b else (0, 0)
+        return _TOP if a is _TOP or b is _TOP else UV
+    c = _aeval(e.cond, regs)
+    if type(c) is not tuple:
+        return _TOP if c is _TOP else UV
+    if c[0] > 0:
+        return _aeval(e.then, regs)
+    if c[1] == 0:
+        return _aeval(e.els, regs)
+    return _ajoin(_aeval(e.then, regs), _aeval(e.els, regs))
+
+
+def _cells(a, n: int) -> range:
+    """The cells of a memory of `n` that the abstract address `a` may name."""
+    if a is _TOP:
+        return range(n)
+    if type(a) is not tuple:
+        return range(0)
+    return range(a[0], min(a[1], n - 1) + 1)
+
+
+def _over(f, r1: dict, m1: tuple, r2: dict, m2: tuple) -> tuple:
+    """`f` applied to each register (a missing one is UV) and each memory
+    cell of two abstract states, in pairs."""
+    regs = {r: f(r1.get(r, UV), r2.get(r, UV)) for r in {**r1, **r2}}
+    return regs, tuple(map(f, m1, m2))
+
+
+def _never_terminates(p: Program, cfg: GenConfig) -> bool:
+    """Whether no state `gen_state` may draw ever terminates, proved by an
+    abstract sequential run from the state that stands for them all: a pool
+    register or a memory cell is any natural up to `cfg.max_const`, any
+    other register UV. False if the proof fails or takes over
+    `_ABSTRACT_STEPS` steps.
+
+    The run is a tree. A branch whose condition may be zero and may not
+    forks both ways, and no value is refined by the way taken. A path ends
+    where the step is surely stuck (a condition, address or call target
+    that surely is not a valid one); it gives the proof up at a call target
+    that may be a function pointer but is not one for sure, and at a `ret`
+    on the empty stack. At a block entry, a path that is back at the pc of
+    the nearest such ancestor on it ends there if its registers and memory
+    are below the ancestor's and no `ret` in the ancestor's subtree yet has
+    popped an entry of the ancestor's stack; else it goes on from that
+    state widened against the ancestor's. A `ret` that pops an entry of the
+    stack of an ancestor a path ended at gives the proof up.
+    """
+    # Sound by a simulation. An abstract state stands for the concrete
+    # states at its pc whose registers and memory it stands for. Each value
+    # a step computes, and each value a step that is not stuck loads, is one
+    # the abstract step's stands for, and each branch decision is a way the
+    # tree takes; so a run from a drawn state follows a path of the tree
+    # from its root, with the same stack, until the path ends. Where the
+    # path is surely stuck, so is the run, and stuck is not a termination.
+    # Where the path ended at an ancestor, the run's state is one the
+    # ancestor stands for, but for its stack. No `ret` in the ancestor's
+    # subtree pops an entry of the ancestor's stack, so the subtree reads
+    # only entries pushed within it, and the run follows it on with its own
+    # stack beneath them. The one step that terminates, a `ret` at the empty
+    # stack, gives the proof up, so no run reaches it. The values, stacks
+    # and pcs are those of `interp.compile_rule` and `interp._compile` under
+    # the sequential semantics.
+    blocks, drawn, budget = p.blocks, (0, cfg.max_const), _ABSTRACT_STEPS
+    # states to run, each with the length its path is cut back to
+    todo = [((0, 0), dict.fromkeys(cfg.reg_pool, drawn), (drawn,) * cfg.mem_len, (), 0)]
+    # the block-entry states on the current path: [label, registers, memory,
+    # stack length, a ret in the subtree popped below it, a path ended here]
+    path: list[list] = []
+    while todo:
+        (l, o), regs, mem, stk, cut = todo.pop()
+        del path[cut:]
+        while budget:
+            budget -= 1
+            if not (0 <= l < len(blocks) and 0 <= o < len(blocks[l].insts)):
+                break  # stuck
+            if o == 0:
+                node = next((n for n in reversed(path) if n[0] == l), None)
+                if node is not None:
+                    below, cells_below = _over(_aleq, regs, mem, node[1], node[2])
+                    if not node[4] and all(below.values()) and all(cells_below):
+                        node[5] = True
+                        break
+                    regs, mem = _over(_awiden, node[1], node[2], regs, mem)
+                path.append([l, regs, mem, len(stk), False, False])
+            inst = blocks[l].insts[o]
+            t = type(inst)
+            if t is Asgn:
+                regs = {**regs, inst.reg: _aeval(inst.expr, regs)}
+            elif t is Jump:
+                l, o = inst.target, 0
+                continue
+            elif t is Branch:
+                c = _aeval(inst.cond, regs)
+                if c is not _TOP and type(c) is not tuple:
+                    break  # stuck
+                taken, falls = (True, True) if c is _TOP else (c[1] > 0, c[0] == 0)
+                if taken and falls:
+                    todo.append(((l, o + 1), regs, mem, stk, len(path)))
+                if taken:
+                    l, o = inst.target, 0
+                    continue
+            elif t is Load or t is Store:
+                cells = _cells(_aeval(inst.addr, regs), len(mem))
+                if not cells:
+                    break  # stuck
+                if t is Load:
+                    v = mem[cells[0]]
+                    for i in cells:
+                        v = _ajoin(v, mem[i])
+                    regs = {**regs, inst.reg: v}
+                else:
+                    v, i = _aeval(inst.value, regs), cells[0]
+                    mem = (mem[:i] + (v,) + mem[i + 1:] if len(cells) == 1 else
+                           tuple(_ajoin(m, v) if i in cells else m for i, m in enumerate(mem)))
+            elif t is Call:
+                v = _aeval(inst.target, regs)
+                if v is _TOP:
+                    return False
+                if type(v) is not FP or not (0 <= v.label < len(blocks)
+                                             and blocks[v.label].is_entry):
+                    break  # stuck
+                l, o, stk = v.label, 0, ((l, o + 1),) + stk
+                continue
+            elif t is Ret:
+                if not stk:
+                    return False
+                for n in path:
+                    if n[3] >= len(stk):
+                        if n[5]:
+                            return False
+                        n[4] = True
+                (l, o), stk = stk[0], stk[1:]
+                continue
+            o += 1
+        else:
+            return False
+    return True
+
+
+def _all_uv_run(p: Program, cfg: GenConfig, fuel: int):
+    """The sequential run from the all-UV state: every register and memory
+    cell undefined."""
+    return run_seq(p, State(PC(0, 0), {}, (UV,) * cfg.mem_len), fuel)
+
+
 def no_input_terminates(p: Program, cfg: GenConfig, fuel: int) -> bool:
-    """True if the run from the all-UV state (every register and memory cell
-    undefined) runs out of fuel: then no input terminates within `fuel`."""
-    # Sound because evaluation is monotone in UV: operators and `Cond` give
-    # UV on any UV operand or condition, so a value the all-UV run computes
-    # is computed alike by every input. A step is stuck on a UV branch
-    # condition, call target or address, so an all-UV run that reaches fuel
-    # took every control decision and bounds check on such values, and every
-    # input repeats it step for step into the same fuel-out.
-    all_uv = State(PC(0, 0), {}, (UV,) * cfg.mem_len)
-    return run_seq(p, all_uv, fuel).status == "fuel"
+    """True if no state `gen_state` may draw terminates within `fuel`: the
+    run from the all-UV state runs out of fuel, or it is stuck and
+    `_never_terminates` proves that none of those states ever terminates."""
+    # The all-UV run is sound because evaluation is monotone in UV:
+    # operators and `Cond` give UV on any UV operand or condition, so a
+    # value the all-UV run computes is computed alike by every input. A step
+    # is stuck on a UV branch condition, call target or address, so an
+    # all-UV run that reaches fuel took every control decision and bounds
+    # check on such values, and every input repeats it step for step into
+    # the same fuel-out. By the same token, every input terminates if it does.
+    status = _all_uv_run(p, cfg, fuel).status
+    return status == "fuel" or status == "stuck" and _never_terminates(p, cfg)
 
 
 def gen_safe_input(

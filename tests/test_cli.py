@@ -352,3 +352,21 @@ def test_the_command_line_runs_under_python_OO(state1):
         res = invoke(args)
         assert (out.returncode, out.stdout) == (res.exit_code, res.stdout), out.stderr
         assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"]] + [[c, "--help"] for c in (
+    "run", "harden", "linearize", "check", "attack",
+    "fuzz-bcc", "fuzz-safety", "fuzz-rs", "fuzz-linearize")])
+def test_help_under_python_OO_is_the_help_without_it(monkeypatch, args):
+    """The help text lives in the parser's strings, not in docstrings, so
+    -OO keeps every subcommand's help line and description."""
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(pathlib.Path(specibt.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-OO", "-m", "specibt.cli", *args],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    res = invoke(args)
+    assert (out.returncode, out.stdout, out.stderr) == (res.exit_code, res.stdout, res.stderr)
+    if args == ["--help"]:  # each subcommand's help line is on the listing
+        assert "Search for a directive sequence" in out.stdout
+        assert "Execute PROGRAM from STATE" in out.stdout
