@@ -299,7 +299,7 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
         # sample register values for the registers each program actually uses
         cfgs = [cfg._replace(reg_pool=tuple(sorted(used_registers(p))) or cfg.reg_pool)
                 for p in programs]
-        # the all-UV check's verdict depends on the program only
+        # the verdict of the all-UV run and the range run depends on the program only
         hopeless = [no_input_terminates(p, c, fuel) for p, c in zip(programs, cfgs)]
         count = 0
         while True:

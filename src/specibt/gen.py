@@ -36,7 +36,7 @@ from .ir import (
     Store,
     wf_program,
 )
-from .interp import Next, State, Term, advance, run_seq, step_seq
+from .interp import State, Term, advance, run_seq, step_seq
 
 
 class GenConfig(Record):
@@ -163,73 +163,31 @@ def spec_of(s: State, ct: bool = False, ms: bool = False) -> State:
 
 
 def _terminates(p: Program, s: State, fuel: int) -> bool:
-    """`run_seq(p, s, fuel).status == "term"`: `advance` plus widening.
+    """`run_seq(p, s, fuel).status == "term"`: `advance` plus the interval run.
 
     A run that `repeats` its checkpoint never terminates, so it ends there,
     with nothing built for the fuel left. A return to the checkpoint's pc
     with other values is tried once per checkpoint as a loop that changes
-    them forever, by widening those values to UV (`_loops_widened`), and
-    ends the run if it is one; the abstract steps of all tries together
-    never outnumber the concrete steps taken.
+    them forever: `_never_terminates` runs from that state, its stack
+    exact and each value widened against the checkpoint's, and ends the run
+    if it proves that no state it stands for terminates. The abstract steps
+    of all tries together never outnumber the concrete steps taken.
     """
-    spent, tried = 0, None  # abstract steps; the checkpoint last widened
+    spent, tried = 0, None  # abstract steps; the checkpoint last tried
 
     def endless(c: State, s: State, steps: int) -> bool:
         nonlocal spent, tried
         if c is tried:
             return False
         tried = c
-        loops, used = _loops_widened(p, _join(c, s), steps - spent)
+        regs, mem = _over(lambda a, b: _awiden(_point(a), _point(b)), c.regs, c.mem,
+                          s.regs, s.mem)
+        loops, used = _never_terminates(p, (s.pc, regs, mem, s.stk), steps - spent)
         spent += used
         return loops
 
     out = advance(lambda s, d: step_seq(p, s), s, (), fuel, [], endless=endless)[0]
     return isinstance(out, Term)
-
-
-def _join(w: State, s: State) -> State:
-    """`w` with UV in every register and memory cell where `s` differs (a
-    register missing from a state reads as UV)."""
-    regs = {}
-    for r in dict.fromkeys([*w.regs, *s.regs]):
-        v = w.regs.get(r, UV)
-        regs[r] = v if v == s.regs.get(r, UV) else UV
-    mem = tuple(v if v == u else UV for v, u in zip(w.mem, s.mem))
-    return State(w.pc, regs, mem, w.stk, False, False)
-
-
-def _loops_widened(p: Program, w: State, budget: int) -> tuple[bool, int]:
-    """Whether every state below `w` at `w`'s pc runs forever, proved within
-    `budget` abstract steps from `w`, and the steps taken. A state is below
-    `w` when each of its registers and memory cells equals `w`'s or is UV
-    in `w`, that is, when joining it into `w` changes nothing.
-
-    Each time the run from `w` is back at its pc, it is done if the state is
-    below `w`; else that state is joined into `w` (one more UV at least) and
-    the run restarts from there. Any outcome but `Next`, such as a UV branch
-    condition, gives up, and so does a `ret` that pops an entry of `w`'s
-    stack.
-    """
-    # Sound by the monotonicity that makes the all-UV check sound (see
-    # `no_input_terminates`): a value computed from `w` that is not UV is
-    # computed alike from every state below `w`, whose control decisions
-    # and addresses are thus `w`'s, and whose successor is below that of
-    # `w`. If the run from `w` comes back to `w`'s pc below `w`, popping
-    # only entries it pushed, then from every state below `w` the run comes
-    # back to that pc below `w` with any stack, and so forever; the
-    # checkpoint is below `w`, so its run never terminates.
-    s = w
-    for used in range(1, budget + 1):
-        out = step_seq(p, s)
-        if not isinstance(out, Next) or len(out.state.stk) < len(w.stk):
-            return False, used
-        s = out.state
-        if s.pc == w.pc:
-            joined = _join(w, s)
-            if joined.regs == w.regs and joined.mem == w.mem:
-                return True, used
-            w = s = joined
-    return False, budget
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +198,7 @@ def _loops_widened(p: Program, w: State, budget: int) -> tuple[bool, int]:
 # itself alone, and `_TOP` for every value.
 _INF = float("inf")
 _TOP = object()
-_ABSTRACT_STEPS = 2_000  # the budget of one proof, over all its paths
+_ABSTRACT_STEPS = 2_000  # the budget of a hopeless program's proof, over all its paths
 
 
 def _iv_bool(true: bool, false: bool) -> tuple:
@@ -275,6 +233,11 @@ def _aleq(a, b) -> bool:
     """Whether every value `a` stands for is one `b` stands for."""
     return b is _TOP or a == b or (type(a) is tuple and type(b) is tuple
                                    and b[0] <= a[0] and a[1] <= b[1])
+
+
+def _point(v):
+    """The abstract value that stands for the value `v` alone."""
+    return (v, v) if type(v) is int else v
 
 
 def _awiden(a, b):
@@ -328,12 +291,11 @@ def _over(f, r1: dict, m1: tuple, r2: dict, m2: tuple) -> tuple:
     return regs, tuple(map(f, m1, m2))
 
 
-def _never_terminates(p: Program, cfg: GenConfig) -> bool:
-    """Whether no state `gen_state` may draw ever terminates, proved by an
-    abstract sequential run from the state that stands for them all: a pool
-    register or a memory cell is any natural up to `cfg.max_const`, any
-    other register UV. False if the proof fails or takes over
-    `_ABSTRACT_STEPS` steps.
+def _never_terminates(p: Program, root: tuple, budget: int) -> tuple[bool, int]:
+    """Whether no state that `root` stands for ever terminates, proved by an
+    abstract sequential run from it within `budget` steps, and the steps
+    taken. `root` is a pc, abstract registers (a missing one is UV) and
+    memory, and a concrete stack.
 
     The run is a tree. A branch whose condition may be zero and may not
     forks both ways, and no value is refined by the way taken. A path ends
@@ -351,28 +313,30 @@ def _never_terminates(p: Program, cfg: GenConfig) -> bool:
     # states at its pc whose registers and memory it stands for. Each value
     # a step computes, and each value a step that is not stuck loads, is one
     # the abstract step's stands for, and each branch decision is a way the
-    # tree takes; so a run from a drawn state follows a path of the tree
-    # from its root, with the same stack, until the path ends. Where the
-    # path is surely stuck, so is the run, and stuck is not a termination.
-    # Where the path ended at an ancestor, the run's state is one the
-    # ancestor stands for, but for its stack. No `ret` in the ancestor's
-    # subtree pops an entry of the ancestor's stack, so the subtree reads
-    # only entries pushed within it, and the run follows it on with its own
-    # stack beneath them. The one step that terminates, a `ret` at the empty
-    # stack, gives the proof up, so no run reaches it. The values, stacks
-    # and pcs are those of `interp.compile_rule` and `interp._compile` under
-    # the sequential semantics.
-    blocks, drawn, budget = p.blocks, (0, cfg.max_const), _ABSTRACT_STEPS
+    # tree takes; so a run from a state the root stands for, with the root's
+    # stack, follows a path of the tree from the root, with the same stack,
+    # until the path ends. The root's stack is exact, so a path may pop
+    # entries below the root: it returns where the run does. Where the path
+    # is surely stuck, so is the run, and stuck is not a termination. Where
+    # the path ended at an ancestor, the run's state is one the ancestor
+    # stands for, but for its stack. No `ret` in the ancestor's subtree pops
+    # an entry of the ancestor's stack, so the subtree reads only entries
+    # pushed within it, and the run follows it on with its own stack beneath
+    # them. The one step that terminates, a `ret` at the empty stack, gives
+    # the proof up, so no run reaches it. The values, stacks and pcs are
+    # those of `interp.compile_rule` and `interp._compile` under the
+    # sequential semantics.
+    blocks, left = p.blocks, budget
     # states to run, each with the length its path is cut back to
-    todo = [((0, 0), dict.fromkeys(cfg.reg_pool, drawn), (drawn,) * cfg.mem_len, (), 0)]
+    todo = [(*root, 0)]
     # the block-entry states on the current path: [label, registers, memory,
     # stack length, a ret in the subtree popped below it, a path ended here]
     path: list[list] = []
     while todo:
         (l, o), regs, mem, stk, cut = todo.pop()
         del path[cut:]
-        while budget:
-            budget -= 1
+        while left:
+            left -= 1
             if not (0 <= l < len(blocks) and 0 <= o < len(blocks[l].insts)):
                 break  # stuck
             if o == 0:
@@ -417,7 +381,7 @@ def _never_terminates(p: Program, cfg: GenConfig) -> bool:
             elif t is Call:
                 v = _aeval(inst.target, regs)
                 if v is _TOP:
-                    return False
+                    return False, budget - left
                 if type(v) is not FP or not (0 <= v.label < len(blocks)
                                              and blocks[v.label].is_entry):
                     break  # stuck
@@ -425,24 +389,32 @@ def _never_terminates(p: Program, cfg: GenConfig) -> bool:
                 continue
             elif t is Ret:
                 if not stk:
-                    return False
+                    return False, budget - left
                 for n in path:
                     if n[3] >= len(stk):
                         if n[5]:
-                            return False
+                            return False, budget - left
                         n[4] = True
                 (l, o), stk = stk[0], stk[1:]
                 continue
             o += 1
         else:
-            return False
-    return True
+            return False, budget
+    return True, budget - left
 
 
 def _all_uv_run(p: Program, cfg: GenConfig, fuel: int):
     """The sequential run from the all-UV state: every register and memory
     cell undefined."""
     return run_seq(p, State(PC(0, 0), {}, (UV,) * cfg.mem_len), fuel)
+
+
+def _drawn(cfg: GenConfig) -> tuple:
+    """The root that stands for every state `gen_state` may draw: a pool
+    register or a memory cell is any natural up to `cfg.max_const`, any
+    other register UV."""
+    drawn = (0, cfg.max_const)
+    return PC(0, 0), dict.fromkeys(cfg.reg_pool, drawn), (drawn,) * cfg.mem_len, ()
 
 
 def no_input_terminates(p: Program, cfg: GenConfig, fuel: int) -> bool:
@@ -457,7 +429,8 @@ def no_input_terminates(p: Program, cfg: GenConfig, fuel: int) -> bool:
     # check on such values, and every input repeats it step for step into
     # the same fuel-out. By the same token, every input terminates if it does.
     status = _all_uv_run(p, cfg, fuel).status
-    return status == "fuel" or status == "stuck" and _never_terminates(p, cfg)
+    return status == "fuel" or (status == "stuck"
+                                and _never_terminates(p, _drawn(cfg), _ABSTRACT_STEPS)[0])
 
 
 def gen_safe_input(
@@ -475,9 +448,9 @@ def gen_safe_input(
     `hopeless` by a caller that samples the same program again), the
     attempts' states are drawn and discarded and the result is None. Each
     attempt's run (`_terminates`) stops at its first repeated state, and at
-    a loop whose changing values, widened to UV, keep it going forever; it
-    does not step on to `fuel`. The result and the rng's position are those
-    of the plain loop that runs each attempt to `fuel`.
+    a loop that the range run `_never_terminates` proves endless; it does
+    not step on to `fuel`. The result and the rng's position are those of
+    the plain loop that runs each attempt to `fuel`.
     """
     if hopeless is None:
         hopeless = no_input_terminates(p, cfg, fuel)

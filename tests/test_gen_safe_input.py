@@ -24,7 +24,9 @@ import pytest
 import specibt.interp as interp
 from specibt.gen import (
     GenConfig,
+    _ABSTRACT_STEPS,
     _all_uv_run,
+    _drawn,
     _never_terminates,
     _terminates,
     gen_program,
@@ -122,7 +124,8 @@ def test_no_input_of_a_proved_program_terminates(seed):
     cfg, rng, proved = GenConfig(), random.Random(seed), 0
     for i in range(1000):
         p = gen_program(rng, cfg)
-        if _all_uv_run(p, cfg, 10_000).status != "stuck" or not _never_terminates(p, cfg):
+        if (_all_uv_run(p, cfg, 10_000).status != "stuck"
+                or not _never_terminates(p, _drawn(cfg), _ABSTRACT_STEPS)[0]):
             continue
         proved += 1
         draws = random.Random(f"{seed}-{i}")
@@ -207,7 +210,7 @@ def test_a_program_some_input_terminates_on_is_not_proved_hopeless(name):
     s = State(PC(0, 0), {**dict.fromkeys(cfg.reg_pool, 0), **regs}, (0,) * cfg.mem_len)
     assert run_seq(p, s, 1000).status == "term"
     assert _all_uv_run(p, cfg, 1000).status == "stuck"
-    assert not _never_terminates(p, cfg)
+    assert not _never_terminates(p, _drawn(cfg), _ABSTRACT_STEPS)[0]
     assert not no_input_terminates(p, cfg, 1000)
 
 

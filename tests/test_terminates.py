@@ -1,12 +1,14 @@
 """`gen._terminates`: the sequential run's `term` verdict, stopped early at
-the first repeated or pumped state, or at a loop proved endless by widening
-its changing values to UV; and the all-UV check of `fuzz-*` corpus runs.
+the first repeated or pumped state, or at a loop that the range run
+`_never_terminates` proves endless from its changing values, widened to
+ranges; and the all-UV check of `fuzz-*` corpus runs.
 
 It must agree with `run_seq(p, s, fuel).status == "term"` at every fuel,
 reject plain loops, unbounded recursion and loops that only grow a counter
-within a few steps, and never reject a run that terminates: not one that
-revisits a pc and registers after its stack unwound, not a countdown, and
-not a loop whose exit waits for a growing counter.
+within a few steps, concrete and abstract steps counted together, and never
+reject a run that terminates: not one that revisits a pc and registers
+after its stack unwound, not a countdown, and not a loop whose exit waits
+for a growing counter.
 """
 
 import random
@@ -90,7 +92,8 @@ entry b2:
 """
 
 
-# Terminates when r0 reaches 0: widening r0 sticks at the branch.
+# Terminates when r0 reaches 0: widened, r0 may be 0 at the branch, whose
+# way out ends at a ret.
 COUNTDOWN = """
 entry b0:
   jump b1
@@ -100,9 +103,10 @@ block b1:
   ret
 """
 
-# Terminates once r0 passes 50, but r2 holds 1 until then: the widened run
-# comes back to its pc once before r2, joined to UV, sticks at the branch.
-# The skips put Brent's checkpoints at the branch, where that return happens.
+# Terminates once r0 passes 50, but r2 holds 1 until then: the range run
+# comes back to its pc once before r2, widened to 0 or 1, lets the branch
+# fall through to the ret. The skips put Brent's checkpoints at the branch,
+# where that return happens.
 LATE_EXIT = """
 entry b0:
   skip
@@ -118,8 +122,8 @@ block b2:
 """
 
 # Terminates six passes after r0 passes 5: the exit test reads r6, which a
-# widened run makes UV only after six joins, one per pass. Unbounded, those
-# tries would take more steps than the plain run.
+# range run widens to 0 or 1 only after six passes. Unbounded, those tries
+# would take more steps than the plain run.
 SHIFT_CHAIN = """
 entry b0:
   jump b1
@@ -137,7 +141,7 @@ block b2:
   jump b1
 """
 
-# The counter lives in memory cell 3; r1 is always 0, but UV once r0 is.
+# The counter lives in memory cell 3; r1 is always 0, a range of r0 times 0.
 MEMORY_COUNTER = """
 entry b0:
   jump b1
@@ -145,6 +149,18 @@ block b1:
   load r0, 3
   r1 <- (r0 * 0)
   store 3, (r0 + 1)
+  jump b1
+"""
+
+# Grows r0 forever, storing it at cell r0 while r0 is below 8, then at 0.
+# Made UV, r0 would make the address UV and the store stuck: only a range of
+# r0 proves the loop endless.
+GUARDED_ADDRESS = """
+entry b0:
+  jump b1
+block b1:
+  r0 <- (r0 + 1)
+  store ((r0 <= 7) ? r0 : 0), r0
   jump b1
 """
 
@@ -170,15 +186,23 @@ def _plain_steps(p, s: State) -> int:
 
 @pytest.fixture()
 def steps(monkeypatch):
-    """Counts the `step_seq` calls `_terminates` makes."""
+    """Counts the steps `_terminates` takes: a state for each `step_seq`
+    call, and a None for each abstract step a `_never_terminates` run
+    reports."""
     calls = []
-    real = gen.step_seq
+    real_step, real_run = gen.step_seq, gen._never_terminates
 
     def counted(p, s):
         calls.append(s)
-        return real(p, s)
+        return real_step(p, s)
+
+    def counted_run(p, root, budget):
+        proved, used = real_run(p, root, budget)
+        calls.extend([None] * used)
+        return proved, used
 
     monkeypatch.setattr(gen, "step_seq", counted)
+    monkeypatch.setattr(gen, "_never_terminates", counted_run)
     return calls
 
 
@@ -221,18 +245,32 @@ def test_counter_loop_terminates_at_its_fuel_boundary():
 def test_rare_safe_counter_loop(steps):
     p = parse_program(RARE_SAFE)
     assert _terminates(p, _state(r0=5, r1=1, r2=0, r3=2), 1000)
-    # a growing counter never repeats a state, but widened to UV it loops
+    # a growing counter never repeats a state, but widened to a range it loops
     steps.clear()
     assert not _terminates(p, _state(r0=5, r1=1, r2=3, r3=2), 1000)
     assert len(steps) <= 64
 
 
-@pytest.mark.parametrize("text", [MEMORY_COUNTER, GROWING_RECURSION])
+@pytest.mark.parametrize("text", [MEMORY_COUNTER, GROWING_RECURSION, GUARDED_ADDRESS])
 def test_growing_counters_are_rejected_early(text, steps):
     p = parse_program(text)
     assert run_seq(p, _state(r0=0, r1=0), 1000).status == "fuel"
     assert not _terminates(p, _state(r0=0, r1=0), 1000)
     assert len(steps) <= 64
+
+
+def test_the_draws_of_a_growing_recursion_stop_at_their_proof(steps):
+    """Program 670 that `gen_program` draws from `random.Random(0)` grows r1
+    by `(8 <= r1) ? (r1 * 12) : 13`, stores through `(r1 <= 7) ? r1 : 0` and
+    calls itself: no draw terminates, and each is proved so within ten
+    steps, six of them concrete, instead of running to the fuel."""
+    rng, cfg = random.Random(0), GenConfig()
+    for _ in range(671):
+        p = gen_program(rng, cfg)
+    draws = random.Random("0-670")
+    for _ in range(100):
+        assert not _terminates(p, gen_state(draws, cfg), 10_000)
+    assert (len(steps), steps.count(None)) == (1000, 400)
 
 
 @pytest.mark.parametrize("text,regs", [
@@ -245,7 +283,7 @@ def test_widening_never_rejects_a_terminating_loop(text, regs, steps):
     p = parse_program(text)
     assert run_seq(p, _state(**regs), 1000).status == "term"
     assert _terminates(p, _state(**regs), 1000)
-    # the widening tries together take no more steps than the plain run
+    # the range runs together take no more steps than the plain run
     assert len(steps) <= 2 * _plain_steps(p, _state(**regs))
 
 
