@@ -299,8 +299,8 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
         # sample register values for the registers each program actually uses
         cfgs = [cfg._replace(reg_pool=tuple(sorted(used_registers(p))) or cfg.reg_pool)
                 for p in programs]
-        # the verdict of the all-UV run and the range run depends on the program only
-        hopeless = [no_input_terminates(p, c, fuel) for p, c in zip(programs, cfgs)]
+        # the range run's verdict depends on the program only
+        hopeless = [no_input_terminates(p, c) for p, c in zip(programs, cfgs)]
         count = 0
         while True:
             progress = False

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import islice, repeat
+from functools import reduce
+from itertools import islice, product, repeat
+from math import prod
 from typing import Iterator, Optional
 
 from .ir import (
@@ -34,6 +36,7 @@ from .ir import (
     SKIP,
     UV,
     Store,
+    _subterms,
     wf_program,
 )
 from .interp import State, Term, advance, run_seq, step_seq
@@ -284,6 +287,19 @@ def _cells(a, n: int) -> range:
     return range(a[0], min(a[1], n - 1) + 1)
 
 
+def _box(inst: Inst, regs: dict, n: int) -> Optional[list]:
+    """The register files of single values that together stand for `regs`
+    at the registers `inst` reads, if each of those is a finite range, an
+    `FP` or a `UV` and the files are at most `n`; else None."""
+    names = {x.name for x in _subterms(inst) if type(x) is Reg}
+    vals = [regs.get(r, UV) for r in names]
+    if any(v is _TOP or type(v) is tuple and v[1] == _INF for v in vals) or prod(
+            v[1] - v[0] + 1 if type(v) is tuple else 1 for v in vals) > n:
+        return None
+    axes = [map(_point, range(v[0], v[1] + 1)) if type(v) is tuple else (v,) for v in vals]
+    return [dict(zip(names, pt)) for pt in product(*axes)]
+
+
 def _over(f, r1: dict, m1: tuple, r2: dict, m2: tuple) -> tuple:
     """`f` applied to each register (a missing one is UV) and each memory
     cell of two abstract states, in pairs."""
@@ -297,9 +313,11 @@ def _never_terminates(p: Program, root: tuple, budget: int) -> tuple[bool, int]:
     taken. `root` is a pc, abstract registers (a missing one is UV) and
     memory, and a concrete stack.
 
-    The run is a tree. A branch whose condition may be zero and may not
-    forks both ways, and no value is refined by the way taken. A path ends
-    where the step is surely stuck (a condition, address or call target
+    The run is a tree. A branch whose condition may be zero and may not is
+    settled point by point, one step a point, where the steps left cover
+    the box of the registers it reads (`_box`); if it still may be either,
+    it forks both ways, and no value is refined by the way taken. A path
+    ends where the step is surely stuck (a condition, address or call target
     that surely is not a valid one); it gives the proof up at a call target
     that may be a function pointer but is not one for sure, and at a `ret`
     on the empty stack. At a block entry, a path that is back at the pc of
@@ -313,7 +331,9 @@ def _never_terminates(p: Program, root: tuple, budget: int) -> tuple[bool, int]:
     # states at its pc whose registers and memory it stands for. Each value
     # a step computes, and each value a step that is not stuck loads, is one
     # the abstract step's stands for, and each branch decision is a way the
-    # tree takes; so a run from a state the root stands for, with the root's
+    # tree takes (a condition reads only registers, and `_aeval` is exact on
+    # points, so the join of its values over their box stands for each value
+    # it takes); so a run from a state the root stands for, with the root's
     # stack, follows a path of the tree from the root, with the same stack,
     # until the path ends. The root's stack is exact, so a path may pop
     # entries below the root: it returns where the run does. Where the path
@@ -357,6 +377,9 @@ def _never_terminates(p: Program, root: tuple, budget: int) -> tuple[bool, int]:
                 continue
             elif t is Branch:
                 c = _aeval(inst.cond, regs)
+                if c == (0, 1) and (points := _box(inst, regs, left)) is not None:
+                    left -= len(points)
+                    c = reduce(_ajoin, [_aeval(inst.cond, pt) for pt in points])
                 if c is not _TOP and type(c) is not tuple:
                     break  # stuck
                 taken, falls = (True, True) if c is _TOP else (c[1] > 0, c[0] == 0)
@@ -403,12 +426,6 @@ def _never_terminates(p: Program, root: tuple, budget: int) -> tuple[bool, int]:
     return True, budget - left
 
 
-def _all_uv_run(p: Program, cfg: GenConfig, fuel: int):
-    """The sequential run from the all-UV state: every register and memory
-    cell undefined."""
-    return run_seq(p, State(PC(0, 0), {}, (UV,) * cfg.mem_len), fuel)
-
-
 def _drawn(cfg: GenConfig) -> tuple:
     """The root that stands for every state `gen_state` may draw: a pool
     register or a memory cell is any natural up to `cfg.max_const`, any
@@ -417,20 +434,10 @@ def _drawn(cfg: GenConfig) -> tuple:
     return PC(0, 0), dict.fromkeys(cfg.reg_pool, drawn), (drawn,) * cfg.mem_len, ()
 
 
-def no_input_terminates(p: Program, cfg: GenConfig, fuel: int) -> bool:
-    """True if no state `gen_state` may draw terminates within `fuel`: the
-    run from the all-UV state runs out of fuel, or it is stuck and
-    `_never_terminates` proves that none of those states ever terminates."""
-    # The all-UV run is sound because evaluation is monotone in UV:
-    # operators and `Cond` give UV on any UV operand or condition, so a
-    # value the all-UV run computes is computed alike by every input. A step
-    # is stuck on a UV branch condition, call target or address, so an
-    # all-UV run that reaches fuel took every control decision and bounds
-    # check on such values, and every input repeats it step for step into
-    # the same fuel-out. By the same token, every input terminates if it does.
-    status = _all_uv_run(p, cfg, fuel).status
-    return status == "fuel" or (status == "stuck"
-                                and _never_terminates(p, _drawn(cfg), _ABSTRACT_STEPS)[0])
+def no_input_terminates(p: Program, cfg: GenConfig) -> bool:
+    """True if no state `gen_state` may draw ever terminates, as
+    `_never_terminates` proves from the root that stands for them all."""
+    return _never_terminates(p, _drawn(cfg), _ABSTRACT_STEPS)[0]
 
 
 def gen_safe_input(
@@ -444,16 +451,17 @@ def gen_safe_input(
     """A random initial state whose sequential run terminates cleanly within
     `fuel` steps, or None if rejection sampling runs out of attempts.
 
-    Early rejection: if `no_input_terminates(p, cfg, fuel)` (passed in as
+    Early rejection: if `no_input_terminates(p, cfg)` (passed in as
     `hopeless` by a caller that samples the same program again), the
-    attempts' states are drawn and discarded and the result is None. Each
-    attempt's run (`_terminates`) stops at its first repeated state, and at
-    a loop that the range run `_never_terminates` proves endless; it does
-    not step on to `fuel`. The result and the rng's position are those of
+    attempts' states are drawn and discarded and the result is None; a
+    program it does not prove only has its draws run, with the same stream.
+    Each attempt's run (`_terminates`) stops at its first repeated state,
+    and at a loop that the range run `_never_terminates` proves endless; it
+    does not step on to `fuel`. The result and the rng's position are those of
     the plain loop that runs each attempt to `fuel`.
     """
     if hopeless is None:
-        hopeless = no_input_terminates(p, cfg, fuel)
+        hopeless = no_input_terminates(p, cfg)
     if hopeless:  # draw the attempts' values, and build no state
         deque(islice(_draws(rng, cfg), attempts * (len(cfg.reg_pool) + cfg.mem_len)), 0)
         return None

@@ -287,8 +287,7 @@ def test_a_counter_loop_steps_to_the_fuel():
 
 @pytest.mark.parametrize("path", GEN, ids=[p.stem for p in GEN])
 def test_all_uv_runs_of_the_gen_corpus(path):
-    """The run of each generated program from the all-UV state, as the
-    all-UV check of `fuzz-*` runs it."""
+    """The run of each generated program from the all-UV state."""
     p = parse_program(path.read_text())
     s = State(PC(0, 0), {}, (UV,) * GenConfig().mem_len)
     seq = partial(step_seq, p)

@@ -1,7 +1,8 @@
 """`gen._terminates`: the sequential run's `term` verdict, stopped early at
 the first repeated or pumped state, or at a loop that the range run
 `_never_terminates` proves endless from its changing values, widened to
-ranges; and the all-UV check of `fuzz-*` corpus runs.
+ranges; and the proof, from every drawn input, that a `fuzz-*` corpus
+program is hopeless.
 
 It must agree with `run_seq(p, s, fuel).status == "term"` at every fuel,
 reject plain loops, unbounded recursion and loops that only grow a counter
@@ -17,9 +18,9 @@ import pytest
 
 import specibt.gen as gen
 from conftest import invoke
-from specibt.gen import GenConfig, _terminates, gen_program, gen_state
+from specibt.gen import GenConfig, _drawn, _terminates, gen_program, gen_state
 from specibt.interp import Next, State, run_seq, step_seq
-from specibt.ir import PC, UV
+from specibt.ir import PC, used_registers
 from specibt.textio import parse_program
 
 JUMP_LOOP = """
@@ -287,7 +288,7 @@ def test_widening_never_rejects_a_terminating_loop(text, regs, steps):
     assert len(steps) <= 2 * _plain_steps(p, _state(**regs))
 
 
-ALL_UV_CORPUS = {
+CORPUS = {
     "loop.mir": JUMP_LOOP,
     "rare.mir": RARE_SAFE,
     "count.mir": COUNTER_LOOP,
@@ -295,19 +296,19 @@ ALL_UV_CORPUS = {
 }
 
 
-def test_corpus_all_uv_check_runs_once_per_program(tmp_path, monkeypatch):
-    for name, text in ALL_UV_CORPUS.items():
+def test_corpus_hopeless_proof_runs_once_per_program(tmp_path, monkeypatch):
+    for name, text in CORPUS.items():
         (tmp_path / name).write_text(text)
-    all_uv = []
-    real = gen.run_seq
+    proofs = []
+    real = gen._never_terminates
 
-    def counted(p, s, fuel):
-        if not s.regs and all(v is UV for v in s.mem):
-            all_uv.append(p)
-        return real(p, s, fuel)
+    def counted(p, root, budget):
+        pool = tuple(sorted(used_registers(p))) or GenConfig().reg_pool
+        if root == _drawn(GenConfig(reg_pool=pool)):
+            proofs.append(id(p))
+        return real(p, root, budget)
 
-    monkeypatch.setattr(gen, "run_seq", counted)
+    monkeypatch.setattr(gen, "_never_terminates", counted)
     res = invoke(["fuzz-bcc", "--corpus", str(tmp_path), "--seed", "1", "--runs", "8"])
     assert res.exit_code == 0, res.output
-    assert len(all_uv) == len(ALL_UV_CORPUS)
-    assert len(set(map(id, all_uv))) == len(ALL_UV_CORPUS)
+    assert len(proofs) == len(set(proofs)) == len(CORPUS)
