@@ -239,17 +239,17 @@ class _Parted(Record):
 def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
     """`p` under the speculative semantics and its linearization `mc` in
     lockstep, under machine directives mapped to the source level. A state
-    is a `Lockstep`: both levels' states and the steps taken modulo 5; an
-    observation is the pair of both levels' observations, the source's
-    mapped to machine addresses. A step on which the levels disagree ends
-    the run with `_Parted`; the state relation is checked after the first
-    step and every fifth one after it, from phase 0. At a prediction point
-    the machine's `OutOfDirectives` is returned, so the correct directive
-    is the machine's."""
+    is a `Lockstep` of both levels' states; an observation is the pair of
+    both levels' observations, the source's mapped to machine addresses. A
+    step on which the levels disagree ends the run with `_Parted`, and so
+    does one after which they do not relate (`state_rel`), so they relate
+    at every state a run reaches past its first. At a prediction point the
+    machine's `OutOfDirectives` is returned, so the correct directive is
+    the machine's."""
     lay = mc.lay
 
     def step(s, d: Optional[Directive]):
-        sp, sc, i = s
+        sp, sc = s
         d_mir = None if d is None else map_directive_mc_to_mir(d, lay)
         if d is not None and d_mir is None:
             return _Parted("inconclusive", "machine directive has no source counterpart")
@@ -270,9 +270,9 @@ def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
         obs = None if o1 is None and o2 is None else (o1, o2)
         if o1 != o2:
             return _Parted("counterexample", "observations diverge", obs)
-        if i == 0 and not state_rel(sp, sc, lay):
+        if not state_rel(sp, sc, lay):
             return _Parted("counterexample", "state relation broken", obs)
-        return new(Next, (new(Lockstep, (sp, sc, (i + 1) % 5)), obs))
+        return new(Next, (new(Lockstep, (sp, sc)), obs))
 
     return Driver(step, McDriver(mc).calls)
 
@@ -292,8 +292,8 @@ def _parted(res: RunResult) -> Optional[Verdict]:
 def _lockstep(
     p: Program, s0: State, mc: McProgram, m0: State, budget: ExploreBudget
 ) -> Verdict:
-    """Explore `p` from `s0` and `mc` from `m0` in lockstep; the verdict of
-    the first directive sequence on which the two levels disagree, else a
-    pass. A machine directive with no block-level counterpart (a call into
-    the data section) is inconclusive."""
+    """Explore `p` from `s0` and `mc` from `m0`, which relates to `s0`, in
+    lockstep; the verdict of the first directive sequence on which the two
+    levels disagree, else a pass. A machine directive with no block-level
+    counterpart (a call into the data section) is inconclusive."""
     return _explored(explore(_lockstep_driver(p, mc), Lockstep(s0, m0), budget), _parted)

@@ -277,7 +277,7 @@ def cmd_attack(program, pair, target, depth, runs, fuel, cet):
             }))
             return
     print("no distinguishing directives within budget", file=sys.stderr)
-    sys.exit(1)
+    sys.exit(EXIT_INCONCLUSIVE)
 
 
 def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):

@@ -121,22 +121,23 @@ class State(Record):
 
 class Lockstep(Record):
     """A run state of a program and its machine code in lockstep: the state
-    of each level, and the steps taken modulo 5. The step from phase 0
-    checks the relation of the two states it makes
-    (`checks._lockstep_driver`). A checkpoint reads a run state's `pc` and
-    `stk`: here both levels' pcs with the phase, and the shorter stack."""
+    of each level. The levels relate (`relate.state_rel`) at every state a
+    lockstep run reaches: at its start, which `concretize_state` builds
+    from the source's, and after each step, which checks it
+    (`checks._lockstep_driver`) or ends the run. Related states have stacks
+    of equal length, so a checkpoint reads both levels' pcs as `pc` and
+    either level's stack as `stk`: the source's."""
 
     source: State
     machine: State
-    phase: int = 0
 
     @property
     def pc(self) -> tuple:
-        return self.source.pc, self.machine.pc, self.phase
+        return self.source.pc, self.machine.pc
 
     @property
     def stk(self) -> tuple:
-        return min(self.source.stk, self.machine.stk, key=len)
+        return self.source.stk
 
 
 # Each outcome names the run status it ends a run with.
@@ -463,7 +464,7 @@ Step = Callable[[State, Optional[Directive]], Outcome]
 def levels(s) -> tuple[State, ...]:
     """The `State`s of a run state: a `State` is its own one level, and a
     `Lockstep` state holds two."""
-    return (s,) if isinstance(s, State) else s[:2]
+    return (s,) if isinstance(s, State) else s
 
 
 def repeats(c, low: int, s) -> bool:
@@ -479,14 +480,13 @@ def repeats(c, low: int, s) -> bool:
     # for step, with the same observations, and pushes the same entries
     # onto `s`'s stacks; the correct directives, computed from the state,
     # repeat with it.
-    # A `Lockstep` step also reads both whole stacks when it checks the
-    # relation of its levels, from phase 0. But `c` is of phase 1 (see
-    # `advance`), as is `s`, whose pc holds the phase: the relation held at
-    # both. So both levels' stacks had equal lengths at `c`, and neither got
-    # shorter than its own there, since the shorter one, `stk`, did not;
-    # and the entries a period pushes above them relate, as many on each
-    # level. Every later check reads the stacks of the first period's with
-    # such entries inserted above `c`'s, and holds as that one did.
+    # A `Lockstep` step also reads both whole stacks: it checks the relation
+    # of the levels it makes, which holds at every state of the run (see
+    # `Lockstep`), `c` and `s` among them. So both levels' stacks are of one
+    # length throughout, and neither got shorter than at `c`, as `stk` did
+    # not; and the entries a period pushes above `c`'s relate, as many on
+    # each level. Every later check reads the first period's stacks with
+    # such related entries inserted above `c`'s, and holds as that one did.
     return low >= len(c.stk) and s.pc == c.pc and all(
         y.regs == x.regs and y.mem == x.mem and y.ct == x.ct and y.ms == x.ms
         for x, y in zip(levels(c), levels(s)))
@@ -503,23 +503,21 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
     stops out of directives or, with `follow`, appends the correct one to
     `dirs` and takes it.
 
-    The run is checked after every step against a checkpoint (Brent's
-    cycle detection), taken at the first run state it may be, and re-taken
-    so after 1, 2, 4, ... more steps: any `State`, and a `Lockstep` state
-    of phase 1, whose levels the step that made it checked for their
-    relation. When it `repeats`, the run takes at once as many whole
-    periods as the fuel allows and, without `follow`, as the next
-    directives of `dirs` repeat the period's, if it holds any: q periods
-    add q times the period's steps, observations and directives, and push
-    onto each level's stack q times the entries the period pushed there.
-    Then it steps on, so every result is that of the run stepped
-    throughout. A run given `endless` only asks whether it ends: it ends as
-    at the fuel when it repeats, and when `endless(c, s, steps)` holds for
-    a state `s` that is back at the checkpoint `c`'s pc, its stack never
-    shorter in between, but does not repeat it."""
+    The run is checked after every step against a checkpoint (Brent's cycle
+    detection), taken at the first run state and re-taken after 1, 2, 4, ...
+    more steps. When it `repeats`, the run takes at once as many whole
+    periods as the fuel allows and, without `follow`, as the next directives
+    of `dirs` repeat the period's, if it holds any: q periods add q times
+    the period's steps, observations and directives, and push onto each
+    level's stack q times the entries the period pushed there. Then it steps
+    on, so every result is that of the run stepped throughout. A run given
+    `endless` only asks whether it ends: it ends as at the fuel when it
+    repeats, and when `endless(c, s, steps)` holds for a state `s` that is
+    back at the checkpoint `c`'s pc, its stack never shorter in between, but
+    does not repeat it."""
     used, c, n, power = 0, None, steps, 0
     while True:
-        if steps - n >= power and (isinstance(s, State) or s.phase == 1):
+        if steps - n >= power:
             # the checkpoint, its steps, trace length and directives used,
             # the shortest stack since it, the steps it is kept for and its
             # pc's hash
@@ -561,7 +559,7 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
                 trace += trace[t:] * q
                 xs = [x._replace(stk=x.stk[: len(x.stk) - len(y.stk)] * q + x.stk)
                       for x, y in zip(levels(s), levels(c))]
-                s = xs[0] if isinstance(s, State) else Lockstep(*xs, s.phase)
+                s = xs[0] if isinstance(s, State) else Lockstep(*xs)
                 steps, used = steps + q * p, used + q * k
             elif endless is not None and endless(c, s, steps):
                 return None, s, steps

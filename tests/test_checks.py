@@ -6,6 +6,7 @@ import random
 import pytest
 
 from specibt.checks import (
+    _lockstep,
     _lockstep_driver,
     attack_search,
     check_bcc_linearize,
@@ -27,6 +28,7 @@ from specibt.interp import (
     DBranch,
     DCallMc,
     DCallMir,
+    Lockstep,
     Next,
     OCall,
     OLoad,
@@ -34,8 +36,8 @@ from specibt.interp import (
     State,
     run_spec,
 )
-from specibt.ir import PC
-from specibt.machine import concretize_state, linearize
+from specibt.ir import Asgn, Const, PC
+from specibt.machine import McProgram, concretize_state, linearize
 from specibt.textio import parse_program
 
 BUDGET = ExploreBudget(depth=3, max_sequences=500, fuel=300)
@@ -184,7 +186,7 @@ def test_lockstep_unmappable_directive_is_inconclusive():
     mc = linearize(p, 4)
     lay = mc.lay
     drv = _lockstep_driver(p, mc)
-    s = (sp, concretize_state(sp, lay), 0)
+    s = Lockstep(sp, concretize_state(sp, lay))
     assert isinstance(drv.step(s, None), OutOfDirectives)
     out = drv.step(s, DCallMc(0))
     assert out.status == "inconclusive"
@@ -193,6 +195,17 @@ def test_lockstep_unmappable_directive_is_inconclusive():
     out = drv.step(s, DCallMc(lay.addr(1)))
     assert isinstance(out, Next)
     assert out.obs == (OCall(lay.addr(1)), OCall(lay.addr(1)))
+
+
+def test_lockstep_checks_the_state_relation_at_every_step():
+    # the machine's `x <- 1` is `x <- 7`: the registers part for one step,
+    # and `x <- 2` heals them before any observation could differ
+    p = parse_program("entry a:\n  skip\n  x <- 1\n  x <- 2\n  ret\n")
+    s0 = spec_of(State(PC(0, 0), {}, (0,)))
+    mc = linearize(p, 1)
+    code = tuple(Asgn("x", Const(7)) if i == Asgn("x", Const(1)) else i for i in mc.code)
+    v = _lockstep(p, s0, McProgram(code, mc.lay), concretize_state(s0, mc.lay), BUDGET)
+    assert (v.status, v.reason, v.runs) == ("counterexample", "state relation broken", 1)
 
 
 def test_bcc_linearize_fuzzed():

@@ -227,7 +227,7 @@ def test_attack_btb_on_a_program_the_pass_rejects_exits_5(tmp_path, text):
     assert res.stderr.startswith("side condition violated: ")
     # auto attacks the program as given instead, and searches its budget
     res = invoke(["attack", "--target", "auto", program, PAIR])
-    assert res.exit_code == 1
+    assert res.exit_code == 3
     assert "no distinguishing directives" in res.stderr
 
 
@@ -238,7 +238,7 @@ def test_attack_hardened_finds_nothing(tmp_path):
     # program as given, finds no distinguishing directives
     res = invoke(["attack", "--target", "pht", str(hardened), PAIR, "--depth", "4",
                   "--runs", "3000"])
-    assert res.exit_code == 1
+    assert res.exit_code == 3
     assert "no distinguishing directives" in res.output
 
 
@@ -268,7 +268,7 @@ def test_check_forks_deeper_than_the_recursion_limit(deep_loop, prop):
 def test_attack_forks_deeper_than_the_recursion_limit(deep_loop):
     prog, pair, _ = deep_loop
     res = invoke(["attack", "--target", "pht", prog, pair, *DEEP])
-    assert res.exit_code == 1
+    assert res.exit_code == 3
     assert "no distinguishing directives within budget" in res.output
 
 

@@ -39,8 +39,8 @@ OBSERVATIONS = (OLoad, OStore, OBranch, OCall)
 
 def _check_state(s) -> None:
     if type(s) is Lockstep:
-        assert len(s) == 3 and isinstance(s.phase, int)
-        for level in s[:2]:
+        assert len(s) == 2
+        for level in s:
             _check_state(level)
     else:
         assert type(s) is State and len(s) == 6

@@ -15,14 +15,14 @@ prediction point take their periods too: a `jump` loop, loops with loads
 and stores, a branch loop under seq, the all-UV runs of `bench/gen_corpus`
 and a loop after the last directive; a counter loop never repeats.
 
-The lockstep of `check linearize` steps `Lockstep` product states, which
-repeat only at phase 1, after a check of the state relation: every walk
-item and run of the lockstep driver must equal the plain loop's too, on a
-branch that spins forever, hardened Listing 1, the `fuzz-linearize` inputs
-of `bench/gen_corpus`, a recursion, a loop whose period is not a multiple
-of 5, calls whose states repeat only below the checkpoint's stack, and
-machine code whose recursion pushes return addresses unrelated to the
-source's, which the stepped run catches one period later.
+The lockstep of `check linearize` steps `Lockstep` product states, whose
+levels every step checks for the state relation: every walk item and run
+of the lockstep driver must equal the plain loop's too, on a branch that
+spins forever, hardened Listing 1, the `fuzz-linearize` inputs of
+`bench/gen_corpus`, a recursion, a loop of three steps at each level,
+calls whose states repeat only below the checkpoint's stack, and machine
+code that would push return addresses unrelated to the source's, which
+the run catches before the push.
 """
 
 import json
@@ -379,9 +379,9 @@ def test_fuzz_linearize_inputs_of_the_gen_corpus(case):
 
 
 # Each call pushes a return address and lands on the entry's ctarget: two
-# steps a period at each level, ten for the product with its phase.
+# steps a period at each level and for the product.
 RECURSION = parse_program("entry a:\n  ctarget\n  call &a\n  ret\n")
-# three steps a period at each level, fifteen for the product
+# three steps a period at each level and for the product
 LOOP3 = parse_program("entry a:\n  jump b\nblock b:\n  load x, 0\n"
                       "  store 0, (x + 1)\n  jump b\n")
 
@@ -399,9 +399,9 @@ def test_periods_that_push_or_are_not_a_multiple_of_5_in_lockstep(p):
         assert all(len(r.state.source.stk) > 100 for r in cut)
 
 
-# `f` returns at once: the product states at `f` repeat, phase included,
-# every fifth call, but the stack dropped below them in between; the run
-# ends when `main` returns.
+# `f` returns at once: the product states at `f` repeat at every call,
+# but the stack dropped below them in between; the run ends when `main`
+# returns.
 CALLS_CT = parse_program("entry main:\n" + "  call &f\n" * 40 + "  ret\n"
                          "entry f:\n  ctarget\n  ret\n")
 
@@ -413,14 +413,13 @@ def test_a_product_state_repeated_below_the_checkpoint_is_no_repeat(fuel):
     assert [r.status for _, r in walked] == ["fuel" if fuel < 121 else "term"]
 
 
-def test_unrelated_return_addresses_are_caught_one_period_later():
+def test_unrelated_return_addresses_are_caught_before_the_push():
     """Machine code in which `b`'s last skip jumps to a copy of its call
-    past the laid-out code, so each call pushes a return address that
-    relates to no source pc. The pcs part only at the call, and the
-    relation is checked two steps after `b`'s entry, before each push: the
-    product state at `b`'s first skip repeats, phase included, one period
-    after `a`'s call, but it was not checked. The check one period on reads
-    the pushed entry, and the run must end there, as stepped."""
+    past the laid-out code, so each call would push a return address that
+    relates to no source pc. The pcs part at that jump, the 18th step, and
+    the check of the relation after it ends the run there, 17 steps taken,
+    as stepped: before the copied call pushes anything, and before any
+    product state repeats."""
     p = parse_program("entry a:\n" + "  skip\n" * 13 + "  call &b\n  ret\n"
                       "entry b:\n  ctarget\n  skip\n  skip\n  skip\n  call &b\n  ret\n")
     mc = linearize(p, 1)
@@ -430,4 +429,4 @@ def test_unrelated_return_addresses_are_caught_one_period_later():
     walked = _lockstep_check(p, State(PC(0, 0), {}, (0,)), ExploreBudget(0, 10, 1000),
                              (20, 21, 1000), McProgram(code, mc.lay))
     (_, r), = walked
-    assert (r.status, r.reason, r.steps) == ("counterexample", "state relation broken", 20)
+    assert (r.status, r.reason, r.steps) == ("counterexample", "state relation broken", 17)

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from specibt.explore import ExploreBudget
+from specibt.explore import Driver
 from specibt.interp import Fault, Lockstep, Next, OLoad, OStore
 from specibt.ir import PC, Block, Code, Program, Record
 
@@ -72,7 +72,7 @@ def test_equality_examples():
 def test_former_named_tuples_compare_only_within_their_class():
     # `Lockstep` and `Next` were tuples that equalled any record of their
     # fields from their own side, and shared its dict entries
-    for r, twin in ((Lockstep(1, 2, 3), ExploreBudget(1, 2, 3)), (Next(1, 2), PC(1, 2))):
+    for r, twin in ((Lockstep(1, 2), Driver(1, 2)), (Next(1, 2), PC(1, 2))):
         assert r != twin and twin != r and not r == twin and not twin == r
         assert {r: "y"}.get(twin) is None and {twin: "y"}.get(r) is None
 
