@@ -186,7 +186,8 @@ def check_relative_security(
     cfg: PassConfig = FULL,
 ) -> Verdict:
     """Sequentially indistinguishable inputs stay indistinguishable under
-    speculation of the hardened (and optionally linearized) program."""
+    speculation of the hardened (and optionally linearized) program, with
+    CET modelled at either level where the pass inserted landing pads."""
     if pipeline not in ("hardened-only", "end-to-end"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if len(s1.mem) != len(s2.mem):
@@ -208,9 +209,9 @@ def check_relative_security(
         return _verdict(runs, found, "speculative traces distinguish the inputs")
     mc = linearize(hp, len(s1.mem))
     runs, found = _diverge(
-        McDriver(mc),
+        McDriver(mc, cet),
         concretize_state(h1, mc.lay),
-        partial(run_mc, mc),
+        partial(run_mc, mc, cet=cet),
         concretize_state(h2, mc.lay),
         budget,
     )
@@ -237,15 +238,15 @@ class _Parted(Record):
 
 
 def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
-    """`p` under the speculative semantics and its linearization `mc` in
-    lockstep, under machine directives mapped to the source level. A state
-    is a `Lockstep` of both levels' states; an observation is the pair of
-    both levels' observations, the source's mapped to machine addresses. A
-    step on which the levels disagree ends the run with `_Parted`, and so
-    does one after which they do not relate (`state_rel`), so they relate
-    at every state a run reaches past its first. At a prediction point the
-    machine's `OutOfDirectives` is returned, so the correct directive is
-    the machine's."""
+    """`p` under the speculative semantics and its linearization `mc`, both
+    with cet on, in lockstep, under machine directives mapped to the source
+    level. A state is a `Lockstep` of both levels' states; an observation is
+    the pair of both levels' observations, the source's mapped to machine
+    addresses. A step on which the levels disagree ends the run with
+    `_Parted`, and so does one after which they do not relate
+    (`state_rel`), so they relate at every state a run reaches past its
+    first. At a prediction point the machine's `OutOfDirectives` is
+    returned, so the correct directive is the machine's."""
     lay = mc.lay
 
     def step(s, d: Optional[Directive]):
@@ -253,7 +254,7 @@ def _lockstep_driver(p: Program, mc: McProgram) -> Driver:
         d_mir = None if d is None else map_directive_mc_to_mir(d, lay)
         if d is not None and d_mir is None:
             return _Parted("inconclusive", "machine directive has no source counterpart")
-        out_mc = step_mc(mc, sc, d)
+        out_mc = step_mc(mc, sc, d, cet=True)
         out_mir = step_spec(p, sp, d_mir, cet=True)
         if isinstance(out_mir, Stuck):
             return _Parted("inconclusive", "source speculative run is stuck")

@@ -80,11 +80,11 @@ def IdealDriver(p: Program) -> Driver:
     return Driver(lambda s, d: step_ideal(p, s, d), _mir_calls(p))
 
 
-def McDriver(mc: McProgram) -> Driver:
+def McDriver(mc: McProgram, cet: bool = True) -> Driver:
     """Speculative flat-machine execution."""
     lay = mc.lay
     calls = tuple(DCallMc(lay.pc_addr(pc)) for pc in _call_pcs(lay.sizes))
-    return Driver(lambda s, d: step_mc(mc, s, d), calls)
+    return Driver(lambda s, d: step_mc(mc, s, d, cet), calls)
 
 
 def explore(

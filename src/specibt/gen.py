@@ -344,8 +344,7 @@ def _never_terminates(p: Program, root: tuple, budget: int) -> tuple[bool, int]:
     # pushed within it, and the run follows it on with its own stack beneath
     # them. The one step that terminates, a `ret` at the empty stack, gives
     # the proof up, so no run reaches it. The values, stacks and pcs are
-    # those of `interp.compile_rule` and `interp._compile` under the
-    # sequential semantics.
+    # those of `interp.compile_rule` under the sequential semantics.
     blocks, left = p.blocks, budget
     # states to run, each with the length its path is cut back to
     todo = [(*root, 0)]

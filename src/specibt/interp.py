@@ -7,11 +7,12 @@ the sequential one plus attacker directives at branches and calls, and the
 ideal semantics is the speculative one plus masking and call-target
 validation. Every rule is implemented once and takes the layers as policy
 flags; `step_seq`, `step_spec` and `step_ideal` select them. The machine
-semantics is the speculative one with cet on, over code addresses, where
-an unset register reads 0: `compile_rule` compiles every instruction but
-call, and `_compile_expr` every expression, for both levels, while
-`_compile` adds the block-level call. A load or store past the end of
-memory is stuck at both levels, with a reason that differs in one phrase.
+semantics is the speculative one, with cet on or off as `step_spec` takes
+it, over code addresses, where an unset register reads 0: `compile_rule`
+compiles every instruction, and `_compile_expr` every expression, for both
+levels. A level supplies what a call target value names (`_calls`), and a
+load or store past the end of memory is stuck at both levels, with a
+reason that differs in one phrase.
 A run compiles each instruction it reaches to a closure once per program
 (Feeley and Lapalme, "Using closures for code generation", 1987). A closure
 builds its successor `State`, its `Next` and its observation by
@@ -32,7 +33,7 @@ All step functions are pure; states are immutable snapshots.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Collection, Optional, Sequence, Union
 
 from .ir import (
     UV,
@@ -284,12 +285,16 @@ Rule = Callable[[State, Optional[Directive]], Outcome]
 
 
 def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
-                 sem: Sem, unset: Value, outside: str) -> Rule:
-    """The rule of `inst` under `sem`, if it is not a call, at either level:
-    `nxt` is its fall-through pc, `to` its jump or branch target pc, an
-    unset register reads `unset`, and `outside` names, in a stuck reason, a
-    load or store address past the end of memory. Only call differs between
-    the levels."""
+                 sem: Sem, unset: Value, outside: str,
+                 callee: Callable[[Value], Any], entries: Collection) -> Rule:
+    """The rule of `inst` under `sem`, at either level: `nxt` is its
+    fall-through pc, `to` its jump or branch target pc, an unset register
+    reads `unset`, and `outside` names, in a stuck reason, a load or store
+    address past the end of memory. A call asks `callee` what its target
+    value names: the call's prediction point and `OCall` observation, or the
+    `Stuck` outcome of a call to it. `entries` are the pcs of the function
+    entries, which a sequential or ideal call must take: those semantics,
+    whose masked call target is &0, exist at block level only."""
     spec, ideal, cet = sem
     rct = spec and not ideal  # the semantics reads `ct`
     if isinstance(inst, (Skip, Jump, CTarget)):
@@ -342,6 +347,26 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
             mem = mem[:a] + (value(regs),) + mem[a + 1 :]
             return new(Next, (new(State, (nxt, regs, mem, s.stk, rct and s.ct, ms)),
                               new(OStore, (a,))))
+    elif isinstance(inst, Call):
+        target, fp0 = _compile_expr(inst.target, unset), FP(0)
+        def rule(s, d):
+            ms, ct = spec and s.ms, rct and s.ct
+            named = callee(fp0 if ideal and ms else target(s.regs))
+            if type(named) is Stuck:
+                return named
+            point, obs = named
+            pc2 = point.correct[0]
+            if spec:
+                if d is None:
+                    return point
+                if type(d) is not type(point.correct):
+                    return DirectiveMismatch("call instruction needs a call directive")
+                if ideal and d[0] not in entries:
+                    return Fault(obs)
+                ms, ct, pc2 = ms or d[0] != pc2, cet, d[0]
+            elif pc2 not in entries:
+                return Stuck(f"call target &{obs[0]} is not a function entry")
+            return new(Next, (new(State, (pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms)), obs))
     elif isinstance(inst, Ret):
         def rule(s, d):
             stk = s.stk
@@ -354,45 +379,19 @@ def compile_rule(inst: Inst, nxt: Union[PC, int], to: Optional[Union[PC, int]],
     return rule
 
 
-def _compile(p: Program, sem: Sem, l: int, o: int) -> Rule:
-    """The rule of instruction `o` of block `l` under `sem`. Its entry point,
-    `_step`, has checked the pc and the armed ctarget check."""
-    inst, nxt = p.blocks[l].insts[o], PC(l, o + 1)
-    if not isinstance(inst, Call):
-        to = PC(inst.target, 0) if isinstance(inst, (Jump, Branch)) else None
-        return compile_rule(inst, nxt, to, sem, UV, "out of bounds")
-    spec, ideal, cet = sem
-    rct = spec and not ideal  # the semantics reads `ct`
-    target, blocks, fp0 = _compile_expr(inst.target, UV), p.blocks, FP(0)
-    entries = {PC(t, 0) for t, b in enumerate(blocks) if b.insts and b.is_entry}
-    # the prediction point of a call to each block label, built once
-    points = p.compiled.get("calls") or p.compiled.setdefault("calls", tuple(
-        OutOfDirectives(DCallMir(PC(t, 0))) for t in range(len(blocks))))
-    def rule(s, d):
-        ms = spec and s.ms
-        v = fp0 if ideal and ms else target(s.regs)
+def _calls(p: Program) -> tuple[Callable[[Value], Any], set[PC]]:
+    """What a call target value names at block level, and the function
+    entries: a function pointer, even past the last block, names the
+    prediction point and observation of a call to its label, built the first
+    time a call reaches it; any other value is stuck."""
+    named: dict[int, tuple[OutOfDirectives, OCall]] = {}
+    def callee(v):
         if not isinstance(v, FP):
             return Stuck("call target is not a function pointer")
-        t, ct = v.label, rct and s.ct
-        if spec:
-            if d is None:
-                if 0 <= t < len(points):
-                    return points[t]
-                return OutOfDirectives(DCallMir(PC(t, 0)))
-            if not isinstance(d, DCallMir):
-                return DirectiveMismatch("call instruction needs a call directive")
-            pc2 = d.target
-            if ideal and pc2 not in entries:
-                return Fault(new(OCall, (t,)))
-            ms = ms or pc2 != PC(t, 0)
-            ct = cet
-        else:
-            if not (0 <= t < len(blocks) and blocks[t].is_entry):
-                return Stuck(f"call target &{t} is not a function entry")
-            pc2 = points[t].correct.target
-        return new(Next, (new(State, (pc2, s.regs, s.mem, (nxt,) + s.stk, ct, ms)),
-                          new(OCall, (t,))))
-    return rule
+        t = v.label
+        return named.get(t) or named.setdefault(
+            t, (OutOfDirectives(DCallMir(PC(t, 0))), OCall(t)))
+    return callee, {PC(t, 0) for t, b in enumerate(p.blocks) if b.insts and b.is_entry}
 
 
 def _step(p: Program, s: State, d: Optional[Directive], sem: Sem) -> Outcome:
@@ -411,7 +410,10 @@ def _step(p: Program, s: State, d: Optional[Directive], sem: Sem) -> Outcome:
     if sem is SPEC_CET and s.ct and not isinstance(p.blocks[l].insts[o], CTarget):
         return FAULT
     if rule is None:
-        rule = code[l][o] = _compile(p, sem, l, o)
+        inst, nxt = p.blocks[l].insts[o], PC(l, o + 1)
+        to = PC(inst.target, 0) if isinstance(inst, (Jump, Branch)) else None
+        calls = p.compiled.get("calls") or p.compiled.setdefault("calls", _calls(p))
+        rule = code[l][o] = compile_rule(inst, nxt, to, sem, UV, "out of bounds", *calls)
     return rule(s, d)
 
 

@@ -7,8 +7,8 @@ labels in jumps, branches and function-pointer constants absolute
 addresses, so machine code carries the layout that fixed them; machine
 values are plain naturals. A machine state is an
 `interp.State` whose pc and return stack are code addresses. The machine
-rules are interp's speculative rules with cet on, except for call, which
-checks the code section itself.
+rules are interp's speculative rules, with cet on or off as at block
+level; a call target names a point only inside the code section.
 
 A machine state's memory is its data section: `concretize_state` keeps the
 `len(s.mem)` cells of the block-level state `s`, and every caller
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import bisect
 from itertools import accumulate
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .ir import (
     UV,
     Branch,
-    Call,
     Const,
     Code,
     CTarget,
@@ -43,22 +42,18 @@ from .ir import (
     Value,
 )
 from .interp import (
+    SPEC,
     SPEC_CET,
     DCallMc,
     Directive,
-    DirectiveMismatch,
     FAULT,
-    Next,
     OCall,
     Outcome,
     OutOfDirectives,
-    Rule,
     RunResult,
     State,
     Stuck,
-    _compile_expr,
     compile_rule,
-    new,
     run,
 )
 
@@ -99,8 +94,8 @@ class McProgram(Code):
     """Machine `code` (a tuple of instructions) with the layout `lay` that
     `linearize` laid it out by: the code starts at address `lay.data_len`,
     after the data section. The rules compiled from the instructions are
-    kept by address, and the prediction points of calls under "calls"
-    (`step_mc`)."""
+    kept by offset into the code under `cet`, True or False, and what call
+    targets name under "calls" (`step_mc`)."""
 
     __slots__ = _fields = ("code", "lay")
 
@@ -145,56 +140,47 @@ def linearize(p: Program, data_len: int) -> McProgram:
 # naturals
 
 
-def _compile_mc(mc: McProgram, pc: int) -> Rule:
-    """The rule of the instruction at address `pc`: that of the speculative
-    block-structured semantics with cet on, over absolute addresses, where
-    an unset register reads 0. Only call has a rule of its own here, which
-    checks the code section; interp's `compile_rule` compiles every other
-    instruction. The entry point, `step_mc`, has checked the pc and the
-    armed ctarget check, so `ct` is clear, or the instruction is the
-    ctarget clearing it."""
-    data_len = mc.lay.data_len
-    inst, nxt, end = mc.code[pc - data_len], pc + 1, data_len + len(mc.code)
-    if not isinstance(inst, Call):
-        to = inst.target if isinstance(inst, (Jump, Branch)) else None
-        return compile_rule(inst, nxt, to, SPEC_CET, 0, "outside data section")
-    target = _compile_expr(inst.target, 0)
-    # the prediction point of a call to each code address, built once
-    points = mc.compiled.get("calls") or mc.compiled.setdefault("calls", tuple(
-        OutOfDirectives(DCallMc(a)) for a in range(data_len, end)))
-    def rule(s, d):
-        t = target(s.regs)
-        if not data_len <= t < end:
-            return Stuck(f"call target {t} outside code section")
-        if d is None:
-            return points[t - data_len]
-        if not isinstance(d, DCallMc):
-            return DirectiveMismatch("call instruction needs a call directive")
-        a = d.addr
-        state = new(State, (a, s.regs, s.mem, (nxt,) + s.stk, True, s.ms or a != t))
-        return new(Next, (state, new(OCall, (t,))))
-    return rule
+def _calls(mc: McProgram) -> Callable[[int], Any]:
+    """What a call target value names in machine code: an address in the
+    code section names the prediction point and observation of a call to
+    it, built the first time a call reaches it; any other value is stuck."""
+    start, named = mc.lay.data_len, {}
+    def callee(v):
+        if not start <= v < start + len(mc.code):
+            return Stuck(f"call target {v} outside code section")
+        return named.get(v) or named.setdefault(v, (OutOfDirectives(DCallMc(v)), OCall(v)))
+    return callee
 
 
-def step_mc(mc: McProgram, s: State, d: Optional[Directive] = None) -> Outcome:
-    """One speculative machine step: the rule of the instruction at the pc,
-    compiled the first time a run reaches it and kept on the program."""
-    pc = s.pc
-    try:
-        rule = mc.compiled[pc]
-    except KeyError:  # not reached before, or outside the code
-        if not 0 <= pc - mc.lay.data_len < len(mc.code):
-            return Stuck("pc outside code section")
-        rule = mc.compiled[pc] = _compile_mc(mc, pc)
-    if s.ct and not isinstance(mc.code[pc - mc.lay.data_len], CTarget):
+def step_mc(
+    mc: McProgram, s: State, d: Optional[Directive] = None, cet: bool = True
+) -> Outcome:
+    """One speculative machine step, with `cet` as `step_spec` takes it: the
+    rule of the instruction at the pc, compiled by `compile_rule`, where an
+    unset register reads 0, the first time a run reaches it, and kept on the
+    program. No call is sequential or ideal, so no pc is a function entry."""
+    code = mc.compiled.get(cet)
+    if code is None:
+        code = mc.compiled[cet] = [None] * len(mc.code)
+    i = s.pc - mc.lay.data_len
+    if not 0 <= i < len(code):
+        return Stuck("pc outside code section")
+    if cet and s.ct and not isinstance(mc.code[i], CTarget):
         return FAULT
+    rule = code[i]
+    if rule is None:
+        inst = mc.code[i]
+        to = inst.target if isinstance(inst, (Jump, Branch)) else None
+        calls = mc.compiled.get("calls") or mc.compiled.setdefault("calls", _calls(mc))
+        rule = code[i] = compile_rule(inst, s.pc + 1, to, SPEC_CET if cet else SPEC, 0,
+                                      "outside data section", calls, ())
     return rule(s, d)
 
 
 def run_mc(
-    mc: McProgram, s: State, directives: Sequence[Directive], fuel: int
+    mc: McProgram, s: State, directives: Sequence[Directive], fuel: int, cet: bool = True
 ) -> RunResult:
-    return run(lambda s, d: step_mc(mc, s, d), s, directives, fuel)
+    return run(lambda s, d: step_mc(mc, s, d, cet), s, directives, fuel)
 
 
 # --------------------------------------------------------------------------

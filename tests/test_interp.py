@@ -148,6 +148,14 @@ def test_seq_call_requires_function_pointer():
     assert isinstance(step_seq(TWO_FUN, seq({})), Stuck)
 
 
+def test_an_empty_entry_block_is_no_function_entry_at_seq_or_ideal():
+    # the parser rejects empty blocks; built by hand, one is no call target
+    p = Program((Block((Call(FpConst(1)), RET), is_entry=True), Block((), is_entry=True)))
+    s = seq({})
+    assert step_seq(p, s) == Stuck("call target &1 is not a function entry")
+    assert step_ideal(p, s, DCallMir(PC(1, 0))) == Fault(OCall(1))
+
+
 def test_seq_ret_on_empty_stack_terminates():
     s = State(PC(0, 1), {}, (0,))
     assert isinstance(step_seq(TWO_FUN, s), Term)

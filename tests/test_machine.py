@@ -8,6 +8,7 @@ from specibt.gen import GenConfig, gen_state, spec_of
 from specibt.interp import (
     DBranch,
     DCallMc,
+    DCallMir,
     Fault,
     Next,
     OCall,
@@ -15,6 +16,7 @@ from specibt.interp import (
     OStore,
     State,
     Stuck,
+    run_spec,
     step_ideal,
     step_seq,
     step_spec,
@@ -45,6 +47,7 @@ from specibt.machine import (
     run_mc,
     step_mc,
 )
+from specibt.relate import map_obs_mir_to_mc, state_rel
 
 # Two blocks of sizes 2 and 2 after a data section of 2 cells:
 # addresses 2,3 belong to b0 and 4,5 to b1.
@@ -132,6 +135,28 @@ def test_step_mc_call_and_fault():
     assert isinstance(out2, Fault)
 
 
+# Block 0 calls block 1 through `f`; block 1 is a function whose head is a
+# ctarget, so a call to its second instruction lands on no landing pad.
+MID_CALL = Program((
+    Block((Call(Reg("f")), Load("y", Reg("a")), RET), is_entry=True),
+    Block((CTARGET, Store(Reg("a"), Const(9)), RET), is_entry=True),
+))
+
+
+def test_mc_call_mid_block_runs_on_without_cet():
+    s = State(PC(0, 0), {"f": FP(1), "a": 0}, (3, 4))
+    mc = linearize(MID_CALL, 2)
+    m, mid = concretize_state(s, mc.lay), mc.lay.pc_addr(PC(1, 1))
+    src = run_spec(MID_CALL, s, [DCallMir(PC(1, 1))], 50, cet=False)
+    r = run_mc(mc, m, [DCallMc(mid)], 50, cet=False)
+    assert (src.status, r.status) == ("term", "term")
+    assert r.trace == [map_obs_mir_to_mc(o, mc.lay) for o in src.trace]
+    assert r.trace == [OCall(mc.lay.addr(1)), OStore(0), OLoad(0)]
+    assert r.state.ms and state_rel(src.state, r.state, mc.lay)
+    # under cet the call arms the ctarget check, and the store faults
+    assert run_mc(mc, m, [DCallMc(mid)], 50).status == "fault"
+
+
 def test_step_mc_stuck_conditions():
     mc = linearize(TINY, 2)
     assert isinstance(step_mc(mc, State(0, {}, (0, 0))), Stuck)
@@ -211,10 +236,13 @@ def test_rules_are_compiled_once_and_kept_on_the_program():
     mc = linearize(TINY, 2)
     s = State(2, {}, (0, 0))
     step_mc(mc, s, DCallMc(4))
-    rule = mc.compiled[2]
-    assert 3 not in mc.compiled and 4 not in mc.compiled  # not reached yet
+    # kept per semantics, by `cet`, and by offset into the code
+    rule, *unreached = mc.compiled[True]
+    assert unreached == [None] * 3 and False not in mc.compiled
     step_mc(mc, s, DCallMc(4))
-    assert mc.compiled[2] is rule
+    assert mc.compiled[True][0] is rule
+    step_mc(mc, s, DCallMc(4), cet=False)
+    assert mc.compiled[False][0] is not rule
     # the compiled rules are no part of the program's value
     fresh = McProgram(mc.code, mc.lay)
     assert mc == fresh and hash(mc) == hash(fresh)

@@ -347,9 +347,9 @@ def test_a_spinning_branch_takes_its_periods_in_lockstep(monkeypatch):
     calls = []
     real = checks.step_mc
 
-    def counted(mc, s, d=None):
+    def counted(mc, s, d=None, cet=True):
         calls.append(s)
-        return real(mc, s, d)
+        return real(mc, s, d, cet)
 
     monkeypatch.setattr(checks, "step_mc", counted)
     v = check_bcc_linearize(SPIN, SPIN_S, ExploreBudget(1, 10**9, 10**6))

@@ -1,7 +1,7 @@
 """Verdicts that the other tests do not reach: the checks of the masking-only
-variant, which models CET only where the pass inserted landing pads, a
-hardened run that gets stuck, an `rs` pair whose pc names no block, and a
-speculative call past the last block."""
+variant, which models CET only where the pass inserted landing pads, `rs` of
+every variant at both pipelines, a hardened run that gets stuck, an `rs`
+pair whose pc names no block, and a speculative call past the last block."""
 
 import json
 import pathlib
@@ -27,28 +27,40 @@ def _check(tmp_path, prop, program, state_doc, *args):
     return res.exit_code, json.loads(res.stdout)
 
 
-# Each row: the property, the state document, extra arguments, and the
-# verdict's exit code, status, runs and reason. With `ct` armed at the
-# start, each would print {"status": "pass", "runs": 1}: the entry of a
-# masking-only program has no landing pad, so every run would fault at its
-# first step.
+# Each row: the variant, the property, the state document, extra
+# arguments, and the verdict's exit code, status, runs and reason. With
+# `ct` armed at the start, each masking-only row would print {"status":
+# "pass", "runs": 1}: the entry of a masking-only program has no landing
+# pad, so every run would fault at its first step.
 MASK_ONLY = [
-    ("bcc", PAIR_DOC["s1"], (), 2, "counterexample", 11,
+    ("mask-only", "bcc", PAIR_DOC["s1"], (), 2, "counterexample", 11,
      "hardened speculative trace diverges from ideal trace"),
-    ("safety", PAIR_DOC["s1"], (), 2, "counterexample", 20623,
+    ("mask-only", "safety", PAIR_DOC["s1"], (), 2, "counterexample", 20623,
      "hardened speculative run is stuck: load address is not a number"),
-    ("rs", PAIR_DOC, (), 2, "counterexample", 20614,
-     "speculative traces distinguish the inputs"),
-    # machine code always models CET, so every call faults
-    ("rs", PAIR_DOC, ("--pipeline", "end-to-end"), 0, "pass", 24, None),
 ]
+# `check rs` of each variant, which both pipelines give the same exit code,
+# status and runs: machine code models CET where the block level does.
+RS = {
+    "mask-only": (2, "counterexample", 20614),
+    "full": (0, "pass", 162),
+    "no-edge-split": (2, "counterexample", 62),
+    "no-entry-check": (2, "counterexample", 133),
+    "no-call-mask": (0, "pass", 162),
+}
+PIPELINES = {"rs": ("hardened-only", "speculative traces distinguish the inputs"),
+             "rs-end-to-end": ("end-to-end", "machine-level traces distinguish the inputs")}
+CHECKS = [pytest.param(*row, id=row[1]) for row in MASK_ONLY] + [
+    pytest.param(variant, "rs", PAIR_DOC, ("--pipeline", pipeline), code, status, runs,
+                 reason if code else None,
+                 id=name if variant == "mask-only" else f"{name}-{variant}")
+    for variant, (code, status, runs) in RS.items()
+    for name, (pipeline, reason) in PIPELINES.items()]
 
 
-@pytest.mark.parametrize("prop, doc, args, code, status, runs, reason", MASK_ONLY,
-                         ids=["bcc", "safety", "rs", "rs-end-to-end"])
-def test_mask_only_checks(tmp_path, prop, doc, args, code, status, runs, reason):
+@pytest.mark.parametrize("variant, prop, doc, args, code, status, runs, reason", CHECKS)
+def test_mask_only_checks(tmp_path, variant, prop, doc, args, code, status, runs, reason):
     got_code, v = _check(tmp_path, prop, P, doc, "--depth", "6", "--runs", "1000000",
-                         "--variant", "mask-only", *args)
+                         "--variant", variant, *args)
     assert (got_code, v["status"], v["runs"], v.get("reason")) == (code, status, runs, reason)
 
 
