@@ -33,7 +33,6 @@ from .gen import (
     gen_program,
     gen_safe_input,
     gen_seq_equiv_pair,
-    no_input_terminates,
     spec_of,
 )
 from .hardening import (
@@ -299,15 +298,13 @@ def _fuzz_inputs(corpus: Optional[str], seed: int, runs: int, fuel: int):
         # sample register values for the registers each program actually uses
         cfgs = [cfg._replace(reg_pool=tuple(sorted(used_registers(p))) or cfg.reg_pool)
                 for p in programs]
-        # the range run's verdict depends on the program only
-        hopeless = [no_input_terminates(p, c) for p, c in zip(programs, cfgs)]
         count = 0
         while True:
             progress = False
-            for p, pcfg, skip in zip(programs, cfgs, hopeless):
+            for p, pcfg in zip(programs, cfgs):
                 if count >= runs:
                     return
-                s = gen_safe_input(rng, p, pcfg, fuel, hopeless=skip)
+                s = gen_safe_input(rng, p, pcfg, fuel)
                 if s is not None:
                     count += 1
                     progress = True

@@ -445,22 +445,22 @@ def gen_safe_input(
     cfg: GenConfig = GenConfig(),
     fuel: int = 10_000,
     attempts: int = 50,
-    hopeless: Optional[bool] = None,
 ) -> Optional[State]:
     """A random initial state whose sequential run terminates cleanly within
     `fuel` steps, or None if rejection sampling runs out of attempts.
 
-    Early rejection: if `no_input_terminates(p, cfg)` (passed in as
-    `hopeless` by a caller that samples the same program again), the
-    attempts' states are drawn and discarded and the result is None; a
-    program it does not prove only has its draws run, with the same stream.
-    Each attempt's run (`_terminates`) stops at its first repeated state,
-    and at a loop that the range run `_never_terminates` proves endless; it
-    does not step on to `fuel`. The result and the rng's position are those of
-    the plain loop that runs each attempt to `fuel`.
+    Early rejection: if `no_input_terminates(p, cfg)`, worked out once per
+    program and config and kept in `p.compiled`, the attempts' states are
+    drawn and discarded and the result is None; a program it does not prove
+    only has its draws run, with the same stream. Each attempt's run
+    (`_terminates`) stops at its first repeated state, and at a loop that
+    the range run `_never_terminates` proves endless; it does not step on
+    to `fuel`. The result and the rng's position are those of the plain
+    loop that runs each attempt to `fuel`.
     """
+    hopeless = p.compiled.get(("hopeless", cfg))
     if hopeless is None:
-        hopeless = no_input_terminates(p, cfg)
+        hopeless = p.compiled[("hopeless", cfg)] = no_input_terminates(p, cfg)
     if hopeless:  # draw the attempts' values, and build no state
         deque(islice(_draws(rng, cfg), attempts * (len(cfg.reg_pool) + cfg.mem_len)), 0)
         return None

@@ -39,16 +39,15 @@ class ReservedRegs(Record):
 
 class PassConfig(Record):
     edge_split: bool = True  # taken-edge flag update via a fresh block
-    insert_ctarget: bool = True  # mark entry blocks as valid call targets
+    insert_ctarget: bool = True  # mark entry blocks as call targets, set callee at calls
     entry_check: bool = True  # compare callee register in entry preludes
-    set_callee: bool = True  # record intended target before each call
     mask_call_target: bool = True
 
 
 FULL = PassConfig()
 # Masking-only baseline: flag tracking and masking, but no call-target
 # registration and no entry-block marking/checking.
-MASK_ONLY = PassConfig(insert_ctarget=False, entry_check=False, set_callee=False)
+MASK_ONLY = PassConfig(insert_ctarget=False, entry_check=False)
 # Deliberately weakened variants, used to validate checker sensitivity.
 NO_EDGE_SPLIT = PassConfig(edge_split=False)
 NO_ENTRY_CHECK = PassConfig(entry_check=False)
@@ -103,7 +102,7 @@ def harden(
             elif isinstance(i, Call):
                 target = (Cond(msf, FpConst(0), i.target)
                           if cfg.mask_call_target else i.target)
-                if cfg.set_callee:
+                if cfg.insert_ctarget:
                     body.append(Asgn(r.callee, target))
                 body.append(Call(target))
             else:

@@ -517,7 +517,7 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
     repeats, and when `endless(c, s, steps)` holds for a state `s` that is
     back at the checkpoint `c`'s pc, its stack never shorter in between, but
     does not repeat it."""
-    used, c, n, power = 0, None, steps, 0
+    used, n, power = 0, steps, 0
     while True:
         if steps - n >= power:
             # the checkpoint, its steps, trace length and directives used,
@@ -541,8 +541,6 @@ def advance(step: Step, s, dirs: Sequence[Directive], fuel: int, trace: list,
         if obs is not None:
             trace.append(obs)
         steps += 1
-        if c is None:
-            continue
         if len(s.stk) < low:
             low = len(s.stk)
         if hash(s.pc) == h and low >= len(c.stk) and s.pc == c.pc:

@@ -19,7 +19,7 @@ tuple of its fields (`isinstance`, `len`, iteration, indexing, ordering,
 `json`; without fields it is false): it never equals a plain tuple, yet
 hashes alike, so no code compares one with a plain tuple or keys one dict by
 both. `Code` keeps the contract for code with a cache of rules compiled from
-it.
+it, and of facts worked out from it.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ class Record(tuple):
 
 class Code:
     """A value, the slots named in `_fields`, and `compiled`, the rules
-    compiled from it as runs first reach them: no part of the value, which
-    alone equality, hash, repr, copies and pickles see, as for a `Record`."""
+    compiled from it as runs first reach them and other facts worked out
+    from it once: no part of the value, which alone equality, hash, repr,
+    copies and pickles see, as for a `Record`."""
 
     __slots__ = ("compiled",)
     _fields: tuple[str, ...] = ()
@@ -241,8 +242,9 @@ class Block(Record):
 
 
 class Program(Code):
-    """Blocks (a tuple of `Block`), and the rules compiled from their
-    instructions per semantics (see `interp._step`)."""
+    """Blocks (a tuple of `Block`). `compiled` keeps the rules compiled from
+    their instructions per semantics (see `interp._step`) and, per
+    `GenConfig`, whether no input it draws terminates (`gen.gen_safe_input`)."""
 
     __slots__ = _fields = ("blocks",)
 

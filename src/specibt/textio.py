@@ -25,7 +25,6 @@ and jump targets.
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Any, Callable, Optional, Sequence, get_args
 
@@ -535,30 +534,3 @@ def encode_layout(lay: LayoutMap) -> dict[str, Any]:
         "starts": {str(l): off for l, off in enumerate(lay.starts)},
         "sizes": list(lay.sizes),
     }
-
-
-def decode_layout(doc: Any, path: str = "") -> LayoutMap:
-    """A layout sidecar as `encode_layout` writes it."""
-    if not isinstance(doc, dict) or not {"data_len", "starts", "sizes"} <= doc.keys():
-        raise DocError(path, "layout must carry data_len, starts and sizes")
-    if not _is_nat(doc["data_len"]):
-        raise DocError(f"{path}/data_len", f"not a natural number: {doc['data_len']!r}")
-    starts_doc = doc["starts"]
-    if not isinstance(starts_doc, dict):
-        raise DocError(f"{path}/starts", "starts must be an object")
-    try:
-        starts = tuple(starts_doc[str(l)] for l in range(len(starts_doc)))
-    except KeyError as exc:
-        raise DocError(f"{path}/starts", f"missing label {exc}") from exc
-    sizes = doc["sizes"]
-    if not isinstance(sizes, list) or len(sizes) != len(starts):
-        raise DocError(f"{path}/sizes", f"sizes must be a list of {len(starts)} entries")
-    for key, xs in (("starts", starts), ("sizes", sizes)):
-        for l, x in enumerate(xs):
-            if not _is_nat(x):
-                raise DocError(f"{path}/{key}/{l}", f"not a natural number: {x!r}")
-    # each block starts where the one before it ends
-    for l, (x, at) in enumerate(zip(starts, itertools.accumulate(sizes, initial=0))):
-        if x != at:
-            raise DocError(f"{path}/starts/{l}", f"block {l} must start at {at}")
-    return LayoutMap(doc["data_len"], starts, tuple(sizes))

@@ -10,8 +10,8 @@ from specibt.checks import check_relative_security
 from specibt.explore import ExploreBudget
 from specibt.interp import State
 from specibt.machine import layout
-from specibt.textio import (MAX_NESTING, DocError, decode_directive, decode_layout,
-                            decode_state)
+from specibt.textio import (MAX_NESTING, DocError, decode_directive, decode_state,
+                            encode_layout)
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 LISTING1 = str(CORPUS / "listing1.mir")
@@ -358,7 +358,7 @@ def test_layout_sidecar_round_trip(tmp_path, listing1, data_len):
     res = invoke(["linearize", LISTING1, "--data-len", str(data_len),
                   "--layout-out", str(out)])
     assert res.exit_code == 0
-    assert decode_layout(json.loads(out.read_text())) == layout(listing1, data_len)
+    assert json.loads(out.read_text()) == encode_layout(layout(listing1, data_len))
     # without --layout-out the same sidecar goes to stderr
     res = invoke(["linearize", LISTING1, "--data-len", str(data_len)])
     assert json.loads(res.stderr) == json.loads(out.read_text())

@@ -22,6 +22,7 @@ import tracemalloc
 
 import pytest
 
+import specibt.gen as gen
 import specibt.interp as interp
 from specibt.gen import (
     GenConfig,
@@ -117,8 +118,8 @@ def test_the_hopeless_programs_of_the_gen_corpus_are_pinned():
                         "p31", "p32", "p33", "p34"}
     name, p00, cfg = next(_corpus())
     assert name == "p00"
-    assert gen_safe_input(random.Random(0), p00, cfg, 1000, attempts=200,
-                          hopeless=False) is None
+    draws = random.Random(0)
+    assert not any(_terminates(p00, gen_state(draws, cfg), 1000) for _ in range(200))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -133,7 +134,7 @@ def test_no_input_of_a_proved_program_terminates(seed):
             continue
         proved += 1
         draws = random.Random(f"{seed}-{i}")
-        assert gen_safe_input(draws, p, cfg, 10_000, attempts=100, hopeless=False) is None
+        assert not any(_terminates(p, gen_state(draws, cfg), 10_000) for _ in range(100))
     assert proved > 50  # the property was exercised
 
 
@@ -215,6 +216,48 @@ def test_a_program_some_input_terminates_on_is_not_proved_hopeless(name):
     assert run_seq(p, s, 1000).status == "term"
     assert run_seq(p, ALL_UV, 1000).status == "stuck"
     assert not no_input_terminates(p, cfg)
+
+
+# A comparison of code pointers, decided as the concrete step decides it:
+# `&b1 = &b1` holds, so every run spins at b2, and `&b1 = &b0` does not, so
+# every run returns. Read as UV, the comparison would be stuck, and the
+# second program wrongly proved.
+FP_BRANCH = """
+entry b0:
+  r0 <- &b1
+  branch (r0 = &{}) b2
+  ret
+entry b1:
+  ret
+block b2:
+  jump b2
+"""
+
+
+def test_a_comparison_of_code_pointers_is_decided():
+    cfg, s = GenConfig(), State(PC(0, 0), {}, (0,) * 8)
+    spins, returns = (parse_program(FP_BRANCH.format(b)) for b in ("b1", "b0"))
+    assert run_seq(spins, s, 1000).status == "fuel"
+    assert no_input_terminates(spins, cfg)
+    assert run_seq(returns, s, 1000).status == "term"
+    assert not no_input_terminates(returns, cfg)
+
+
+def test_a_call_target_that_may_be_a_number_gives_the_proof_up():
+    """At r1 = 0 the call is stuck, else it returns: the target is `_TOP`,
+    and the proof ends at the call, its second step."""
+    p = parse_program("entry b0:\n  r0 <- (r1 ? &b1 : 3)\n  call r0\n  ret\n"
+                      "entry b1:\n  ret\n")
+    assert _never_terminates(p, _drawn(GenConfig()), _ABSTRACT_STEPS) == (False, 2)
+    for r1, status in ((0, "stuck"), (1, "term")):
+        assert run_seq(p, State(PC(0, 0), {"r1": r1}, (0,) * 8), 100).status == status
+
+
+def test_a_call_to_a_number_is_stuck_and_proved_hopeless():
+    p = parse_program("entry b0:\n  r0 <- 5\n  call r0\n  ret\n")
+    assert no_input_terminates(p, GenConfig())
+    res = run_seq(p, State(PC(0, 0), {}, (0,) * 8), 100)
+    assert (res.status, res.reason) == ("stuck", "call target is not a function pointer")
 
 
 def test_a_counter_loop_that_forks_is_proved_hopeless():
@@ -348,17 +391,23 @@ def test_gen_state_draws_as_randrange(pool, mem_len, max_const):
         assert rng.getstate() == oracle.getstate()
 
 
-def test_hopeless_program_draws_as_50_states():
+def test_hopeless_program_draws_as_50_states(monkeypatch):
     p = parse_program("entry a:\n  jump a\n")
     cfg = GenConfig()
     assert no_input_terminates(p, cfg)
+    proofs = []
+    real = gen._never_terminates
+    monkeypatch.setattr(gen, "_never_terminates", lambda *a: proofs.append(a) or real(*a))
     rng, oracle = random.Random(5), random.Random(5)
     assert gen_safe_input(rng, p, cfg, 1000) is None
     for _ in range(50):
         gen_state(oracle, cfg)
     assert rng.getstate() == oracle.getstate()
-    # the caller's verdict is taken as given
-    assert gen_safe_input(rng, p, cfg, 1000, attempts=7, hopeless=True) is None
+    assert len(proofs) == 1
+    # the verdict is kept on the program: a second call proves nothing again
+    assert gen_safe_input(rng, p, cfg, 1000, attempts=7) is None
     for _ in range(7):
         gen_state(oracle, cfg)
     assert rng.getstate() == oracle.getstate()
+    assert len(proofs) == 1
+    assert p.compiled[("hopeless", cfg)] is True

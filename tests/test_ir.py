@@ -1,6 +1,7 @@
 from specibt.ir import (
     UV,
     Asgn,
+    BinOp,
     Block,
     Branch,
     Call,
@@ -69,6 +70,15 @@ def test_wf_function_pointer_constraints():
         )
     )
     assert any("non-entry" in i for i in wf_program(p))
+
+
+def test_wf_reports_an_empty_block_a_pointer_past_the_end_and_an_unknown_operator():
+    p = Program((Block((RET,), is_entry=True), Block((), is_entry=False)))
+    assert wf_program(p) == ["block 1 is empty"]
+    p = Program((Block((Asgn("r", FpConst(1)), RET), is_entry=True),))
+    assert wf_program(p) == ["block 0[0]: function pointer &1 out of range"]
+    p = Program((Block((Asgn("r", BinOp("%", Const(1), Const(2))), RET), is_entry=True),))
+    assert wf_program(p) == ["block 0[0]: unknown operator '%'"]
 
 
 def test_wf_ctarget_modes():

@@ -36,18 +36,15 @@ from specibt.ir import (
     Reg,
     Store,
 )
-from specibt.machine import layout
 from specibt.textio import (
     DocError,
     ParseError,
     decode_directives,
-    decode_layout,
     decode_obs,
     decode_state,
     decode_trace,
     decode_value,
     encode_directives,
-    encode_layout,
     encode_state,
     encode_trace,
     encode_value,
@@ -175,11 +172,6 @@ def test_state_round_trip():
         assert back == sp and back.ct and back.ms
 
 
-def test_layout_round_trip(listing1):
-    lay = layout(listing1, 8)
-    assert decode_layout(encode_layout(lay)) == lay
-
-
 def test_decode_rejects_garbage():
     with pytest.raises(DocError):
         decode_value({"nat": "x"})
@@ -237,42 +229,10 @@ def test_labels_resolve_forward():
     assert p.blocks[1].insts[0] == Asgn("f", FpConst(0))
 
 
-def test_decode_layout_needs_sizes(listing1):
-    lay = layout(listing1, 8)
-    doc = encode_layout(lay)
-    del doc["sizes"]
-    doc["code_len"] = lay.code_len  # no writer produces it; it is not read
-    with pytest.raises(DocError, match="sizes"):
-        decode_layout(doc)
-
-
 @pytest.mark.parametrize("flags", [{"ct": "no"}, {"ms": "false"}, {"ms": 1}])
 def test_state_flags_must_be_booleans(flags):
     with pytest.raises(DocError, match="flag must be true or false"):
         decode_state(flags)
-
-
-@pytest.mark.parametrize("field, value, path", [
-    ("data_len", -1, "/data_len"),
-    ("data_len", True, "/data_len"),
-    ("data_len", "8", "/data_len"),
-    ("starts", [0, 2], "/starts"),
-    ("starts", {"0": 0, "1": "2"}, "/starts/1"),
-    ("starts", {"0": 0, "1": -2}, "/starts/1"),
-    ("sizes", 5, "/sizes"),
-    ("sizes", [2], "/sizes"),
-    ("sizes", [2, None], "/sizes/1"),
-    ("sizes", [2, False], "/sizes/1"),
-    # starts that are not the running sums of the sizes from 0
-    ("starts", {"0": 0, "1": 5}, "/starts/1"),
-    ("starts", {"0": 0, "1": 1}, "/starts/1"),
-    ("starts", {"0": 1, "1": 3}, "/starts/0"),
-])
-def test_decode_layout_checks_field_types(field, value, path):
-    doc = {"data_len": 8, "starts": {"0": 0, "1": 2}, "sizes": [2, 3], field: value}
-    with pytest.raises(DocError) as exc:
-        decode_layout(doc, "lay")
-    assert exc.value.path == "lay" + path
 
 
 def test_root_doc_error_has_no_empty_path():
